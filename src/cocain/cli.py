@@ -24,7 +24,6 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 """
 
 import argparse
-import concurrent.futures
 import configparser
 import dataclasses
 import os
@@ -67,7 +66,14 @@ CSV_HEADER = (
     "step_norm,lower_trials,upper_trials,wall_time_ns"
 )
 
-SOLVER_NAMES = ("cocain", "cfi", "cocain_nobt", "bpg_wb", "bpg_fixed", "ipiano")
+SOLVERS = {
+    "cocain": cocain_bpg,
+    "cfi": cocain_bpg_cfi,
+    "cocain_nobt": cocain_bpg_no_backtracking,
+    "bpg_wb": bpg_wb,
+    "bpg_fixed": bpg_fixed,
+    "ipiano": ipiano,
+}
 
 # Experiment defaults.  Each bundle reproduces one published comparison at
 # desk scale; the constants were tuned once against the reported numbers and
@@ -76,7 +82,6 @@ SWEEP_CONFIG = SolverConfig(
     delta=0.995, epsilon=0.00995, nu_upper=1.5, nu_lower=2.0,
     L_bar_init=0.204, gamma_cap=0.88, max_iters=1000,
 )
-SWEEP_IPIANO_BETA = 0.7
 CONTRAST_CONFIG = SolverConfig(max_iters=1000)
 SPURIOUS_CONFIG = SolverConfig(max_iters=1000, L_bar_init=101.0)
 PHASE_RETRIEVAL_CONFIG = SolverConfig(max_iters=1000, stop_tol=0.0)
@@ -126,6 +131,9 @@ def _solver_config(base, overrides):
     for key, text in overrides.items():
         if key not in _CONFIG_FIELD_TYPES:
             raise ConfigError(f"unknown solver option: {key}")
+        if key == "L" and text.strip() == "auto":
+            kwargs[key] = None  # bpg_fixed then uses problem.smad_L
+            continue
         try:
             kwargs[key] = _coerce(text, _CONFIG_FIELD_TYPES[key])
         except (TypeError, ValueError) as exc:
@@ -257,41 +265,6 @@ def _parse_x0(text, dim):
 
 
 # ---------------------------------------------------------------------------
-# solver registry
-
-
-def _run_solver(name, problem, config, x0, extra):
-    extra = dict(extra)
-    if name == "cocain":
-        return cocain_bpg(problem, config, x0)
-    if name == "cfi":
-        return cocain_bpg_cfi(problem, config, x0)
-    if name == "cocain_nobt":
-        return cocain_bpg_no_backtracking(problem, config, x0)
-    if name == "bpg_wb":
-        return bpg_wb(problem, config, x0)
-    if name == "bpg_fixed":
-        L_text = extra.pop("L", "auto")
-        L = problem.smad_L if L_text == "auto" else float(L_text)
-        return bpg_fixed(problem, L, x0, config)
-    if name == "ipiano":
-        beta = float(extra.pop("beta", SWEEP_IPIANO_BETA))
-        return ipiano(problem, beta, config, x0)
-    raise ConfigError(f"unknown solver: {name}")
-
-
-_SOLVER_EXTRA_KEYS = {"bpg_fixed": {"L"}, "ipiano": {"beta"}}
-
-
-def _split_solver_section(name, section):
-    """Separate solver-specific keys (L, beta) from SolverConfig overrides."""
-    extra_keys = _SOLVER_EXTRA_KEYS.get(name, set())
-    extra = {k: v for k, v in section.items() if k in extra_keys}
-    rest = {k: v for k, v in section.items() if k not in extra_keys}
-    return rest, extra
-
-
-# ---------------------------------------------------------------------------
 # output plumbing
 
 
@@ -364,19 +337,12 @@ def _write_bundle(out_dir, problem, results, compare_mode, header_pairs):
     return text
 
 
-def _run_bundle(problem, runs, jobs):
-    """runs: list of (name, config, x0, extra).  Returns {name: result}."""
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                name: pool.submit(_run_solver, name, problem, cfg, x0, extra)
-                for name, cfg, x0, extra in runs
-            }
-            return {name: fut.result() for name, fut in futures.items()}
-    return {
-        name: _run_solver(name, problem, cfg, x0, extra)
-        for name, cfg, x0, extra in runs
-    }
+def _solver_names(text):
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for name in names:
+        if name not in SOLVERS:
+            raise ConfigError(f"unknown solver: {name}")
+    return names
 
 
 def _out_dir(args):
@@ -395,10 +361,7 @@ def cmd_run(args):
 
     problem, x0 = _build_problem(config.get("problem", {}))
     run_opts = dict(config.get("run", {}))
-    solver_list = [
-        tok.strip() for tok in run_opts.pop("solvers", "cocain").split(",")
-        if tok.strip()
-    ]
+    solver_list = _solver_names(run_opts.pop("solvers", "cocain"))
     if len(set(solver_list)) != len(solver_list):
         raise ConfigError("duplicate solver in run list")
     if "x0" in run_opts:
@@ -414,15 +377,10 @@ def cmd_run(args):
     if iters is not None:
         base = dataclasses.replace(base, max_iters=iters)
 
-    runs = []
-    for name in solver_list:
-        if name not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver: {name}")
-        section = config.get(f"solver.{name}", {})
-        overrides, extra = _split_solver_section(name, section)
-        runs.append((name, _solver_config(base, overrides), x0, extra))
-
-    results = _run_bundle(problem, runs, args.jobs)
+    configs = {name: _solver_config(base, config.get(f"solver.{name}", {}))
+               for name in solver_list}
+    results = {name: SOLVERS[name](problem, cfg, x0)
+               for name, cfg in configs.items()}
     summary = _write_bundle(
         _out_dir(args), problem, results, args.compare,
         [("command", "run"), ("config", os.path.basename(args.config))],
@@ -439,10 +397,7 @@ def cmd_sweep(args):
     problem = make_univariate(args.kind)
     if args.n_starts < 2:
         raise ConfigError("sweep needs at least 2 starts")
-    solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver: {name}")
+    solvers = _solver_names(args.solvers)
     config = SWEEP_CONFIG
     if args.config:
         loaded = _apply_sets(_load_config(args.config), args.set or [])
@@ -454,21 +409,11 @@ def cmd_sweep(args):
         config = dataclasses.replace(config, max_iters=args.iters)
 
     starts = np.linspace(args.lo, args.hi, args.n_starts)
-    finals = {name: np.empty(args.n_starts) for name in solvers}
-
-    def one(name, i):
-        res = _run_solver(name, problem, config, np.array([starts[i]]), {})
-        return name, i, res.final_psi
-
-    tasks = [(name, i) for name in solvers for i in range(args.n_starts)]
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for name, i, value in pool.map(lambda t: one(*t), tasks):
-                finals[name][i] = value
-    else:
-        for name, i in tasks:
-            _, _, value = one(name, i)
-            finals[name][i] = value
+    finals = {
+        name: np.array([SOLVERS[name](problem, config, np.array([s])).final_psi
+                        for s in starts])
+        for name in solvers
+    }
 
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -543,17 +488,12 @@ def cmd_denoise(args):
                               fraction=args.fraction, seed=seed)
     problem = make_robust_denoising(noisy, lam=args.lam, rho=args.rho,
                                     data_term=args.data_term)
-    solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver: {name}")
+    solvers = _solver_names(args.solvers)
     config = DENOISE_CONFIG
     if args.iters is not None:
         config = dataclasses.replace(config, max_iters=args.iters)
     x0 = np.zeros(problem.dim)
-
-    runs = [(name, config, x0, {}) for name in solvers]
-    results = _run_bundle(problem, runs, args.jobs)
+    results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
 
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -591,8 +531,6 @@ def cmd_verify(args):
 def _add_common(sub):
     sub.add_argument("--out", default="cocain_out",
                      help="output directory (COCAIN_OUT overrides)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for independent runs")
     sub.add_argument("--compare", action="store_true",
                      help="byte-stable outputs: zero wall times, no timestamp")
     sub.add_argument("--iters", type=int, default=None,
@@ -634,10 +572,8 @@ def _make_parser():
     p_spur.set_defaults(func=cmd_spurious)
 
     p_den = subs.add_parser("denoise", help="robust denoising bundle")
-    group = p_den.add_mutually_exclusive_group()
-    group.add_argument("--image", default=None, help="input graymap path")
-    group.add_argument("--synthetic", action="store_true",
-                       help="use the built-in block image (default)")
+    p_den.add_argument("--image", default=None,
+                       help="input graymap path (default: the block image)")
     p_den.add_argument("--height", type=int, default=32)
     p_den.add_argument("--width", type=int, default=32)
     p_den.add_argument("--lam", type=float, default=10.0)

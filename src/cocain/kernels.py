@@ -109,11 +109,6 @@ class QuarticKernel(Kernel):
         return (float(np.dot(x, x)) + 1.0) * v + 2.0 * float(np.dot(x, v)) * x
 
 
-def bregman_distance(kernel, x, y):
-    """D_h(x, y) for the given kernel."""
-    return kernel.bregman(x, y)
-
-
 def three_points_gap(kernel, x, y, z):
     """Residual of the three-points identity; zero up to rounding.
 

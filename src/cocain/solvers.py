@@ -10,19 +10,26 @@ Bregman proximal step produces the next iterate.  Every accepted quantity is
 logged to a trace from which the Lyapunov certificates in `diagnostics` can
 be recomputed without trusting the solver.
 
+All six solvers are this one step with some choices fixed, and all run on
+one iteration driver (`_drive`), which owns the records, the callback and
+the stop test.  Each solver supplies only its step: an inertia rule
+(searched, closed-form, fixed beta, or none) and a majorant rule
+(backtracked, frozen, or fixed L).  Every solver is called as
+`solver(problem, config, x0, *, callback=None)`.
+
 Solvers:
-  cocain_bpg                  adaptive inertia, double backtracking
-  cocain_bpg_cfi              closed-form inertia for the quartic kernel
-  cocain_bpg_no_backtracking  global constants, no function evaluations
-  bpg_wb                      no inertia, majorant backtracking only
-  bpg_fixed                   no inertia, fixed step 1/L
-  ipiano                      fixed inertia, Euclidean kernel
+  cocain_bpg                  searched inertia, backtracked majorant
+  cocain_bpg_cfi              closed-form inertia (quartic kernel only)
+  cocain_bpg_no_backtracking  halved inertia, fixed global L, no searches
+  bpg_wb                      no inertia, backtracked majorant
+  bpg_fixed                   no inertia, fixed L (config.L, or smad_L)
+  ipiano                      fixed inertia config.beta, Euclidean kernel
 """
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +42,7 @@ TERM_BACKTRACK_FAILURE = "backtrack_failure"
 
 
 class SolverError(RuntimeError):
-    """Raised when a run cannot continue (non-finite objective, bad setup)."""
+    """Raised when a run cannot go on (non-finite objective, stalled solve)."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,9 @@ class SolverConfig:
     Lyapunov function is defined relative to such a frozen step size.
     store_iterates keeps copies of every iterate and base point on the trace
     (needed by the certificates that re-derive distances independently).
+
+    L is the fixed majorant of bpg_fixed (None: problem.smad_L) and beta the
+    fixed inertia of ipiano in [0, 1); the other solvers ignore both.
     """
 
     delta: float = 0.99
@@ -74,6 +84,8 @@ class SolverConfig:
     L_lower_value: float = 1e-10
     store_iterates: bool = False
     freeze_after: Optional[int] = None
+    L: Optional[float] = None
+    beta: float = 0.7
 
     def __post_init__(self):
         if self.epsilon is None:
@@ -99,6 +111,10 @@ class SolverConfig:
             raise ValueError("L_lower_value must be > 0")
         if self.freeze_after is not None and self.freeze_after < 1:
             raise ValueError("freeze_after must be >= 1 when set")
+        if self.L is not None and self.L <= 0.0:
+            raise ValueError(f"L must be > 0, got {self.L}")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +144,20 @@ class TraceRecord:
     wall_time_ns: int
     x: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
+
+
+# Fields compared for bit-identity between traces: all but the iterate
+# copies and wall_time_ns, the one legitimately nondeterministic column.
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord)
+                     if f.name not in ("wall_time_ns", "x", "y"))
+
+
+def replace_record(records, k, **changes):
+    """Copy of `records` with record k's fields overridden (for negative
+    controls that corrupt an otherwise valid trace)."""
+    out = list(records)
+    out[k] = replace(out[k], **changes)
+    return out
 
 
 @dataclass
@@ -162,28 +192,6 @@ class IterateState:
     L_lower_prev: Optional[float]
 
 
-def _validate_setup(problem, config, x0, need_quartic=False):
-    x0 = np.array(x0, dtype=float).reshape(-1)
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, problem dim is {problem.dim}")
-    require_finite(x0, "x0")
-    if need_quartic and not isinstance(problem.kernel, QuarticKernel):
-        raise ValueError("closed-form inertia requires the quartic kernel")
-    # The Lyapunov analysis needs the initial majorant to clear the
-    # weak-convexity barrier of f.
-    barrier = -problem.alpha / ((1.0 - config.delta) * problem.kernel.sigma)
-    if config.L_bar_init <= barrier:
-        raise ValueError(
-            f"L_bar_init={config.L_bar_init} must exceed "
-            f"-alpha/((1-delta)*sigma)={barrier} for this problem"
-        )
-    return x0
-
-
-def _maybe_copy(x, store):
-    return np.copy(x) if store else None
-
-
 def _seed_L_lower(state, config):
     if config.L_lower_policy == "constant":
         return config.L_lower_value
@@ -194,18 +202,11 @@ def _seed_L_lower(state, config):
     return max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
 
 
-def find_gamma(state, L_lower_candidate, config, problem):
-    """Largest extrapolation factor compatible with the inertia condition.
-
-    For the Euclidean kernel D_h(x^k, y) = gamma^2 * D_h(x^{k-1}, x^k), so
-    gamma = min(gamma_cap, sqrt((delta-eps)/(1 + L_lower*tau_prev))) holds
-    with equality-or-better and is returned directly.  Other kernels start
-    from the same candidate and halve until the condition verifies; gamma = 0
-    always verifies since the base point then collapses onto x^k.
-    """
-    scale = 1.0 + L_lower_candidate * state.tau_prev
-    if scale <= 0.0:
-        return config.gamma_cap
+def _halve_gamma(state, scale, config, problem):
+    """Halve g0 = min(gamma_cap, sqrt((delta-eps)/scale)) until
+    scale * D_h(x^k, y) <= (delta-eps) * D_h(x^{k-1}, x^k); g0 as is on the
+    Euclidean kernel, where that holds with equality-or-better.  gamma = 0
+    always verifies since the base point then collapses onto x^k."""
     gamma = min(config.gamma_cap, math.sqrt((config.delta - config.epsilon) / scale))
     kernel = problem.kernel
     if isinstance(kernel, EuclideanKernel):
@@ -217,6 +218,20 @@ def find_gamma(state, L_lower_candidate, config, problem):
             return gamma
         gamma *= 0.5
     return 0.0
+
+
+def find_gamma(state, L_lower_candidate, config, problem):
+    """Largest extrapolation factor compatible with the inertia condition.
+
+    For the Euclidean kernel D_h(x^k, y) = gamma^2 * D_h(x^{k-1}, x^k), so
+    gamma = min(gamma_cap, sqrt((delta-eps)/(1 + L_lower*tau_prev))) holds
+    with equality-or-better and is returned directly.  Other kernels start
+    from the same candidate and halve until the condition verifies.
+    """
+    scale = 1.0 + L_lower_candidate * state.tau_prev
+    if scale <= 0.0:
+        return config.gamma_cap
+    return _halve_gamma(state, scale, config, problem)
 
 
 def find_gamma_cfi(state, L_lower_candidate, config, problem):
@@ -267,21 +282,21 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     return False, L_lo, 0.0, state.x_curr, state.g_curr, None, config.max_backtracks
 
 
-def upper_backtrack(state, y, g_y, grad_g_y, config, problem):
+def upper_backtrack(state, y, g_y, grad_g_y, config, problem, centre=None):
     """Fix (L_bar, tau, x_next) for one step.
 
     Starts the ladder at the previous majorant (so L_bar never decreases),
-    sets tau = min(tau_prev, 1/L_bar), solves the proximal subproblem, and
-    accepts once the majorant inequality
-    g(x_next) <= g(y) + <grad g(y), x_next - y> + L_bar * D_h(x_next, y)
-    holds.  Returns (ok, L_bar, tau, x_next, g_next, trials).
+    sets tau = min(tau_prev, 1/L_bar), solves the proximal subproblem
+    centred at `centre` (default y), and accepts once the majorant
+    inequality g(x_next) <= g(y) + <grad g(y), x_next - y> + L_bar *
+    D_h(x_next, y) holds.  Returns (ok, L_bar, tau, x_next, g_next, trials).
     """
     kernel = problem.kernel
-    grad_h_y = kernel.grad(y)
+    grad_h_centre = kernel.grad(y if centre is None else centre)
     L_bar = state.L_bar_prev
     for trial in range(1, config.max_backtracks + 1):
         tau = min(state.tau_prev, 1.0 / L_bar)
-        x_next = problem.f_prox_step(grad_h_y, grad_g_y, tau)
+        x_next = problem.f_prox_step(grad_h_centre, grad_g_y, tau)
         g_next = problem.g_value(x_next)
         rhs = (
             g_y
@@ -294,90 +309,77 @@ def upper_backtrack(state, y, g_y, grad_g_y, config, problem):
     return False, L_bar, min(state.tau_prev, 1.0 / L_bar), None, None, config.max_backtracks
 
 
-def _frozen_upper_step(state, y, grad_g_y, config, problem):
-    """Second-phase step: majorant pinned at the global constant, no search."""
-    L_bar = max(state.L_bar_prev, problem.smad_L)
+def _fixed_upper_step(state, y, grad_g_y, L_bar, problem):
+    """Majorant pinned at L_bar: one proximal step, no search."""
     tau = min(state.tau_prev, 1.0 / L_bar)
     x_next = problem.f_prox_step(problem.kernel.grad(y), grad_g_y, tau)
     return L_bar, tau, x_next, problem.g_value(x_next)
 
 
-def _initial_record(psi, tau, L_bar, x0, store):
-    return TraceRecord(
-        k=0, psi=psi, tau=tau, gamma=0.0, L_bar=L_bar, L_lower=0.0,
-        dh_prev_curr=0.0, dh_curr_y=0.0, step_norm=0.0,
-        lower_trials=0, upper_trials=0, wall_time_ns=0,
-        x=_maybe_copy(x0, store), y=None,
-    )
+def _maybe_copy(x, store):
+    return np.copy(x) if store else None
 
 
-def _final_record(k, psi, tau, L_bar, kernel, x_prev, x_curr, store):
-    return TraceRecord(
-        k=k, psi=psi, tau=tau, gamma=0.0, L_bar=L_bar, L_lower=0.0,
-        dh_prev_curr=kernel.bregman(x_prev, x_curr), dh_curr_y=0.0,
-        step_norm=float(np.linalg.norm(x_curr - x_prev)),
-        lower_trials=0, upper_trials=0, wall_time_ns=0,
-        x=_maybe_copy(x_curr, store), y=None,
-    )
+def _drive(name, problem, config, x0, callback, step, L_bar=None,
+           barrier=True):
+    """The iteration every solver runs; `step` is what tells them apart.
 
-
-def _cocain_loop(problem, config, x0, callback, gamma_rule, name):
-    x0 = _validate_setup(problem, config, x0,
-                         need_quartic=(gamma_rule is find_gamma_cfi))
+    Validates x0 (and, with `barrier`, config.L_bar_init against the
+    weak-convexity barrier of f), then for k = 1, 2, ... calls
+    step(IterateState) -> (gamma, L_lower, y, lower_trials, L_bar, tau,
+    x_next, g_next, upper_trials), or None when backtracking fails, and
+    logs record k.  L_bar is the initial majorant (default
+    config.L_bar_init; tau starts at 1/L_bar).
+    An ArithmeticError inside a step (a stalled prox solve) ends the run
+    as a SolverError naming the solver and the iteration.
+    """
+    x0 = np.array(x0, dtype=float).reshape(-1)
+    if x0.shape != (problem.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, problem dim is {problem.dim}")
+    require_finite(x0, "x0")
     kernel = problem.kernel
+    # The Lyapunov analysis needs the initial majorant to clear the
+    # weak-convexity barrier of f.
+    bound = -problem.alpha / ((1.0 - config.delta) * kernel.sigma)
+    if barrier and config.L_bar_init <= bound:
+        raise ValueError(
+            f"L_bar_init={config.L_bar_init} must exceed "
+            f"-alpha/((1-delta)*sigma)={bound} for this problem"
+        )
     store = config.store_iterates
 
-    x_prev = x0.copy()
-    x_curr = x0.copy()
+    x_prev = x_curr = x0  # a private copy, never written to
     g_curr = problem.g_value(x_curr)
     psi_curr = problem.f_value(x_curr) + g_curr
     require_finite(psi_curr, "objective at x0")
+    L_bar = config.L_bar_init if L_bar is None else L_bar
+    tau = 1.0 / L_bar
+    L_lower = None
 
-    tau_prev = 1.0 / config.L_bar_init
-    L_bar_prev = config.L_bar_init
-    L_lower_prev = None
-
-    records = [_initial_record(psi_curr, tau_prev, L_bar_prev, x0, store)]
+    records = [TraceRecord(
+        k=0, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar, L_lower=0.0,
+        dh_prev_curr=0.0, dh_curr_y=0.0, step_norm=0.0, lower_trials=0,
+        upper_trials=0, wall_time_ns=0, x=_maybe_copy(x0, store), y=None,
+    )]
     termination = TERM_MAX_ITERS
-    iterations = 0
 
     for k in range(1, config.max_iters + 1):
         tick = time.perf_counter_ns()
         dh_prev_curr = kernel.bregman(x_prev, x_curr)
         state = IterateState(
             k=k, x_prev=x_prev, x_curr=x_curr, g_curr=g_curr,
-            dh_prev_curr=dh_prev_curr, tau_prev=tau_prev,
-            L_bar_prev=L_bar_prev, L_lower_prev=L_lower_prev,
+            dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
+            L_lower_prev=L_lower,
         )
-
-        if config.gamma_cap == 0.0:
-            # No inertia: the base point is x^k itself and the minorant
-            # inequality holds as an identity, so the lower search is moot.
-            gamma, L_lower, lower_trials = 0.0, 0.0, 0
-            y, g_y = x_curr, g_curr
-            grad_g_y = problem.g_grad(x_curr)
-        else:
-            ok, L_lower, gamma, y, g_y, grad_g_y, lower_trials = lower_backtrack(
-                state, config, problem, gamma_rule
-            )
-            if not ok:
-                termination = TERM_BACKTRACK_FAILURE
-                break
-
-        frozen = config.freeze_after is not None and k >= config.freeze_after
-        if frozen:
-            L_bar, tau, x_next, g_next = _frozen_upper_step(
-                state, y, grad_g_y, config, problem
-            )
-            upper_trials = 0
-        else:
-            ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
-                state, y, g_y, grad_g_y, config, problem
-            )
-            if not ok:
-                termination = TERM_BACKTRACK_FAILURE
-                break
-
+        try:
+            accepted = step(state)
+        except ArithmeticError as exc:
+            raise SolverError(f"{name}: {exc} at iteration {k}") from exc
+        if accepted is None:
+            termination = TERM_BACKTRACK_FAILURE
+            break
+        (gamma, L_lower, y, lower_trials, L_bar, tau, x_next, g_next,
+         upper_trials) = accepted
         psi_next = problem.f_value(x_next) + g_next
         if not np.isfinite(psi_next):
             raise SolverError(
@@ -387,29 +389,31 @@ def _cocain_loop(problem, config, x0, callback, gamma_rule, name):
         record = TraceRecord(
             k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
             L_lower=L_lower, dh_prev_curr=dh_prev_curr,
-            dh_curr_y=kernel.bregman(x_curr, y),
+            # D_h(x, x) = 0 exactly on both kernels
+            dh_curr_y=0.0 if y is x_curr else kernel.bregman(x_curr, y),
             step_norm=float(np.linalg.norm(x_curr - x_prev)),
             lower_trials=lower_trials, upper_trials=upper_trials,
             wall_time_ns=time.perf_counter_ns() - tick,
             x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
         )
         records.append(record)
-        iterations = k
         if callback is not None:
             callback(record)
 
         step_inf = float(np.max(np.abs(x_next - x_curr)))
         x_prev, x_curr = x_curr, x_next
         g_curr, psi_curr = g_next, psi_next
-        tau_prev, L_bar_prev, L_lower_prev = tau, L_bar, L_lower
-
         if step_inf < config.stop_tol:
             termination = TERM_STEP_TOL
             break
 
-    records.append(_final_record(
-        records[-1].k + 1, psi_curr, tau_prev, L_bar_prev, kernel,
-        x_prev, x_curr, store,
+    iterations = len(records) - 1
+    records.append(TraceRecord(
+        k=iterations + 1, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar,
+        L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr),
+        dh_curr_y=0.0, step_norm=float(np.linalg.norm(x_curr - x_prev)),
+        lower_trials=0, upper_trials=0, wall_time_ns=0,
+        x=_maybe_copy(x_curr, store), y=None,
     ))
     return SolverResult(
         solver=name, problem=problem.name, x=x_curr, termination=termination,
@@ -417,7 +421,43 @@ def _cocain_loop(problem, config, x0, callback, gamma_rule, name):
     )
 
 
-def cocain_bpg(problem, config, x0, callback=None):
+def _cocain_step(problem, config, gamma_rule):
+    """Searched (or closed-form) inertia with a backtracked majorant that
+    is frozen from config.freeze_after on; gamma_cap = 0 drops the inertia
+    and with it the minorant search."""
+
+    def step(state):
+        if config.gamma_cap == 0.0:
+            # No inertia: the base point is x^k itself and the minorant
+            # inequality holds as an identity, so the lower search is moot.
+            gamma, L_lower, lower_trials = 0.0, 0.0, 0
+            y, g_y = state.x_curr, state.g_curr
+            grad_g_y = problem.g_grad(state.x_curr)
+        else:
+            ok, L_lower, gamma, y, g_y, grad_g_y, lower_trials = lower_backtrack(
+                state, config, problem, gamma_rule
+            )
+            if not ok:
+                return None
+        if config.freeze_after is not None and state.k >= config.freeze_after:
+            L_bar, tau, x_next, g_next = _fixed_upper_step(
+                state, y, grad_g_y, max(state.L_bar_prev, problem.smad_L),
+                problem,
+            )
+            upper_trials = 0
+        else:
+            ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
+                state, y, g_y, grad_g_y, config, problem
+            )
+            if not ok:
+                return None
+        return (gamma, L_lower, y, lower_trials, L_bar, tau, x_next, g_next,
+                upper_trials)
+
+    return step
+
+
+def cocain_bpg(problem, config, x0, *, callback=None):
     """Inertial Bregman proximal gradient with double backtracking.
 
     Per iteration the minorant constant, extrapolation, and base point are
@@ -427,33 +467,35 @@ def cocain_bpg(problem, config, x0, callback=None):
     tau_{k-1} (Psi(x^k) - v) + delta * D_h(x^{k-1}, x^k), which
     `diagnostics.check_lyapunov_descent` re-verifies from the trace.
     """
-    return _cocain_loop(problem, config, x0, callback, find_gamma, "cocain")
+    step = _cocain_step(problem, config, find_gamma)
+    return _drive("cocain", problem, config, x0, callback, step)
 
 
-def cocain_bpg_cfi(problem, config, x0, callback=None):
+def cocain_bpg_cfi(problem, config, x0, *, callback=None):
     """Variant with closed-form inertia (quartic kernel only).
 
     Identical to cocain_bpg except that the extrapolation factor for each
     trial minorant constant comes from `find_gamma_cfi` instead of a search.
     """
-    return _cocain_loop(problem, config, x0, callback, find_gamma_cfi, "cfi")
+    if not isinstance(problem.kernel, QuarticKernel):
+        raise ValueError("closed-form inertia requires the quartic kernel")
+    step = _cocain_step(problem, config, find_gamma_cfi)
+    return _drive("cfi", problem, config, x0, callback, step)
 
 
-def bpg_wb(problem, config, x0, callback=None):
+def bpg_wb(problem, config, x0, *, callback=None):
     """Bregman proximal gradient with majorant backtracking, no inertia.
 
     Exactly cocain_bpg with gamma_cap = 0: the base point is always x^k and
     the minorant never enters, so traces coincide bitwise with a gamma_cap=0
     run of the main solver.
     """
-    result = _cocain_loop(
-        problem, replace(config, gamma_cap=0.0), x0, callback, find_gamma,
-        "bpg_wb",
-    )
-    return result
+    config = replace(config, gamma_cap=0.0)
+    step = _cocain_step(problem, config, find_gamma)
+    return _drive("bpg_wb", problem, config, x0, callback, step)
 
 
-def cocain_bpg_no_backtracking(problem, config, x0, callback=None):
+def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
     """Inertial variant with global constants and no function evaluations.
 
     Uses L = max(-alpha/((1-delta)*sigma), smad_L) for both constants and the
@@ -462,241 +504,69 @@ def cocain_bpg_no_backtracking(problem, config, x0, callback=None):
     form for the Euclidean kernel and by halving otherwise.  Lyapunov descent
     is still certified per iteration.
     """
-    x0 = _validate_setup(problem, config, x0)
-    kernel = problem.kernel
-    store = config.store_iterates
     L = max(
-        -problem.alpha / ((1.0 - config.delta) * kernel.sigma),
+        -problem.alpha / ((1.0 - config.delta) * problem.kernel.sigma),
         problem.smad_L,
     )
     if L <= 0.0:
         raise ValueError("no-backtracking variant needs a positive constant")
-    tau = 1.0 / L
-    gamma_flat = min(config.gamma_cap,
-                     math.sqrt((config.delta - config.epsilon) / 2.0))
-    euclidean = isinstance(kernel, EuclideanKernel)
 
-    x_prev = x0.copy()
-    x_curr = x0.copy()
-    g_curr = problem.g_value(x_curr)
-    psi_curr = problem.f_value(x_curr) + g_curr
-    require_finite(psi_curr, "objective at x0")
-
-    records = [_initial_record(psi_curr, tau, L, x0, store)]
-    termination = TERM_MAX_ITERS
-    iterations = 0
-
-    for k in range(1, config.max_iters + 1):
-        tick = time.perf_counter_ns()
-        dh_prev_curr = kernel.bregman(x_prev, x_curr)
-        gamma = gamma_flat
-        if not euclidean:
-            bound = (config.delta - config.epsilon) * dh_prev_curr
-            for _ in range(config.max_backtracks):
-                y = x_curr + gamma * (x_curr - x_prev)
-                if leq(2.0 * kernel.bregman(x_curr, y), bound):
-                    break
-                gamma *= 0.5
-            else:
-                gamma = 0.0
-        y = x_curr + gamma * (x_curr - x_prev)
-        grad_g_y = problem.g_grad(y)
-        x_next = problem.f_prox_step(kernel.grad(y), grad_g_y, tau)
-        g_next = problem.g_value(x_next)
-        psi_next = problem.f_value(x_next) + g_next
-        if not np.isfinite(psi_next):
-            raise SolverError(
-                f"cocain_nobt: objective became non-finite at iteration {k}"
-            )
-
-        record = TraceRecord(
-            k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L, L_lower=L,
-            dh_prev_curr=dh_prev_curr, dh_curr_y=kernel.bregman(x_curr, y),
-            step_norm=float(np.linalg.norm(x_curr - x_prev)),
-            lower_trials=0, upper_trials=0,
-            wall_time_ns=time.perf_counter_ns() - tick,
-            x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
+    def step(state):
+        # 1 + L * tau with tau = 1/L, written as the exact 2
+        gamma = _halve_gamma(state, 2.0, config, problem)
+        y = state.x_curr + gamma * (state.x_curr - state.x_prev)
+        L_bar, tau, x_next, g_next = _fixed_upper_step(
+            state, y, problem.g_grad(y), L, problem
         )
-        records.append(record)
-        iterations = k
-        if callback is not None:
-            callback(record)
+        return gamma, L, y, 0, L_bar, tau, x_next, g_next, 0
 
-        step_inf = float(np.max(np.abs(x_next - x_curr)))
-        x_prev, x_curr = x_curr, x_next
-        g_curr, psi_curr = g_next, psi_next
-        if step_inf < config.stop_tol:
-            termination = TERM_STEP_TOL
-            break
-
-    records.append(_final_record(
-        records[-1].k + 1, psi_curr, tau, L, kernel, x_prev, x_curr, store,
-    ))
-    return SolverResult(
-        solver="cocain_nobt", problem=problem.name, x=x_curr,
-        termination=termination, iterations=iterations, records=records,
-        config=config,
-    )
+    return _drive("cocain_nobt", problem, config, x0, callback, step, L)
 
 
-def bpg_fixed(problem, L, x0, config=None, callback=None):
+def bpg_fixed(problem, config, x0, *, callback=None):
     """Plain Bregman proximal gradient with constant step 1/L.
 
-    Psi is non-increasing along the iterates provided L >= problem.smad_L;
-    smaller L voids that guarantee.  No backtracking, no inertia.
+    L is config.L, or problem.smad_L when that is None.  Psi is
+    non-increasing along the iterates provided L >= problem.smad_L; smaller
+    L voids that guarantee.  No backtracking, no inertia, and no barrier
+    check on L_bar_init, which this solver never uses.
     """
-    config = config if config is not None else SolverConfig()
+    L = problem.smad_L if config.L is None else config.L
     if L <= 0.0:
         raise ValueError(f"L must be > 0, got {L}")
-    x0 = np.array(x0, dtype=float).reshape(-1)
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, problem dim is {problem.dim}")
-    require_finite(x0, "x0")
-    kernel = problem.kernel
-    store = config.store_iterates
-    tau = 1.0 / L
 
-    x_prev = x0.copy()
-    x_curr = x0.copy()
-    g_curr = problem.g_value(x_curr)
-    psi_curr = problem.f_value(x_curr) + g_curr
-    require_finite(psi_curr, "objective at x0")
-
-    records = [_initial_record(psi_curr, tau, L, x0, store)]
-    termination = TERM_MAX_ITERS
-    iterations = 0
-
-    for k in range(1, config.max_iters + 1):
-        tick = time.perf_counter_ns()
-        grad_g = problem.g_grad(x_curr)
-        x_next = problem.f_prox_step(kernel.grad(x_curr), grad_g, tau)
-        g_next = problem.g_value(x_next)
-        psi_next = problem.f_value(x_next) + g_next
-        if not np.isfinite(psi_next):
-            raise SolverError(
-                f"bpg_fixed: objective became non-finite at iteration {k}"
-            )
-
-        record = TraceRecord(
-            k=k, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L, L_lower=0.0,
-            dh_prev_curr=kernel.bregman(x_prev, x_curr), dh_curr_y=0.0,
-            step_norm=float(np.linalg.norm(x_curr - x_prev)),
-            lower_trials=0, upper_trials=0,
-            wall_time_ns=time.perf_counter_ns() - tick,
-            x=_maybe_copy(x_curr, store), y=_maybe_copy(x_curr, store),
+    def step(state):
+        L_bar, tau, x_next, g_next = _fixed_upper_step(
+            state, state.x_curr, problem.g_grad(state.x_curr), L, problem
         )
-        records.append(record)
-        iterations = k
-        if callback is not None:
-            callback(record)
+        return 0.0, 0.0, state.x_curr, 0, L_bar, tau, x_next, g_next, 0
 
-        step_inf = float(np.max(np.abs(x_next - x_curr)))
-        x_prev, x_curr = x_curr, x_next
-        g_curr, psi_curr = g_next, psi_next
-        if step_inf < config.stop_tol:
-            termination = TERM_STEP_TOL
-            break
-
-    records.append(_final_record(
-        records[-1].k + 1, psi_curr, tau, L, kernel, x_prev, x_curr, store,
-    ))
-    return SolverResult(
-        solver="bpg_fixed", problem=problem.name, x=x_curr,
-        termination=termination, iterations=iterations, records=records,
-        config=config,
-    )
+    return _drive("bpg_fixed", problem, config, x0, callback, step, L,
+                  barrier=False)
 
 
-def ipiano(problem, beta, config, x0, callback=None):
+def ipiano(problem, config, x0, *, callback=None):
     """Inertial proximal algorithm with fixed extrapolation (Euclidean only).
 
     The gradient is evaluated at x^k while the proximal step is centered at
-    the extrapolated point y^k = x^k + beta (x^k - x^{k-1}); for f = 0 this
-    is the classical heavy-ball update.  Only the majorant constant adapts,
-    against the descent inequality between x^k and x^{k+1}.  beta = 0
-    reproduces bpg_wb bitwise.
+    the extrapolated point y^k = x^k + beta (x^k - x^{k-1}), beta =
+    config.beta; for f = 0 this is the classical heavy-ball update.  Only
+    the majorant constant adapts, against the descent inequality between
+    x^k and x^{k+1}.  beta = 0 reproduces bpg_wb bitwise.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
     if not isinstance(problem.kernel, EuclideanKernel):
         raise ValueError("ipiano is defined for the Euclidean kernel only")
-    x0 = _validate_setup(problem, config, x0)
-    kernel = problem.kernel
-    store = config.store_iterates
+    beta = config.beta
 
-    x_prev = x0.copy()
-    x_curr = x0.copy()
-    g_curr = problem.g_value(x_curr)
-    psi_curr = problem.f_value(x_curr) + g_curr
-    require_finite(psi_curr, "objective at x0")
-
-    tau_prev = 1.0 / config.L_bar_init
-    L_bar_prev = config.L_bar_init
-
-    records = [_initial_record(psi_curr, tau_prev, L_bar_prev, x0, store)]
-    termination = TERM_MAX_ITERS
-    iterations = 0
-
-    for k in range(1, config.max_iters + 1):
-        tick = time.perf_counter_ns()
-        dh_prev_curr = kernel.bregman(x_prev, x_curr)
-        y = x_curr + beta * (x_curr - x_prev)
-        grad_g_x = problem.g_grad(x_curr)
-        grad_h_y = kernel.grad(y)
-
-        ok = False
-        L_bar = L_bar_prev
-        for trial in range(1, config.max_backtracks + 1):
-            tau = min(tau_prev, 1.0 / L_bar)
-            x_next = problem.f_prox_step(grad_h_y, grad_g_x, tau)
-            g_next = problem.g_value(x_next)
-            rhs = (
-                g_curr
-                + float(np.dot(grad_g_x, x_next - x_curr))
-                + L_bar * kernel.bregman(x_next, x_curr)
-            )
-            if leq(g_next, rhs):
-                ok = True
-                break
-            L_bar *= config.nu_upper
-        if not ok:
-            termination = TERM_BACKTRACK_FAILURE
-            break
-
-        psi_next = problem.f_value(x_next) + g_next
-        if not np.isfinite(psi_next):
-            raise SolverError(
-                f"ipiano: objective became non-finite at iteration {k}"
-            )
-
-        record = TraceRecord(
-            k=k, psi=psi_curr, tau=tau, gamma=beta, L_bar=L_bar, L_lower=0.0,
-            dh_prev_curr=dh_prev_curr, dh_curr_y=kernel.bregman(x_curr, y),
-            step_norm=float(np.linalg.norm(x_curr - x_prev)),
-            lower_trials=0, upper_trials=trial,
-            wall_time_ns=time.perf_counter_ns() - tick,
-            x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
+    def step(state):
+        x_curr = state.x_curr
+        y = x_curr + beta * (x_curr - state.x_prev)
+        ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
+            state, x_curr, state.g_curr, problem.g_grad(x_curr), config,
+            problem, centre=y,
         )
-        records.append(record)
-        iterations = k
-        if callback is not None:
-            callback(record)
+        if not ok:
+            return None
+        return beta, 0.0, y, 0, L_bar, tau, x_next, g_next, upper_trials
 
-        step_inf = float(np.max(np.abs(x_next - x_curr)))
-        x_prev, x_curr = x_curr, x_next
-        g_curr, psi_curr = g_next, psi_next
-        tau_prev, L_bar_prev = tau, L_bar
-
-        if step_inf < config.stop_tol:
-            termination = TERM_STEP_TOL
-            break
-
-    records.append(_final_record(
-        records[-1].k + 1, psi_curr, tau_prev, L_bar_prev, kernel,
-        x_prev, x_curr, store,
-    ))
-    return SolverResult(
-        solver="ipiano", problem=problem.name, x=x_curr,
-        termination=termination, iterations=iterations, records=records,
-        config=config,
-    )
+    return _drive("ipiano", problem, config, x0, callback, step)

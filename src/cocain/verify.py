@@ -9,7 +9,7 @@ controls pass when the probed check fails as designed; if the corruption
 slips through, the control itself fails.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,10 +39,12 @@ from .problems import (
     verify_smad_by_sampling,
 )
 from .solvers import (
+    TRACE_FIELDS,
     SolverConfig,
     bpg_wb,
     cocain_bpg,
     ipiano,
+    replace_record,
 )
 
 SCOPES = ("kernels", "prox", "problems", "solvers")
@@ -335,13 +337,8 @@ def _suite_problems():
 
 
 def _trace_fields(result):
-    # wall_time_ns is a physical measurement, excluded from equality
-    out = []
-    for rec in result.records:
-        out.append((rec.k, rec.psi, rec.tau, rec.gamma, rec.L_bar, rec.L_lower,
-                    rec.dh_prev_curr, rec.dh_curr_y, rec.step_norm,
-                    rec.lower_trials, rec.upper_trials))
-    return out
+    return [tuple(getattr(rec, name) for name in TRACE_FIELDS)
+            for rec in result.records]
 
 
 def _check_reduction_gamma_zero():
@@ -356,7 +353,7 @@ def _check_reduction_gamma_zero():
 def _check_reduction_ipiano_zero():
     p = make_univariate("logquad")
     cfg = SolverConfig(max_iters=60)
-    a = ipiano(p, 0.0, cfg, np.array([2.0]))
+    a = ipiano(p, replace(cfg, beta=0.0), np.array([2.0]))
     b = bpg_wb(p, cfg, np.array([2.0]))
     same = _trace_fields(a) == _trace_fields(b)
     return same, "ipiano(beta=0) trace == bpg_wb trace" if same else "traces differ"
@@ -390,16 +387,10 @@ def _check_certificates():
     )
 
 
-def _corrupt(records, k, **fields):
-    out = list(records)
-    out[k] = type(out[k])(**{**out[k].__dict__, **fields})
-    return out
-
-
 def _check_corrupted_psi_control():
     p, res, params = _certified_run()
     mid = len(res.records) // 2
-    records = _corrupt(res.records, mid, psi=res.records[mid].psi + 1.0)
+    records = replace_record(res.records, mid, psi=res.records[mid].psi + 1.0)
     rep = check_lyapunov_descent(records, params)
     # the violated transition is reported by its Phi index, one below the
     # corrupted record
@@ -413,7 +404,7 @@ def _check_corrupted_psi_control():
 def _check_corrupted_tau_control():
     p, res, params = _certified_run()
     mid = len(res.records) // 2
-    records = _corrupt(res.records, mid, tau=res.records[mid].tau * 2.0)
+    records = replace_record(res.records, mid, tau=res.records[mid].tau * 2.0)
     rep = check_lyapunov_descent(records, params)
     caught = (not rep.passed) and abs(rep.worst_index - mid) <= 1
     return caught, (
@@ -425,7 +416,7 @@ def _check_corrupted_tau_control():
 def _check_corrupted_y_control():
     p, res, params = _certified_run()
     mid = len(res.records) // 2
-    records = _corrupt(res.records, mid, y=res.records[mid].y * 1.5 + 0.1)
+    records = replace_record(res.records, mid, y=res.records[mid].y * 1.5 + 0.1)
     rep = check_acceptance_conditions(records, p, params)
     caught = not rep.passed
     return caught, (

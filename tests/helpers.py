@@ -4,13 +4,7 @@ import numpy as np
 
 from cocain.kernels import EuclideanKernel
 from cocain.problems import CompositeProblem
-
-# Fields compared for bit-identity between traces; wall_time_ns is the one
-# legitimately nondeterministic column.
-TRACE_FIELDS = (
-    "k", "psi", "tau", "gamma", "L_bar", "L_lower", "dh_prev_curr",
-    "dh_curr_y", "step_norm", "lower_trials", "upper_trials",
-)
+from cocain.solvers import TRACE_FIELDS
 
 
 def quadratic_problem(diag, name="quadratic"):
@@ -65,11 +59,3 @@ def assert_traces_identical(a, b):
             assert (va is None) == (vb is None), f"record {ra.k}: {name} storage"
             if va is not None:
                 assert np.array_equal(va, vb), f"record {ra.k}: {name} differs"
-
-
-def replace_record(records, k, **fields):
-    """Copy of `records` with record k's fields overridden (for negative
-    controls that corrupt an otherwise valid trace)."""
-    out = list(records)
-    out[k] = type(out[k])(**{**out[k].__dict__, **fields})
-    return out

@@ -35,7 +35,6 @@ from cocain.cli import (
     PHASE_RETRIEVAL_CONFIG,
     SPURIOUS_CONFIG,
     SWEEP_CONFIG,
-    SWEEP_IPIANO_BETA,
 )
 from cocain.diagnostics import (
     LyapunovParams,
@@ -146,7 +145,7 @@ def pr_bundle():
             "bpg_wb": _timed(timings, (reg, "bpg_wb"), bpg_wb,
                              problem, cfg, x0),
             "bpg_fixed": _timed(timings, (reg, "bpg_fixed"), bpg_fixed,
-                                problem, problem.smad_L, x0, cfg),
+                                problem, cfg, x0),
             "cocain_nobt": _timed(timings, (reg, "cocain_nobt"),
                                   cocain_bpg_no_backtracking,
                                   problem, cfg, x0),
@@ -167,7 +166,7 @@ def denoise_bundle():
         "cocain": _timed(timings, "cocain", cocain_bpg, problem, cfg, x0),
         "bpg_wb": _timed(timings, "bpg_wb", bpg_wb, problem, cfg, x0),
         "bpg_fixed": _timed(timings, "bpg_fixed", bpg_fixed, problem,
-                            problem.smad_L, x0, cfg),
+                            cfg, x0),
         "cocain_nobt": _timed(timings, "cocain_nobt",
                               cocain_bpg_no_backtracking, problem, cfg, x0),
     }
@@ -234,8 +233,7 @@ def sweep_finals():
     starts = np.linspace(-15.0, 15.0, 100)
     solvers = {
         "cocain": lambda x0: cocain_bpg(problem, SWEEP_CONFIG, x0),
-        "ipiano": lambda x0: ipiano(problem, SWEEP_IPIANO_BETA,
-                                    SWEEP_CONFIG, x0),
+        "ipiano": lambda x0: ipiano(problem, SWEEP_CONFIG, x0),
         "bpg_wb": lambda x0: bpg_wb(problem, SWEEP_CONFIG, x0),
     }
     t0 = time.perf_counter()
@@ -455,7 +453,7 @@ def test_criterion_11_reduction_identities():
     t0 = time.perf_counter()
     capped = cocain_bpg(problem, replace(cfg, gamma_cap=0.0), x0)
     plain = bpg_wb(problem, cfg, x0)
-    heavy_ball_off = ipiano(problem, 0.0, cfg, x0)
+    heavy_ball_off = ipiano(problem, replace(cfg, beta=0.0), x0)
     assert_traces_identical(capped.records, plain.records)
     assert_traces_identical(heavy_ball_off.records, plain.records)
     elapsed = time.perf_counter() - t0

@@ -228,6 +228,30 @@ max_backtracks = 1
     assert cli.main(["run", "--config", cfg2, "--out", str(out)]) == 0
 
 
+def test_stalled_prox_solve_exit_code(tmp_path, capsys):
+    # far below smad_L the fixed step overflows the quartic prox's cubic
+    # solve; the run ends as a solver failure, not a traceback
+    cfg = _write(tmp_path / "stall.ini", """\
+[problem]
+name = phase_retrieval
+d = 6
+m = 30
+
+[run]
+solvers = bpg_fixed
+
+[solver.bpg_fixed]
+L = 0.7
+""")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver failure: bpg_fixed: cubic solve stalled" in err
+    assert "at iteration 62" in err
+
+
 @pytest.mark.parametrize(
     "mutation",
     [

@@ -38,8 +38,9 @@ from cocain.solvers import (
     cocain_bpg,
     cocain_bpg_cfi,
     cocain_bpg_no_backtracking,
+    replace_record,
 )
-from helpers import quadratic_problem, replace_record
+from helpers import quadratic_problem
 
 
 def _record(k, psi, tau, dh=0.0):

@@ -13,7 +13,6 @@ import pytest
 from cocain.kernels import (
     EuclideanKernel,
     QuarticKernel,
-    bregman_distance,
     symmetry_coefficient_estimate,
     three_points_gap,
 )
@@ -167,11 +166,6 @@ def test_bregman_strong_convexity(kernel):
             np.dot(x - y, x - y)
         )
         assert gap >= -1e-10
-
-
-def test_bregman_distance_helper_delegates():
-    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert bregman_distance(QUARTIC, x, y) == QUARTIC.bregman(x, y)
 
 
 def test_bregman_shape_mismatch_raises():

@@ -9,6 +9,7 @@ sqrt(0.5 / 2) are exactly 0.7 and 0.5 in binary floating point.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,18 +352,16 @@ def test_ipiano_requires_euclidean_kernel_and_valid_beta():
     data = generate_phase_retrieval(3, 6, seed=0)
     quartic = make_phase_retrieval(data, reg="l1", lam=0.1)
     with pytest.raises(ValueError):
-        ipiano(quartic, 0.5, SolverConfig(), np.zeros(3))
-    problem = make_univariate("logquad")
+        ipiano(quartic, SolverConfig(beta=0.5), np.zeros(3))
     for beta in (-0.1, 1.0):
         with pytest.raises(ValueError):
-            ipiano(problem, beta, SolverConfig(), [1.0])
+            SolverConfig(beta=beta)
 
 
 def test_bpg_fixed_requires_positive_constant():
-    problem = make_univariate("logquad")
     for L in (0.0, -2.0):
         with pytest.raises(ValueError):
-            bpg_fixed(problem, L, [1.0])
+            SolverConfig(L=L)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +395,8 @@ def test_no_backtracking_respects_gamma_cap():
 
 def test_bpg_fixed_on_logquad():
     problem = make_univariate("logquad")
-    cfg = SolverConfig(max_iters=60)
-    result = bpg_fixed(problem, 2.0, [1.0], config=cfg)
+    cfg = SolverConfig(max_iters=60, L=2.0)
+    result = bpg_fixed(problem, cfg, [1.0])
     records = result.records
     assert records[1].psi == pytest.approx(math.log(2.0), abs=1e-15)
     # first step lands exactly on 0.5, so the next value is log(1.25)
@@ -427,7 +426,7 @@ def test_gamma_cap_zero_reduces_to_bpg_wb():
 def test_ipiano_zero_inertia_reduces_to_bpg_wb():
     problem = make_univariate("logquad")
     cfg = SolverConfig(max_iters=60, stop_tol=0.0, store_iterates=True)
-    heavy_ball_off = ipiano(problem, 0.0, cfg, [3.0])
+    heavy_ball_off = ipiano(problem, replace(cfg, beta=0.0), [3.0])
     plain = bpg_wb(problem, cfg, [3.0])
     assert_traces_identical(heavy_ball_off.records, plain.records)
 
@@ -437,9 +436,10 @@ def test_ipiano_heavy_ball_recursion():
     problem = quadratic_problem([2.0, 0.5])
     beta = 0.4
     cfg = SolverConfig(
-        L_bar_init=4.0, max_iters=15, stop_tol=0.0, store_iterates=True
+        L_bar_init=4.0, max_iters=15, stop_tol=0.0, store_iterates=True,
+        beta=beta,
     )
-    result = ipiano(problem, beta, cfg, [1.0, -2.0])
+    result = ipiano(problem, cfg, [1.0, -2.0])
     records = result.records
     for k in range(1, result.iterations + 1):
         r = records[k]
