@@ -96,7 +96,8 @@ class ConfigError(Exception):
 # config plumbing
 
 
-def _coerce(text, typ):
+def _coerce(text, typ, optional=False):
+    """Parse a config string as `typ`; `none` is None where `optional`."""
     text = text.strip()
     if typ is bool:
         low = text.lower()
@@ -106,7 +107,9 @@ def _coerce(text, typ):
             return False
         raise ConfigError(f"not a boolean: {text!r}")
     if text.lower() == "none":
-        return None
+        if optional:
+            return None
+        raise ValueError("none is accepted only where the value is optional")
     return typ(text)
 
 
@@ -123,6 +126,10 @@ def _field_type(annotation):
 _CONFIG_FIELD_TYPES = {
     f.name: _field_type(f.type) for f in dataclasses.fields(SolverConfig)
 }
+_OPTIONAL_FIELDS = {
+    f.name for f in dataclasses.fields(SolverConfig)
+    if type(None) in typing.get_args(f.type)
+}
 
 
 def _solver_config(base, overrides):
@@ -135,7 +142,8 @@ def _solver_config(base, overrides):
             kwargs[key] = None  # bpg_fixed then uses problem.smad_L
             continue
         try:
-            kwargs[key] = _coerce(text, _CONFIG_FIELD_TYPES[key])
+            kwargs[key] = _coerce(text, _CONFIG_FIELD_TYPES[key],
+                                  key in _OPTIONAL_FIELDS)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})")
     if not kwargs:
@@ -170,7 +178,7 @@ def _apply_sets(config, assignments):
 def _pop_typed(opts, key, typ, default):
     if key not in opts:
         return default
-    return _coerce(opts.pop(key), typ)
+    return _coerce(opts.pop(key), typ, optional=default is None)
 
 
 # ---------------------------------------------------------------------------

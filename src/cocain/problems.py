@@ -279,10 +279,12 @@ def finite_difference(x):
     """
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {x.shape}")
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
-    d1[:-1, :] = x[1:, :] - x[:-1, :]
-    d2[:, :-1] = x[:, 1:] - x[:, :-1]
+    d1 = np.empty_like(x)
+    d2 = np.empty_like(x)
+    np.subtract(x[1:, :], x[:-1, :], out=d1[:-1, :])
+    d1[-1, :] = 0.0
+    np.subtract(x[:, 1:], x[:, :-1], out=d2[:, :-1])
+    d2[:, -1] = 0.0
     return d1, d2
 
 
@@ -349,14 +351,29 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
     shape = b_img.shape
     b = b_img.ravel().copy()
 
+    # Both oracles work in place on the fresh difference buffers, never on
+    # x.reshape(shape), which is a view of the solver's iterate.
+
     def g_value(x):
         d1, d2 = finite_difference(x.reshape(shape))
-        return float(lam * np.sum(np.log1p(rho * (d1 * d1 + d2 * d2))))
+        d1 *= d1
+        d2 *= d2
+        d1 += d2
+        d1 *= rho
+        np.log1p(d1, out=d1)
+        return float(lam * np.sum(d1))
 
     def g_grad(x):
         d1, d2 = finite_difference(x.reshape(shape))
-        w = 2.0 * lam * rho / (1.0 + rho * (d1 * d1 + d2 * d2))
-        return finite_difference_adjoint(w * d1, w * d2).ravel()
+        # w = 2 lam rho / (1 + rho * (d1^2 + d2^2))
+        w = np.multiply(d1, d1)
+        w += d2 * d2
+        w *= rho
+        w += 1.0
+        np.divide(2.0 * lam * rho, w, out=w)
+        d1 *= w
+        d2 *= w
+        return finite_difference_adjoint(d1, d2).ravel()
 
     data_term = data_term.lower()
     if data_term == "log":

@@ -1,9 +1,9 @@
 """Closed-form proximal maps and Bregman proximal steps.
 
 Every step here is exact: subproblems reduce either to a soft threshold, to a
-one-dimensional candidate comparison, or to the unique root of a strictly
-increasing cubic, which is found by safeguarded Newton inside a sign-change
-bracket.  No iterative optimization is run inside a prox call.
+comparison of two closed-form candidates per coordinate, or to the unique root
+of a strictly increasing cubic, which is found by safeguarded Newton inside a
+sign-change bracket.  No iterative optimization is run inside a prox call.
 """
 
 import numpy as np
@@ -66,26 +66,56 @@ def soft_threshold(y, theta):
 def prox_log1abs_vec(y, tau, center=0.0):
     """Componentwise prox of tau * log(1 + |x - center|) at y.
 
-    After translating by `center`, the one-sided stationarity condition is a
-    quadratic whose discriminant is (|z|-1)^2 - 4(tau-|z|): a negative
-    discriminant means the only candidate is the kink at 0, otherwise the two
-    clamped quadratic roots and 0 compete.  Objective ties within 1e-12 go to
-    the candidate with smaller |x - center|.
+    With z = y - center the prox is center + sgn(z) * c, where c >= 0
+    minimizes phi(c) = log(1 + c) + (c - |z|)^2 / (2 tau).  For c > 0,
+    tau * (1 + c) * phi'(c) is the quadratic c^2 + (1 - |z|) c + tau - |z|,
+    whose discriminant is (|z|-1)^2 - 4(tau-|z|).  A negative discriminant
+    leaves phi increasing, so c = 0.  Otherwise phi rises up to the smaller
+    root and falls between the roots: the smaller root is a local maximum,
+    above phi(0), and only the kink 0 and the larger clamped root compete.
+    Objective ties within TIE_TOL go to 0, the candidate closer to center.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    z = np.asarray(y, dtype=float) - center
-    az = np.abs(z)
-    disc = (az - 1.0) ** 2 - 4.0 * (tau - az)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    c_lo = np.maximum(0.5 * (az - 1.0 - root), 0.0)
-    c_hi = np.maximum(0.5 * (az - 1.0 + root), 0.0)
-    cands = np.stack([np.zeros_like(az), c_lo, c_hi])  # ascending magnitude
-    obj = np.log1p(cands) + (cands - az) ** 2 / (2.0 * tau)
-    eligible = obj <= np.min(obj, axis=0) + TIE_TOL
-    picked = np.where(eligible, cands, np.inf).min(axis=0)
-    picked = np.where(disc < 0.0, 0.0, picked)
-    return center + np.sign(z) * picked
+    # Four fresh buffers, each reused in place, and every operation in the
+    # order of the plain formulas so the result is the same to the bit:
+    #   az:   |z|, then phi(0) = |z|^2 / (2 tau)
+    #   disc: the discriminant, its clamped root, then phi(c_hi) + TIE_TOL
+    #   c:    4 (tau - |z|), then c_hi, then the result
+    #   u:    (c_hi - |z|)^2 / (2 tau), then z for its sign
+    az = np.subtract(y, center, dtype=float)
+    shape = az.shape
+    az = az.reshape(-1)  # the in-place steps below need an array, not a scalar
+    np.abs(az, out=az)
+    disc = np.subtract(az, 1.0)
+    disc *= disc
+    c = np.subtract(tau, az)
+    c *= 4.0
+    disc -= c
+    negative = disc < 0.0
+    np.maximum(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    # c_hi = max(0.5 * ((|z| - 1) + root), 0)
+    np.subtract(az, 1.0, out=c)
+    c += disc
+    c *= 0.5
+    np.maximum(c, 0.0, out=c)
+    obj = np.log1p(c, out=disc)
+    u = np.subtract(c, az)
+    u *= u
+    u /= 2.0 * tau
+    obj += u
+    obj += TIE_TOL
+    az *= az
+    az /= 2.0 * tau
+    at_kink = np.less_equal(az, obj)
+    at_kink |= negative
+    c[at_kink] = 0.0
+    np.subtract(y, center, out=u.reshape(shape), dtype=float)
+    np.copysign(c, u, out=c)  # sgn(z) * c, as c >= 0 and c = 0 where z = 0
+    c = c.reshape(shape)
+    c += center
+    return c
 
 
 def prox_log1abs(y, tau, center=0.0):

@@ -4,6 +4,7 @@ import numpy as np
 
 from cocain.kernels import EuclideanKernel
 from cocain.problems import CompositeProblem
+from cocain.prox import TIE_TOL
 from cocain.solvers import TRACE_FIELDS
 
 
@@ -45,6 +46,29 @@ def spurious_t_star(lam, rho, target):
     half_b = lam * rho * (1.0 + b)
     u_minus = -(half_b + np.sqrt(half_b * half_b - a)) / a
     return b + 1.0 / (a * u_minus)
+
+
+def prox_log1abs_reference(y, tau, center=0.0):
+    """Three-candidate prox of tau * log(1 + |x - center|) at y.
+
+    The plain form of `cocain.prox.prox_log1abs_vec`: the kink 0 and both
+    clamped roots of the one-sided stationarity quadratic compete, and ties
+    within TIE_TOL go to the candidate of smaller magnitude.  The package
+    drops the smaller root, which is never a minimizer; this form keeps it
+    so the tests can show that dropping it changes no bit of the result.
+    """
+    z = np.asarray(y, dtype=float) - center
+    az = np.abs(z)
+    disc = (az - 1.0) ** 2 - 4.0 * (tau - az)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    c_lo = np.maximum(0.5 * (az - 1.0 - root), 0.0)
+    c_hi = np.maximum(0.5 * (az - 1.0 + root), 0.0)
+    cands = np.stack([np.zeros_like(az), c_lo, c_hi])  # ascending magnitude
+    obj = np.log1p(cands) + (cands - az) ** 2 / (2.0 * tau)
+    eligible = obj <= np.min(obj, axis=0) + TIE_TOL
+    picked = np.where(eligible, cands, np.inf).min(axis=0)
+    picked = np.where(disc < 0.0, 0.0, picked)
+    return center + np.sign(z) * picked
 
 
 def assert_traces_identical(a, b):

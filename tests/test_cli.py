@@ -270,6 +270,40 @@ def test_config_errors_exit_2(tmp_path, capsys, mutation):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["delta", "max_iters", "stop_tol"])
+def test_none_for_required_solver_option_exits_2(tmp_path, capsys, key):
+    cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    assert cli.main(
+        ["run", "--config", cfg, "--out", str(tmp_path / "o"),
+         "--set", f"solver.{key}=none"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad value for {key}: 'none'" in err
+    assert "optional" in err
+
+
+def test_none_for_problem_option_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "bad.ini", """\
+[problem]
+name = phase_retrieval
+d = none
+
+[run]
+solvers = cocain
+""")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: none is accepted only" in capsys.readouterr().err
+
+
+def test_none_for_optional_solver_option_runs(tmp_path):
+    text = RUN_CONFIG.replace(
+        "stop_tol = 0", "stop_tol = 0\nfreeze_after = none\nepsilon = none")
+    cfg = _write(tmp_path / "exp.ini", text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert "iterations = 40" in (out / "summary.txt").read_text()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert cli.main(["run", "--config", missing]) == 2

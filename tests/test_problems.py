@@ -275,6 +275,64 @@ def test_finite_difference_adjoint_identity():
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def _finite_difference_reference(x):
+    """The plain zero-filled form of `finite_difference`."""
+    d1 = np.zeros_like(x)
+    d2 = np.zeros_like(x)
+    d1[:-1, :] = x[1:, :] - x[:-1, :]
+    d2[:, :-1] = x[:, 1:] - x[:, :-1]
+    return d1, d2
+
+
+def _denoise_g_reference(x, shape, lam, rho):
+    """g and its gradient for make_robust_denoising, one expression each."""
+    d1, d2 = _finite_difference_reference(x.reshape(shape))
+    value = float(lam * np.sum(np.log1p(rho * (d1 * d1 + d2 * d2))))
+    w = 2.0 * lam * rho / (1.0 + rho * (d1 * d1 + d2 * d2))
+    return value, finite_difference_adjoint(w * d1, w * d2).ravel()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+STENCIL_SHAPES = [(2, 2), (7, 5), (64, 48)]
+STENCIL_SCALES = [1e-3, 1e-1, 1.0, 1e2, 1e5]
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_finite_difference_matches_reference(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for scale in STENCIL_SCALES:
+        x = scale * rng.standard_normal(shape)
+        before = x.copy()
+        d1, d2 = finite_difference(x)
+        r1, r2 = _finite_difference_reference(x)
+        np.testing.assert_array_equal(_bits(d1), _bits(r1))
+        np.testing.assert_array_equal(_bits(d2), _bits(r2))
+        np.testing.assert_array_equal(_bits(x), _bits(before))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_denoising_smooth_oracle_matches_reference(shape):
+    # the oracles reshape the flat iterate into a view of it, and must
+    # never write through that view
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + 1)
+    obs = rng.uniform(0.0, 1.0, shape)
+    for lam, rho in [(10.0, 1.0), (2.0, 1.5)]:
+        p = make_robust_denoising(obs, lam=lam, rho=rho)
+        for scale in STENCIL_SCALES:
+            x = scale * rng.standard_normal(p.dim)
+            before = x.copy()
+            want_value, want_grad = _denoise_g_reference(x, shape, lam, rho)
+            value = p.g_value(x)
+            np.testing.assert_array_equal(_bits(x), _bits(before))
+            grad = p.g_grad(x)
+            np.testing.assert_array_equal(_bits(x), _bits(before))
+            assert value.hex() == want_value.hex()
+            np.testing.assert_array_equal(_bits(grad), _bits(want_grad))
+
+
 def test_finite_difference_shape_contracts():
     with pytest.raises(ValueError):
         finite_difference(np.zeros(5))

@@ -19,6 +19,7 @@ from cocain.prox import (
     soft_threshold,
     solve_monotone_cubic,
 )
+from helpers import prox_log1abs_reference
 
 # bisection on t^3 + t - 1 over [0, 1]
 ROOT_T3_T_M1 = 0.6823278038280194
@@ -178,6 +179,49 @@ def test_prox_log1abs_vec_scalar_center():
     out = prox_log1abs_vec(y, 0.5)
     assert out[0] == pytest.approx(PROX_Y3_TAU05, abs=1e-9)
     assert out[1] == pytest.approx(-PROX_Y3_TAU05, abs=1e-9)
+
+
+LOG_PROX_TAUS = [1e-4, 1.0 / 150.0, 0.1, 1.0, 10.0, 100.0]
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    mismatch = got.view(np.int64) != want.view(np.int64)
+    assert not mismatch.any(), (
+        f"{int(mismatch.sum())} entries differ, first at "
+        f"{int(np.argmax(mismatch))}"
+    )
+
+
+@pytest.mark.parametrize("centre_kind", ["scalar", "array"])
+@pytest.mark.parametrize("tau", LOG_PROX_TAUS)
+def test_prox_log1abs_vec_matches_three_candidate_reference(tau, centre_kind):
+    # |z| log-uniform over [1e-4, 1e5] with random signs: both roots
+    # positive (1 < |z| < tau), the larger root only, and the kink alone
+    seed = LOG_PROX_TAUS.index(tau) + (10 if centre_kind == "array" else 0)
+    rng = np.random.default_rng(seed)
+    n = 1_000_000
+    z = np.exp(rng.uniform(math.log(1e-4), math.log(1e5), n))
+    z *= rng.choice(np.array([-1.0, 1.0]), n)
+    center = rng.uniform(-1.0, 2.0, n) if centre_kind == "array" else 0.0
+    y = center + z
+    _assert_bitwise_equal(prox_log1abs_vec(y, tau, center=center),
+                          prox_log1abs_reference(y, tau, center=center))
+
+
+@pytest.mark.parametrize("tau", [t for t in LOG_PROX_TAUS if t > 0.25])
+def test_prox_log1abs_vec_negative_discriminant_matches_reference(tau):
+    # disc < 0 exactly when (|z| + 1)^2 < 4 tau, i.e. |z| < 2 sqrt(tau) - 1
+    rng = np.random.default_rng(29)
+    bound = 2.0 * math.sqrt(tau) - 1.0
+    z = rng.uniform(-bound, bound, 100_000)
+    center = rng.uniform(-1.0, 2.0, z.size)
+    y = center + z
+    disc = (np.abs(y - center) - 1.0) ** 2 - 4.0 * (tau - np.abs(y - center))
+    assert (disc < 0.0).mean() > 0.99
+    got = prox_log1abs_vec(y, tau, center=center)
+    _assert_bitwise_equal(got, prox_log1abs_reference(y, tau, center=center))
+    np.testing.assert_array_equal(got[disc < 0.0], center[disc < 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ is hashed and compared with a digest recorded from an earlier build, so a
 refactor of the solvers that moves any column of any trace by one ulp
 fails here.  The closed-form inertia variant needs the quartic kernel and
 iPiano the Euclidean one, so each runs only where it is defined.
+
+A fifth problem, denoise 64x64 over 100 iterations with the three solvers
+of the shipped denoise study, pins the log prox and the stencil oracle on
+enough entries to reach every branch of the prox many times over.
 """
 
 import hashlib
@@ -50,11 +54,20 @@ def _denoise():
     return problem, config, np.zeros(problem.dim)
 
 
+def _denoise64():
+    noisy = add_outlier_noise(synthetic_blocks(64, 64), magnitude=1e5,
+                              fraction=0.05, seed=0)
+    problem = make_robust_denoising(noisy, lam=10.0, rho=1.0)
+    config = replace(cli.DENOISE_CONFIG, max_iters=100)
+    return problem, config, np.zeros(problem.dim)
+
+
 PROBLEMS = {
     "logquad": _logquad,
     "spurious2d": _spurious,
     "phase_retrieval": _phase_retrieval,
     "denoise": _denoise,
+    "denoise64": _denoise64,
 }
 
 # sha256 of the --compare CSV of each (problem, solver) run
@@ -99,6 +112,12 @@ PINNED = {
         "85c5cef6f32a10a64ca500edbc56bceae14957c4397f37c0ef945716595940f3",
     ("denoise", "ipiano"):
         "b6ce3eac1850d5d9f89baf0f5c43ca5c93bfcb20ff4505dfc1fb3f94d6de98c2",
+    ("denoise64", "cocain"):
+        "924886c419cfb5df184ee6aab3415c7e00baf910b0faa740e7e09395a8478f7e",
+    ("denoise64", "bpg_wb"):
+        "67c416aac554ef4b983bac71c5bd35c7c7559d25dbf1e4f029f0c831ddff8dd8",
+    ("denoise64", "bpg_fixed"):
+        "c2935b9fd682ba05ea8b0db2cccbc37964b24d3ddec32abe872798dc2b5dc96a",
 }
 
 
