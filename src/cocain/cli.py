@@ -157,10 +157,12 @@ def _solver_config(base, overrides):
 def _load_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # option names are case-sensitive (L vs l)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file: {path}")
-    return {sect: dict(parser.items(sect)) for sect in parser.sections()}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file: {path}")
+        return {sect: dict(parser.items(sect)) for sect in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {exc}")
 
 
 def _apply_sets(config, assignments):
@@ -462,13 +464,16 @@ def cmd_spurious(args):
     if not starts:
         raise ConfigError("no starts given")
 
+    config = SPURIOUS_CONFIG
+    if args.iters is not None:
+        config = dataclasses.replace(config, max_iters=args.iters)
     problem, _ = _build_spurious({})
     target = problem.meta["target"]
     rows = ["start_x,start_y,final_x,final_y,final_psi,dist_to_target"]
     report = ["# cocain spurious summary",
               f"target = ({_fmt(target[0])}, {_fmt(target[1])})"]
     for x0 in starts:
-        res = cocain_bpg(problem, SPURIOUS_CONFIG, x0)
+        res = cocain_bpg(problem, config, x0)
         dist = float(np.linalg.norm(res.x - target))
         rows.append(",".join([_fmt(x0[0]), _fmt(x0[1]), _fmt(res.x[0]),
                               _fmt(res.x[1]), _fmt(res.final_psi), _fmt(dist)]))
@@ -536,17 +541,22 @@ def cmd_verify(args):
 # argument parsing
 
 
-def _add_common(sub):
+def _add_common(sub, seed, settable):
+    """--out, --compare and --iters; --seed and --set only where the
+    subcommand has randomized inputs or config entries to take them."""
     sub.add_argument("--out", default="cocain_out",
                      help="output directory (COCAIN_OUT overrides)")
     sub.add_argument("--compare", action="store_true",
                      help="byte-stable outputs: zero wall times, no timestamp")
     sub.add_argument("--iters", type=int, default=None,
                      help="override the iteration budget")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized inputs")
-    sub.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                     help="override a config entry (repeatable)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="seed for randomized inputs")
+    if settable:
+        sub.add_argument("--set", action="append",
+                         metavar="SECTION.KEY=VALUE",
+                         help="override a config entry (repeatable)")
 
 
 def _make_parser():
@@ -558,7 +568,7 @@ def _make_parser():
 
     p_run = subs.add_parser("run", help="run a configured (problem, solvers) bundle")
     p_run.add_argument("--config", required=True, help="experiment config file")
-    _add_common(p_run)
+    _add_common(p_run, seed=True, settable=True)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="univariate multi-start comparison")
@@ -570,13 +580,13 @@ def _make_parser():
     p_sweep.add_argument("--solvers", default="cocain,ipiano,bpg_wb")
     p_sweep.add_argument("--config", default=None,
                          help="optional config file with a [solver] section")
-    _add_common(p_sweep)
+    _add_common(p_sweep, seed=False, settable=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_spur = subs.add_parser("spurious", help="2-D escape study")
     p_spur.add_argument("--starts", default="2,2; -2,2; 2,-2; -2,-2",
                         help="semicolon-separated x,y starts")
-    _add_common(p_spur)
+    _add_common(p_spur, seed=False, settable=False)
     p_spur.set_defaults(func=cmd_spurious)
 
     p_den = subs.add_parser("denoise", help="robust denoising bundle")
@@ -591,7 +601,7 @@ def _make_parser():
     p_den.add_argument("--data-term", default="log",
                        choices=("log", "l1", "sql2"))
     p_den.add_argument("--solvers", default="cocain,bpg_wb,bpg_fixed")
-    _add_common(p_den)
+    _add_common(p_den, seed=True, settable=False)
     p_den.set_defaults(func=cmd_denoise)
 
     p_ver = subs.add_parser("verify", help="run the property suites")

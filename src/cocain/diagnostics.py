@@ -18,15 +18,19 @@ recorded with store_iterates=True.
 Trace layout expected throughout: record 0 is the initial state, records
 1..N-1 are iterations, record N describes the final iterate; records[i].k
 == i.  Traces from this package's solvers always have this shape.
+
+A NaN or an infinity in a value a check reads fails the check, with an
+infinite worst violation at the first record where the value enters.
 """
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, geq, leq, violation
+from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,9 @@ class CheckReport:
     """Outcome of one certificate check.
 
     worst_violation is the largest normalized positive excess over all
-    checked inequalities (0.0 when every one holds), worst_index the record
-    index where it occurred (-1 if none).  details carries check-specific
-    numbers.
+    checked inequalities (0.0 when every one holds, inf when a checked
+    value is not finite), worst_index the record index where it first
+    occurred (-1 if none).  details carries check-specific numbers.
     """
 
     name: str
@@ -93,15 +97,45 @@ class CheckReport:
         return bool(self.passed)
 
 
-def _check_layout(records):
-    if not records:
+def _columns(records, *names):
+    """Check the trace layout (records[i].k == i) and gather each named
+    field into a float array."""
+    ks = list(map(attrgetter("k"), records))
+    if not ks:
         raise ValueError("empty trace")
-    for i, rec in enumerate(records):
-        if rec.k != i:
-            raise ValueError(
-                f"trace records must be contiguous from k=0; record {i} "
-                f"has k={rec.k}"
-            )
+    if ks != list(range(len(ks))):
+        i = next(i for i, k in enumerate(ks) if k != i)
+        raise ValueError(
+            f"trace records must be contiguous from k=0; record {i} "
+            f"has k={ks[i]}"
+        )
+    return [np.fromiter(map(attrgetter(name), records), float, len(ks))
+            for name in names]
+
+
+def _worst(v, offset):
+    """(largest entry of v, its first index + offset), a NaN counting as
+    +inf so that a non-finite value never passes; (0.0, -1) when no entry
+    is positive."""
+    v = np.where(np.isnan(v), np.inf, v)
+    i = int(np.argmax(v)) if v.size else -1
+    if i < 0 or not v[i] > 0.0:
+        return 0.0, -1
+    return float(v[i]), i + offset
+
+
+def _report(name, v, slack, **details):
+    """Report on v[i], the violation at record i + 1: passed when none
+    exceeds slack."""
+    worst, index = _worst(v, 1)
+    return CheckReport(name, worst <= slack, v.size, worst, index, details)
+
+
+def _squared(v):
+    # Python's float power (the C library's pow), not numpy's square: the
+    # two differ by one ulp on about 0.1% of inputs, and
+    # tests/test_reports.py pins the reports bit for bit.
+    return np.array([s ** 2 for s in v.tolist()])
 
 
 def _require_iterates(records, name):
@@ -117,13 +151,8 @@ def lyapunov_phi(records, params):
     Phi^k combines record k's objective and distance with record k-1's step
     size, so the value is well defined for every record after the first.
     """
-    _check_layout(records)
-    v = params.v_lower
-    return np.array([
-        records[k - 1].tau * (records[k].psi - v)
-        + params.delta * records[k].dh_prev_curr
-        for k in range(1, len(records))
-    ])
+    psi, tau, dh = _columns(records, "psi", "tau", "dh_prev_curr")
+    return tau[:-1] * (psi[1:] - params.v_lower) + params.delta * dh[1:]
 
 
 def check_lyapunov_descent(records, params):
@@ -133,24 +162,9 @@ def check_lyapunov_descent(records, params):
     larger side's magnitude.  details carries the Phi array.
     """
     phi = lyapunov_phi(records, params)
-    worst = 0.0
-    worst_k = -1
-    n = 0
-    for k in range(1, len(phi)):
-        lhs = phi[k] + params.epsilon * records[k].dh_prev_curr
-        rhs = phi[k - 1]
-        n += 1
-        v = violation(lhs, rhs)
-        if v > worst:
-            worst, worst_k = v, k
-    return CheckReport(
-        name="lyapunov_descent",
-        passed=worst <= LYAPUNOV_SLACK,
-        n_checked=n,
-        worst_violation=worst,
-        worst_index=worst_k,
-        details={"phi": phi},
-    )
+    (dh,) = _columns(records, "dh_prev_curr")
+    v = violation(phi[1:] + params.epsilon * dh[1:len(phi)], phi[:-1])
+    return _report("lyapunov_descent", v, LYAPUNOV_SLACK, phi=phi)
 
 
 def check_prefix_bound(records, params, tol=1e-12):
@@ -158,25 +172,12 @@ def check_prefix_bound(records, params, tol=1e-12):
     for every prefix length n."""
     phi = lyapunov_phi(records, params)
     phi1 = float(phi[0])
-    worst = 0.0
-    worst_n = -1
-    running_min = math.inf
-    n_checked = 0
-    for n in range(1, len(records) - 1):
-        running_min = min(running_min, records[n].dh_prev_curr)
-        bound = phi1 / (params.epsilon * n)
-        n_checked += 1
-        excess = running_min - bound
-        if excess > worst:
-            worst, worst_n = excess, n
-    return CheckReport(
-        name="prefix_bound",
-        passed=worst <= tol,
-        n_checked=n_checked,
-        worst_violation=max(0.0, worst),
-        worst_index=worst_n,
-        details={"phi1": phi1, "min_gap": running_min},
-    )
+    (dh,) = _columns(records, "dh_prev_curr")
+    gaps = dh[1:-1]
+    n = np.arange(1, gaps.size + 1)
+    excess = np.minimum.accumulate(gaps) - phi1 / (params.epsilon * n)
+    return _report("prefix_bound", excess, tol, phi1=phi1,
+                   min_gap=float(gaps.min(initial=math.inf)))
 
 
 def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
@@ -197,75 +198,63 @@ def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
     conditions are the contract of the double-backtracking solvers; traces
     from other methods may legitimately fail them.
     """
-    _check_layout(records)
+    tau, L_lower, L_bar, *logged = _columns(
+        records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
+        "step_norm")
     _require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
-    margin = params.delta - params.epsilon
-    worst = {"inertia": 0.0, "minorant": 0.0, "majorant": 0.0}
-    worst_k = {"inertia": -1, "minorant": -1, "majorant": -1}
-    cross_worst = 0.0
-    cross_k = -1
-    n = 0
+    rows = []
     for k in range(1, len(records) - 1):
         rec = records[k]
         x_prev = records[k - 1].x
         x_curr, y = rec.x, rec.y
         x_next = records[k + 1].x
-        dh_prev_curr = kernel.bregman(x_prev, x_curr)
-        dh_curr_y = kernel.bregman(x_curr, y)
-        n += 1
-
-        lhs = (1.0 + rec.L_lower * records[k - 1].tau) * dh_curr_y
-        v = violation(lhs, margin * dh_prev_curr)
-        if v > worst["inertia"]:
-            worst["inertia"], worst_k["inertia"] = v, k
-
-        g_y = problem.g_value(y)
         grad_g_y = problem.g_grad(y)
-        lower_rhs = (
-            g_y
-            + float(np.dot(grad_g_y, x_curr - y))
-            - rec.L_lower * dh_curr_y
-        )
-        v = violation(lower_rhs, problem.g_value(x_curr))
-        if v > worst["minorant"]:
-            worst["minorant"], worst_k["minorant"] = v, k
-
-        upper_rhs = (
-            g_y
-            + float(np.dot(grad_g_y, x_next - y))
-            + rec.L_bar * kernel.bregman(x_next, y)
-        )
-        v = violation(problem.g_value(x_next), upper_rhs)
-        if v > worst["majorant"]:
-            worst["majorant"], worst_k["majorant"] = v, k
-
         y_expected = x_curr + rec.gamma * (x_curr - x_prev)
-        for logged, fresh in (
-            (rec.dh_prev_curr, dh_prev_curr),
-            (rec.dh_curr_y, dh_curr_y),
-            (rec.step_norm, float(np.linalg.norm(x_curr - x_prev))),
-            (0.0, float(np.max(np.abs(y - y_expected))) if y is not None else 0.0),
-        ):
-            dev = abs(logged - fresh) / max(1.0, abs(logged), abs(fresh))
-            if dev > cross_worst:
-                cross_worst, cross_k = dev, k
-
-    worst_all = max(worst.values())
-    passed = worst_all <= CONDITION_SLACK and cross_worst <= cross_tol
-    keys = [key for key in worst if worst[key] == worst_all]
+        rows.append((
+            kernel.bregman(x_prev, x_curr),
+            kernel.bregman(x_curr, y),
+            float(np.linalg.norm(x_curr - x_prev)),
+            float(np.max(np.abs(y - y_expected))),
+            problem.g_value(y),
+            float(np.dot(grad_g_y, x_curr - y)),
+            problem.g_value(x_curr),
+            float(np.dot(grad_g_y, x_next - y)),
+            kernel.bregman(x_next, y),
+            problem.g_value(x_next),
+        ))
+    n = len(rows)
+    fresh = np.array(rows, dtype=float).reshape(n, 10).T
+    (dh_prev_curr, dh_curr_y, _, _, g_y, lin_curr, g_curr, lin_next,
+     dh_next_y, g_next) = fresh
+    L_lower, L_bar = L_lower[1:-1], L_bar[1:-1]
+    worst = {
+        name: _worst(v, 1) for name, v in (
+            ("inertia", violation(
+                (1.0 + L_lower * tau[:-2]) * dh_curr_y,
+                (params.delta - params.epsilon) * dh_prev_curr)),
+            ("minorant", violation(g_y + lin_curr - L_lower * dh_curr_y,
+                                   g_curr)),
+            ("majorant", violation(g_next,
+                                   g_y + lin_next + L_bar * dh_next_y)),
+        )
+    }
+    # logged distances and step norm against fresh ones, and the stored
+    # base point against the extrapolation (logged as an exact 0 deviation)
+    logged = np.array([col[1:-1] for col in logged] + [np.zeros(n)])
+    dev = np.maximum(violation(logged, fresh[:4]), violation(fresh[:4], logged))
+    cross, cross_k = _worst(dev.max(axis=0), 1)
+    worst_all, worst_k = max(worst.values(), key=lambda pair: pair[0])
     return CheckReport(
         name="acceptance_conditions",
-        passed=passed,
+        passed=worst_all <= CONDITION_SLACK and cross <= cross_tol,
         n_checked=n,
         worst_violation=worst_all,
-        worst_index=worst_k[keys[0]] if n else -1,
+        worst_index=worst_k,
         details={
-            "inertia": worst["inertia"],
-            "minorant": worst["minorant"],
-            "majorant": worst["majorant"],
-            "per_condition_index": dict(worst_k),
-            "cross_validation": cross_worst,
+            **{name: value for name, (value, _) in worst.items()},
+            "per_condition_index": {name: k for name, (_, k) in worst.items()},
+            "cross_validation": cross,
             "cross_validation_index": cross_k,
         },
     )
@@ -281,32 +270,18 @@ def check_function_descent(records, problem):
     which the accepted constants imply for weakly convex f.  Works from
     logged scalars only.
     """
-    _check_layout(records)
-    alpha = problem.alpha
-    worst = 0.0
-    worst_k = -1
-    n = 0
-    for k in range(1, len(records) - 1):
-        rec = records[k]
-        nxt = records[k + 1]
-        inv_tau = 1.0 / rec.tau
-        rhs = (
-            nxt.psi
-            + inv_tau * nxt.dh_prev_curr
-            + 0.5 * alpha * nxt.step_norm ** 2
-            - (inv_tau + rec.L_lower) * rec.dh_curr_y
-        )
-        n += 1
-        v = violation(rhs, rec.psi)
-        if v > worst:
-            worst, worst_k = v, k
-    return CheckReport(
-        name="function_descent",
-        passed=worst <= LYAPUNOV_SLACK,
-        n_checked=n,
-        worst_violation=worst,
-        worst_index=worst_k,
+    psi, tau, L_lower, dh, dh_y, step = _columns(
+        records, "psi", "tau", "L_lower", "dh_prev_curr", "dh_curr_y",
+        "step_norm")
+    inv_tau = 1.0 / tau[1:-1]
+    rhs = (
+        psi[2:]
+        + inv_tau * dh[2:]
+        + 0.5 * problem.alpha * _squared(step[2:])
+        - (inv_tau + L_lower[1:-1]) * dh_y[1:-1]
     )
+    return _report("function_descent", violation(rhs, psi[1:-1]),
+                   LYAPUNOV_SLACK)
 
 
 def frozen_phase_start(records, min_run=25):
@@ -315,29 +290,29 @@ def frozen_phase_start(records, min_run=25):
 
     L_bar never decreases, so this is the start of the constant tail.
     """
-    _check_layout(records)
+    (L_bar,) = _columns(records, "L_bar")
     if len(records) < 3:
         return None
     last = len(records) - 2
-    L_final = records[last].L_bar
-    k0 = last
-    while k0 > 1 and records[k0 - 1].L_bar == L_final:
-        k0 -= 1
+    moved = np.flatnonzero(L_bar[1:last] != L_bar[last])
+    k0 = int(moved[-1]) + 2 if moved.size else 1
     if last - k0 + 1 < min_run:
         return None
     return k0
 
 
-def _check_frozen_tau(records, params, start):
+def _check_frozen_tau(tau, params, start):
     tau_f = params.tau_frozen
     if tau_f is None:
         raise ValueError("params.tau_frozen is required for this check")
-    for k in range(start - 1, len(records) - 1):
-        if abs(records[k].tau - tau_f) > 1e-12 * max(1.0, tau_f):
-            raise ValueError(
-                f"tau is not frozen at {tau_f} from record {start - 1} on "
-                f"(record {k} has tau={records[k].tau})"
-            )
+    off = np.flatnonzero(
+        ~(np.abs(tau[start - 1:-1] - tau_f) <= 1e-12 * max(1.0, tau_f)))
+    if off.size:
+        k = start - 1 + int(off[0])
+        raise ValueError(
+            f"tau is not frozen at {tau_f} from record {start - 1} on "
+            f"(record {k} has tau={float(tau[k])})"
+        )
 
 
 def check_sufficient_decrease(records, params, sigma=1.0, start=1,
@@ -355,29 +330,17 @@ def check_sufficient_decrease(records, params, sigma=1.0, start=1,
     decrease ratio) is measured only on steps with norm >= min_step, since
     below that the difference u_k - u_{k+1} drowns in float rounding.
     """
-    _check_layout(records)
-    _check_frozen_tau(records, params, start)
-    delta1 = params.delta1
+    psi, dh, tau, step = _columns(
+        records, "psi", "dh_prev_curr", "tau", "step_norm")
+    _check_frozen_tau(tau, params, start)
+    u = psi[start:] + params.delta1 * dh[start:]
+    worst, worst_k = _worst(violation(u[1:], u[:-1]), start)
+    step = step[start:-1]
+    measured = step >= min_step
+    rho1 = (u[:-1] - u[1:])[measured] / _squared(step[measured])
+    rho1_emp = float(rho1.min()) if rho1.size else None
     rho1_target = params.epsilon * sigma / (2.0 * params.tau_frozen)
-
-    u = [
-        records[k].psi + delta1 * records[k].dh_prev_curr
-        for k in range(start, len(records))
-    ]
-    worst = 0.0
-    worst_k = -1
-    rho1_emp = math.inf
-    n_measured = 0
-    for i in range(len(u) - 1):
-        k = start + i
-        v = violation(u[i + 1], u[i])
-        if v > worst:
-            worst, worst_k = v, k
-        step = records[k].step_norm
-        if step >= min_step:
-            rho1_emp = min(rho1_emp, (u[i] - u[i + 1]) / step ** 2)
-            n_measured += 1
-    rho1_ok = n_measured == 0 or rho1_emp >= rho1_target * (1.0 - 1e-6)
+    rho1_ok = rho1_emp is None or rho1_emp >= rho1_target * (1.0 - 1e-6)
     return CheckReport(
         name="sufficient_decrease",
         passed=worst <= LYAPUNOV_SLACK and rho1_ok,
@@ -386,8 +349,8 @@ def check_sufficient_decrease(records, params, sigma=1.0, start=1,
         worst_index=worst_k,
         details={
             "rho1_target": rho1_target,
-            "rho1_empirical": None if n_measured == 0 else rho1_emp,
-            "n_measured": n_measured,
+            "rho1_empirical": rho1_emp,
+            "n_measured": rho1.size,
         },
     )
 
@@ -408,7 +371,7 @@ def subgradient_witness(records, problem, params, k):
 
     is its partial gradient with respect to w.  Returns (w1, w2).
     """
-    _check_layout(records)
+    _columns(records)
     _require_iterates(records, "subgradient_witness")
     if not 1 <= k <= len(records) - 2:
         raise ValueError(f"k={k} is not an iteration record")
@@ -436,9 +399,9 @@ def check_subgradient_bound(records, problem, params, start=1,
     abstract convergence template.  Steps below min_step are skipped.
     Passes when every computed witness is finite.
     """
-    _check_layout(records)
+    (tau,) = _columns(records, "tau")
     _require_iterates(records, "check_subgradient_bound")
-    _check_frozen_tau(records, params, start)
+    _check_frozen_tau(tau, params, start)
     rho2 = 0.0
     rho2_k = -1
     n = 0
@@ -471,17 +434,20 @@ def check_objective_settling(records, window=50, rel_tol=1e-6):
     continuity along convergent subsequences, which a finite trace cannot
     exhibit directly; a settled tail is the observable stand-in.
     """
-    _check_layout(records)
-    tail = [rec.psi for rec in records[max(1, len(records) - window):]]
-    spread = max(tail) - min(tail)
-    scale = max(1.0, abs(tail[-1]))
+    (psi,) = _columns(records, "psi")
+    first = max(1, len(records) - window)
+    tail = psi[first:]
+    spread = float(tail.max() - tail.min())
+    scale = max(1.0, abs(float(tail[-1])))
+    bad = np.flatnonzero(~np.isfinite(tail))
     return CheckReport(
         name="objective_settling",
-        passed=spread <= rel_tol * scale,
-        n_checked=len(tail),
-        worst_violation=max(0.0, spread / scale - rel_tol),
-        worst_index=len(records) - 1,
-        details={"spread": spread, "window": len(tail)},
+        passed=not bad.size and spread <= rel_tol * scale,
+        n_checked=tail.size,
+        worst_violation=(math.inf if bad.size
+                         else max(0.0, spread / scale - rel_tol)),
+        worst_index=first + int(bad[0]) if bad.size else len(records) - 1,
+        details={"spread": spread, "window": tail.size},
     )
 
 
@@ -492,30 +458,18 @@ def check_cfi_bound(records, problem, tol=1e-10):
 
     with Delta_k = x^k - x^{k-1}, from stored iterates.
     """
-    _check_layout(records)
+    _columns(records)
     _require_iterates(records, "check_cfi_bound")
     kernel = problem.kernel
-    worst = 0.0
-    worst_k = -1
-    n = 0
+    excess = []
     for k in range(1, len(records) - 1):
         rec = records[k]
         delta_vec = rec.x - records[k - 1].x
         nd2 = float(np.dot(delta_vec, delta_vec))
         xk2 = float(np.dot(rec.x, rec.x))
-        lhs = kernel.bregman(rec.x, rec.y)
         rhs = rec.gamma ** 2 * nd2 * (1.5 * xk2 + 1.75) + tol
-        n += 1
-        excess = lhs - rhs
-        if excess > worst:
-            worst, worst_k = excess, k
-    return CheckReport(
-        name="cfi_bound",
-        passed=worst <= 0.0,
-        n_checked=n,
-        worst_violation=max(0.0, worst),
-        worst_index=worst_k,
-    )
+        excess.append(kernel.bregman(rec.x, rec.y) - rhs)
+    return _report("cfi_bound", np.array(excess, dtype=float), 0.0)
 
 
 def summarize(result, problem, params=None):

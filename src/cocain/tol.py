@@ -32,13 +32,16 @@ def geq(lhs, rhs, slack=CONDITION_SLACK):
 
 
 def violation(lhs, rhs):
-    """Positive part of lhs - rhs, normalized by max(1, |lhs|, |rhs|).
+    """Positive part of lhs - rhs, normalized by max(1, |lhs|, |rhs|),
+    elementwise on arrays.
 
-    Zero when lhs <= rhs; used by certificates to report the worst
-    scaled violation of an inequality lhs <= rhs.
+    Zero where lhs <= rhs and NaN where either side is NaN or infinite;
+    used by certificates to report the worst scaled violation of an
+    inequality lhs <= rhs.
     """
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return max(0.0, (lhs - rhs) / scale)
+    scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+    with np.errstate(invalid="ignore"):
+        return np.maximum(0.0, (lhs - rhs) / scale)
 
 
 def require_finite(x, name="value"):

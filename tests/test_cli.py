@@ -5,6 +5,7 @@ are always checked under --compare, which zeroes wall-clock fields and
 drops the timestamp so outputs are byte-stable functions of config + seed.
 """
 
+import dataclasses
 import math
 import os
 
@@ -304,6 +305,17 @@ def test_none_for_optional_solver_option_runs(tmp_path):
     assert "iterations = 40" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("text", [
+    RUN_CONFIG.replace("stop_tol = 0", "stop_tol = 0\nmax_iters = 9"),
+    RUN_CONFIG.split("\n", 1)[1],
+    RUN_CONFIG.replace("x0 = 2.0", "x0 = 2%"),
+], ids=["duplicate_option", "missing_section_header", "interpolation"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    cfg = _write(tmp_path / "bad.ini", text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: malformed config file" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert cli.main(["run", "--config", missing]) == 2
@@ -380,6 +392,32 @@ def test_spurious_single_start(tmp_path, capsys):
     summary = (out / "spurious_summary.txt").read_text()
     assert "target = (1, 1)" in summary
     assert capsys.readouterr().out == summary
+
+
+def test_spurious_iters_flag_caps_each_run(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["spurious", "--starts", "2,2", "--iters", "3",
+                     "--out", str(out), "--compare"]) == 0
+    _, rows = _read_rows(out / "spurious.csv")
+    problem, _ = cli._build_spurious({})
+    config = dataclasses.replace(cli.SPURIOUS_CONFIG, max_iters=3)
+    res = cocain_bpg(problem, config, np.array([2.0, 2.0]))
+    assert res.iterations == 3
+    assert rows[0][2:4] == [cli._fmt(res.x[0]), cli._fmt(res.x[1])]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spurious", "--seed", "1"],
+    ["spurious", "--set", "solver.max_iters=3"],
+    ["denoise", "--set", "solver.max_iters=3"],
+    ["sweep", "--seed", "1"],
+])
+def test_flags_without_effect_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_spurious_rejects_bad_starts(tmp_path, capsys):

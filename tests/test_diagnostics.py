@@ -453,3 +453,81 @@ def test_summarize_without_params(abssincos_run):
     out = summarize(result, problem)
     assert "lyapunov_descent" not in out
     assert out["iterations"] == result.iterations
+
+
+# ---------------------------------------------------------------------------
+# non-finite traces: a NaN or an infinity in a checked column fails the
+# check with an infinite violation where the value first enters
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("psi", math.nan, {"descent": -1, "function": -1}),
+    ("tau", math.nan, {"descent": 0, "function": 0}),
+    ("dh_prev_curr", math.nan, {"descent": -1, "prefix": 0, "function": -1}),
+    ("psi", math.inf, {"descent": -1, "function": -1}),
+])
+def test_nonfinite_value_fails_trace_checks(abssincos_run, field, value,
+                                            expected):
+    problem, result, params = abssincos_run
+    mid = len(result.records) // 2
+    corrupted = replace_record(result.records, mid, **{field: value})
+    reports = {
+        "descent": check_lyapunov_descent(corrupted, params),
+        "prefix": check_prefix_bound(corrupted, params),
+        "function": check_function_descent(corrupted, problem),
+    }
+    for name, report in reports.items():
+        if name in expected:
+            assert not report.passed, name
+            assert report.worst_violation == math.inf, name
+            assert report.worst_index == mid + expected[name], name
+        else:
+            assert report.passed, name
+
+
+def test_nonfinite_value_fails_stored_and_tail_checks(
+    logquad_run, cfi_run, frozen_quadratic_run
+):
+    problem, result, params = logquad_run
+    k = 5
+    report = check_acceptance_conditions(
+        replace_record(result.records, k, dh_curr_y=math.nan), problem, params)
+    assert not report.passed
+    assert report.details["cross_validation"] == math.inf
+    assert report.details["cross_validation_index"] == k
+    report = check_acceptance_conditions(
+        replace_record(result.records, k, L_lower=math.nan), problem, params)
+    assert not report.passed
+    assert (report.worst_violation, report.worst_index) == (math.inf, k)
+
+    last = len(result.records) - 2
+    report = check_objective_settling(
+        replace_record(result.records, last, psi=-math.inf))
+    assert not report.passed
+    assert (report.worst_violation, report.worst_index) == (math.inf, last)
+
+    problem, result, _ = cfi_run
+    report = check_cfi_bound(
+        replace_record(result.records, k, gamma=math.nan), problem)
+    assert not report.passed
+    assert (report.worst_violation, report.worst_index) == (math.inf, k)
+
+    _, result, params = frozen_quadratic_run
+    report = check_sufficient_decrease(
+        replace_record(result.records, k, psi=math.nan), params)
+    assert not report.passed
+    assert (report.worst_violation, report.worst_index) == (math.inf, k - 1)
+
+
+def test_reports_hold_plain_python_values(abssincos_run):
+    _, result, params = abssincos_run
+    mid = len(result.records) // 2
+    failing = replace_record(result.records, mid,
+                             psi=result.records[mid].psi + 1.0)
+    for records in (result.records, failing):
+        report = check_lyapunov_descent(records, params)
+        assert type(report.passed) is bool
+        assert type(report.n_checked) is int
+        assert type(report.worst_violation) is float
+        assert type(report.worst_index) is int
+    assert not report.passed
