@@ -9,6 +9,11 @@ iPiano the Euclidean one, so each runs only where it is defined.
 A fifth problem, denoise 64x64 over 100 iterations with the three solvers
 of the shipped denoise study, pins the log prox and the stencil oracle on
 enough entries to reach every branch of the prox many times over.
+
+Phase retrieval at d=40, m=200 (l1 and sql2, 100 iterations) pins the
+quartic-kernel solvers where the sensing products are large enough for a
+reordering of the smooth oracle to show, and the `cocain` run with stored
+iterates pins the iterates themselves and the acceptance audit over them.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import numpy as np
 import pytest
 
 from cocain import cli
+from cocain import diagnostics as diag
 from cocain.pgm import synthetic_blocks
 from cocain.problems import (
     add_outlier_noise,
@@ -27,6 +33,7 @@ from cocain.problems import (
     make_spurious2d,
     make_univariate,
 )
+from cocain.solvers import replace_record
 
 
 def _logquad():
@@ -62,12 +69,24 @@ def _denoise64():
     return problem, config, np.zeros(problem.dim)
 
 
+def _phase_retrieval40(reg):
+    def build():
+        data = generate_phase_retrieval(40, 200, seed=0, noise_std=0.3)
+        config = replace(cli.PHASE_RETRIEVAL_CONFIG, max_iters=100)
+        problem = make_phase_retrieval(data, reg=reg, lam=0.1)
+        return problem, config, np.full(40, 2.0)
+
+    return build
+
+
 PROBLEMS = {
     "logquad": _logquad,
     "spurious2d": _spurious,
     "phase_retrieval": _phase_retrieval,
     "denoise": _denoise,
     "denoise64": _denoise64,
+    "phase_retrieval40_l1": _phase_retrieval40("l1"),
+    "phase_retrieval40_sql2": _phase_retrieval40("sql2"),
 }
 
 # sha256 of the --compare CSV of each (problem, solver) run
@@ -118,6 +137,26 @@ PINNED = {
         "67c416aac554ef4b983bac71c5bd35c7c7559d25dbf1e4f029f0c831ddff8dd8",
     ("denoise64", "bpg_fixed"):
         "c2935b9fd682ba05ea8b0db2cccbc37964b24d3ddec32abe872798dc2b5dc96a",
+    ("phase_retrieval40_l1", "cocain"):
+        "ac74ff43a456a6ae8709a89f9dff9e6a3d0bf7aa6cbe1e91188628296a382d5e",
+    ("phase_retrieval40_l1", "cfi"):
+        "6bc5ddf68b5a1fb77cb4f557e789ea3098355179f56b2b1f7af5033dd0cc216e",
+    ("phase_retrieval40_l1", "bpg_wb"):
+        "8642d5dd4183177a75548b6f51ed8ef7282ef582067a0f2cfac9556a39e6af7f",
+    ("phase_retrieval40_l1", "bpg_fixed"):
+        "ab9221463d24a7dc75e64b32df2da92f7e3da0b0aca8495bac70088542242bbb",
+    ("phase_retrieval40_l1", "cocain_nobt"):
+        "3a06e84a19403b4b0f3aa8e9f0e0e4e68df7e12060e484be5fdd80535c51e4fc",
+    ("phase_retrieval40_sql2", "cocain"):
+        "e7d9402e14ca962387ab188736d6685a664b1652ed64ede02c40b6b185cae29e",
+    ("phase_retrieval40_sql2", "cfi"):
+        "66c79ccfdea9585adda30a17d26beb6a7f1ff45591c83bfc23c7c83f70845ef0",
+    ("phase_retrieval40_sql2", "bpg_wb"):
+        "0d5d40a07a0161f346cf366e5460af0d04d5744d8f023307590b30c6891ea4da",
+    ("phase_retrieval40_sql2", "bpg_fixed"):
+        "21aea7485ef942a5044117ff53459c5a71de9b9d74a28523dfc74d74e9b9cf4e",
+    ("phase_retrieval40_sql2", "cocain_nobt"):
+        "78b6151873232c5d4c81fcc98e7801a3818947c2c22a88164023f3c604d10318",
 }
 
 
@@ -136,6 +175,52 @@ def test_trace_matches_pinned_digest(problem_name, solver):
     assert len(seen) == result.iterations
     assert all(a is b for a, b in zip(seen, result.records[1:-1]))
     assert _csv_digest(result.records) == PINNED[problem_name, solver]
+
+
+def _audit_outcome(report):
+    details = {key: value.hex() if isinstance(value, float) else value
+               for key, value in report.details.items()}
+    return (report.passed, report.n_checked, report.worst_violation.hex(),
+            report.worst_index, details)
+
+
+def _stored_audit_digest(problem, result):
+    """sha256 of the stored iterates and of the acceptance audit, on the
+    trace as run and with the constants of three records zeroed (so the
+    minorant and majorant excesses are nonzero floats)."""
+    records = result.records
+    params = diag.LyapunovParams.from_run(result, problem)
+    broken = records
+    for k in (10, 50, 90):
+        broken = replace_record(broken, k, L_bar=0.0,
+                                L_lower=-records[k].L_bar)
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(rec.x.tobytes())
+        h.update(b"" if rec.y is None else rec.y.tobytes())
+    for trace in (records, broken):
+        report = diag.check_acceptance_conditions(trace, problem, params)
+        h.update(repr(_audit_outcome(report)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the stored iterates and acceptance audits of a cocain run
+PINNED_AUDIT = {
+    "phase_retrieval40_l1":
+        "5c2049d19292f2da7a2d86e3147f77cff1293d710f0988423fdb8bdf9f7baf84",
+    "phase_retrieval40_sql2":
+        "a83af41a781f2b3502f38a41ac168c97841b5e30d840b2d619d47b357669d5e0",
+}
+
+
+@pytest.mark.parametrize("problem_name", sorted(PINNED_AUDIT))
+def test_stored_iterates_and_audit_match_pinned_digest(problem_name):
+    problem, config, x0 = PROBLEMS[problem_name]()
+    config = replace(config, store_iterates=True)
+    result = cli.SOLVERS["cocain"](problem, config, x0)
+    assert _csv_digest(result.records) == PINNED[problem_name, "cocain"]
+    assert (_stored_audit_digest(problem, result)
+            == PINNED_AUDIT[problem_name])
 
 
 def test_every_solver_is_pinned():
