@@ -18,6 +18,7 @@ from .prox import (
 from .pgm import read_pgm, synthetic_blocks, write_pgm
 from .problems import (
     CompositeProblem,
+    Evaluation,
     PhaseRetrievalData,
     add_outlier_noise,
     finite_difference,
@@ -69,7 +70,8 @@ __all__ = [
     "bpg_step_l1_quartic", "bpg_step_sql2_quartic",
     "prox_log1abs", "prox_log1abs_vec", "soft_threshold",
     "solve_monotone_cubic",
-    "CompositeProblem", "PhaseRetrievalData", "add_outlier_noise",
+    "CompositeProblem", "Evaluation", "PhaseRetrievalData",
+    "add_outlier_noise",
     "finite_difference", "finite_difference_adjoint",
     "generate_phase_retrieval", "make_phase_retrieval",
     "make_robust_denoising", "make_spurious2d", "make_univariate",

@@ -17,14 +17,18 @@ plus a plain-text key=value summary.  Floats are serialized with 17
 significant digits, so parsing the CSV back recovers the exact trace.
 Config + seed determine every output byte; wall-clock fields are zeroed and
 the timestamp line omitted under --compare, making outputs byte-stable.
+`main` runs numpy's OpenBLAS on one thread, because a multi-threaded
+product sums in an order that depends on the thread count.
 The COCAIN_OUT environment variable overrides --out.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 verification failure.
+Exit codes: 0 success, 2 configuration or output error, 3 solver failure
+(backtracking failure included), 4 verification failure.
 """
 
 import argparse
 import configparser
+import contextlib
+import ctypes
 import dataclasses
 import os
 import sys
@@ -90,6 +94,10 @@ DENOISE_CONFIG = SolverConfig(max_iters=500, stop_tol=0.0, L_bar_init=150.0)
 
 class ConfigError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """The output directory cannot be created or written."""
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +319,6 @@ def _trace_csv(records, ref, compare_mode):
 
 def _write_bundle(out_dir, problem, results, compare_mode, header_pairs):
     """Write one CSV per run plus summary.txt; returns the summary text."""
-    os.makedirs(out_dir, exist_ok=True)
     ref = min(min(rec.psi for rec in res.records) for res in results.values())
     lines = ["# cocain summary"]
     for key, value in header_pairs:
@@ -355,8 +362,26 @@ def _solver_names(text):
     return names
 
 
-def _out_dir(args):
-    return os.environ.get("COCAIN_OUT") or args.out
+@contextlib.contextmanager
+def _output_dir(args):
+    """The output directory (COCAIN_OUT, else --out), created; an OSError
+    while it is created or written becomes an OutputError."""
+    out_dir = os.environ.get("COCAIN_OUT") or args.out
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield out_dir
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+
+
+def _backtrack_status(results):
+    """EXIT_SOLVER, with a line on stderr, when a run's backtracking
+    failed; EXIT_OK otherwise."""
+    failed = [n for n, r in results.items() if r.termination == TERM_BACKTRACK_FAILURE]
+    if failed:
+        print(f"backtracking failed in: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_SOLVER
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +416,13 @@ def cmd_run(args):
                for name in solver_list}
     results = {name: SOLVERS[name](problem, cfg, x0)
                for name, cfg in configs.items()}
-    summary = _write_bundle(
-        _out_dir(args), problem, results, args.compare,
-        [("command", "run"), ("config", os.path.basename(args.config))],
-    )
+    with _output_dir(args) as out_dir:
+        summary = _write_bundle(
+            out_dir, problem, results, args.compare,
+            [("command", "run"), ("config", os.path.basename(args.config))],
+        )
     sys.stdout.write(summary)
-    failed = [n for n, r in results.items() if r.termination == TERM_BACKTRACK_FAILURE]
-    if failed and fail_on_backtrack:
-        print(f"backtracking failed in: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _backtrack_status(results) if fail_on_backtrack else EXIT_OK
 
 
 def cmd_sweep(args):
@@ -425,14 +447,10 @@ def cmd_sweep(args):
         for name in solvers
     }
 
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     lines = ["start," + ",".join(f"{name}_final_psi" for name in solvers)]
     for i in range(args.n_starts):
         lines.append(",".join([_fmt(starts[i])] +
                               [_fmt(finals[name][i]) for name in solvers]))
-    _atomic_write_text(os.path.join(out_dir, f"sweep_{args.kind}.csv"),
-                       "\n".join(lines) + "\n")
 
     global_psi = problem.meta.get("global_psi")
     report = ["# cocain sweep summary",
@@ -446,7 +464,10 @@ def cmd_sweep(args):
             count = int(np.sum(np.abs(finals[name] - global_psi) <= 1e-3))
             report.append(f"{name}_global_min_count = {count}")
     text = "\n".join(report) + "\n"
-    _atomic_write_text(os.path.join(out_dir, "sweep_summary.txt"), text)
+    with _output_dir(args) as out_dir:
+        _atomic_write_text(os.path.join(out_dir, f"sweep_{args.kind}.csv"),
+                           "\n".join(lines) + "\n")
+        _atomic_write_text(os.path.join(out_dir, "sweep_summary.txt"), text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -481,12 +502,11 @@ def cmd_spurious(args):
             f"from ({_fmt(x0[0])}, {_fmt(x0[1])}): final ({_fmt(res.x[0])}, "
             f"{_fmt(res.x[1])}) psi {_fmt(res.final_psi)} dist {_fmt(dist)}"
         )
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(out_dir, "spurious.csv"),
-                       "\n".join(rows) + "\n")
     text = "\n".join(report) + "\n"
-    _atomic_write_text(os.path.join(out_dir, "spurious_summary.txt"), text)
+    with _output_dir(args) as out_dir:
+        _atomic_write_text(os.path.join(out_dir, "spurious.csv"),
+                           "\n".join(rows) + "\n")
+        _atomic_write_text(os.path.join(out_dir, "spurious_summary.txt"), text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -508,22 +528,21 @@ def cmd_denoise(args):
     x0 = np.zeros(problem.dim)
     results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
 
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
     shape = clean.shape
-    # graymap output clips the 1e5 outliers into visible range
-    write_pgm(os.path.join(out_dir, "noisy.pgm"), np.clip(noisy, 0.0, 1.0))
-    for name, res in results.items():
-        write_pgm(os.path.join(out_dir, f"recon_{name}.pgm"),
-                  np.clip(res.x.reshape(shape), 0.0, 1.0))
-    summary = _write_bundle(
-        out_dir, problem, results, args.compare,
-        [("command", "denoise"),
-         ("lam", _fmt(args.lam)), ("rho", _fmt(args.rho)),
-         ("magnitude", _fmt(args.magnitude)), ("seed", seed)],
-    )
+    with _output_dir(args) as out_dir:
+        # graymap output clips the 1e5 outliers into visible range
+        write_pgm(os.path.join(out_dir, "noisy.pgm"), np.clip(noisy, 0.0, 1.0))
+        for name, res in results.items():
+            write_pgm(os.path.join(out_dir, f"recon_{name}.pgm"),
+                      np.clip(res.x.reshape(shape), 0.0, 1.0))
+        summary = _write_bundle(
+            out_dir, problem, results, args.compare,
+            [("command", "denoise"),
+             ("lam", _fmt(args.lam)), ("rho", _fmt(args.rho)),
+             ("magnitude", _fmt(args.magnitude)), ("seed", seed)],
+        )
     sys.stdout.write(summary)
-    return EXIT_OK
+    return _backtrack_status(results)
 
 
 def cmd_verify(args):
@@ -612,13 +631,30 @@ def _make_parser():
     return parser
 
 
+def _pin_blas_threads():
+    """Run numpy's OpenBLAS on one thread, so that traces do not depend on
+    the thread count.  A numpy without scipy-openblas64 is left as is."""
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = library.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
 def main(argv=None):
     parser = _make_parser()
     args = parser.parse_args(argv)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)

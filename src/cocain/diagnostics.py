@@ -197,31 +197,36 @@ def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
     points against the stored arrays at relative tolerance cross_tol.  The
     conditions are the contract of the double-backtracking solvers; traces
     from other methods may legitimately fail them.
+
+    g is evaluated once per stored iterate (iteration k's g(x^{k+1}) is
+    iteration k+1's g(x^k)) and once per base point.
     """
     tau, L_lower, L_bar, *logged = _columns(
         records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
         "step_norm")
     _require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
+    # g_x[k - 1] = g(x^k)
+    g_x = [problem.evaluate(rec.x).value for rec in records[1:]]
     rows = []
     for k in range(1, len(records) - 1):
         rec = records[k]
         x_prev = records[k - 1].x
         x_curr, y = rec.x, rec.y
         x_next = records[k + 1].x
-        grad_g_y = problem.g_grad(y)
+        g_y = problem.evaluate(y)
         y_expected = x_curr + rec.gamma * (x_curr - x_prev)
         rows.append((
             kernel.bregman(x_prev, x_curr),
             kernel.bregman(x_curr, y),
             float(np.linalg.norm(x_curr - x_prev)),
             float(np.max(np.abs(y - y_expected))),
-            problem.g_value(y),
-            float(np.dot(grad_g_y, x_curr - y)),
-            problem.g_value(x_curr),
-            float(np.dot(grad_g_y, x_next - y)),
+            g_y.value,
+            float(np.dot(g_y.grad, x_curr - y)),
+            g_x[k - 1],
+            float(np.dot(g_y.grad, x_next - y)),
             kernel.bregman(x_next, y),
-            problem.g_value(x_next),
+            g_x[k],
         ))
     n = len(rows)
     fresh = np.array(rows, dtype=float).reshape(n, 10).T
@@ -375,6 +380,11 @@ def subgradient_witness(records, problem, params, k):
     _require_iterates(records, "subgradient_witness")
     if not 1 <= k <= len(records) - 2:
         raise ValueError(f"k={k} is not an iteration record")
+    return _witness(records, problem, params, k)
+
+
+def _witness(records, problem, params, k):
+    """subgradient_witness on a trace already validated."""
     kernel = problem.kernel
     delta1 = params.delta1
     rec = records[k]
@@ -410,7 +420,7 @@ def check_subgradient_bound(records, problem, params, start=1,
         step = records[k + 1].step_norm
         if step < min_step:
             continue
-        w1, w2 = subgradient_witness(records, problem, params, k)
+        w1, w2 = _witness(records, problem, params, k)
         norm = math.hypot(float(np.linalg.norm(w1)), float(np.linalg.norm(w2)))
         if not math.isfinite(norm):
             all_finite = False

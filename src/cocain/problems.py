@@ -8,11 +8,16 @@ f, a lower bound on Psi) that the certificates lean on.
 
 Points are flat float64 arrays; image problems carry their grid shape in
 `meta` and reshape internally.
+
+The solvers read g through `problem.evaluate(x)`, one `Evaluation` per
+point whose value and gradient are each computed at most once.  By default
+it calls g_value and g_grad lazily; a problem whose two oracles share work
+supplies its own through `g_eval` (phase retrieval computes Ax once).
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,6 +28,32 @@ from .prox import (
     prox_log1abs_vec,
     soft_threshold,
 )
+
+
+class Evaluation:
+    """g at one point: value_fn(arg) and grad_fn(arg), each computed on
+    first use and kept.  arg is the point itself for the default oracles,
+    or whatever a fused oracle shares between the two (see g_eval)."""
+
+    __slots__ = ("_value_fn", "_grad_fn", "_arg", "_value", "_grad")
+
+    def __init__(self, value_fn, grad_fn, arg):
+        self._value_fn = value_fn
+        self._grad_fn = grad_fn
+        self._arg = arg
+        self._value = self._grad = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self._value_fn(self._arg)
+        return self._value
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = self._grad_fn(self._arg)
+        return self._grad
 
 
 @dataclass(frozen=True)
@@ -38,6 +69,10 @@ class CompositeProblem:
     negative for weakly convex f); psi_lower_bound is a valid lower bound on
     inf Psi.  sampling_box is the coordinate range the sampling-based
     verifiers draw points from.
+
+    g_eval(x), when set, returns the `Evaluation` of g at x and must agree
+    bit for bit with g_value and g_grad; evaluate(x) falls back to those
+    two otherwise.
     """
 
     name: str
@@ -52,6 +87,13 @@ class CompositeProblem:
     psi_lower_bound: float = 0.0
     sampling_box: tuple = (-1.0, 1.0)
     meta: dict = field(default_factory=dict)
+    g_eval: Optional[Callable] = None
+
+    def evaluate(self, x):
+        """g at x as an `Evaluation` (.value, .grad)."""
+        if self.g_eval is None:
+            return Evaluation(self.g_value, self.g_grad, x)
+        return self.g_eval(x)
 
     def psi(self, x):
         return self.f_value(x) + self.g_value(x)
@@ -234,14 +276,19 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     row_sq = np.sum(A * A, axis=1)
     smad = float(np.sum(3.0 * row_sq * row_sq + row_sq * b2))
 
-    def g_value(x):
-        r = A @ x
-        t = r * r - b2
+    # One product r = Ax per point, shared by the value and the gradient:
+    # g = (1/4)||t||^2 and grad g = A^T (t * r), with t = r * r - b^2.
+    def value(rt):
+        t = rt[1]
         return 0.25 * float(np.dot(t, t))
 
-    def g_grad(x):
+    def grad(rt):
+        r, t = rt
+        return A.T @ (t * r)
+
+    def g_eval(x):
         r = A @ x
-        return A.T @ ((r * r - b2) * r)
+        return Evaluation(value, grad, (r, r * r - b2))
 
     reg = reg.lower()
     if reg == "l1":
@@ -259,11 +306,12 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
         kernel=QuarticKernel(),
         f_value=f_value,
         f_prox_step=f_prox,
-        g_value=g_value,
-        g_grad=g_grad,
+        g_value=lambda x: g_eval(x).value,
+        g_grad=lambda x: g_eval(x).grad,
         smad_L=smad,
         sampling_box=(-2.0, 2.0),
         meta={"m": m, "reg": reg, "lam": lam, "data": data},
+        g_eval=g_eval,
     )
 
 

@@ -17,6 +17,11 @@ the stop test.  Each solver supplies only its step: an inertia rule
 (backtracked, frozen, or fixed L).  Every solver is called as
 `solver(problem, config, x0, *, callback=None)`.
 
+The smooth part g is read only through `problem.evaluate(x)`, once per
+point: the evaluation of x^{k+1} made by the majorant test is carried into
+the next iteration as that of x^k, and the steps without inertia take
+grad g(x^k) from it.
+
 Solvers:
   cocain_bpg                  searched inertia, backtracked majorant
   cocain_bpg_cfi              closed-form inertia (quartic kernel only)
@@ -34,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import EuclideanKernel, QuarticKernel
+from .problems import Evaluation
 from .tol import geq, leq, require_finite
 
 TERM_MAX_ITERS = "max_iters"
@@ -179,13 +185,14 @@ class SolverResult:
 
 @dataclass
 class IterateState:
-    """Inputs of one general step: the two current iterates and the
-    previously accepted parameters."""
+    """Inputs of one general step: the two current iterates, the
+    evaluation of g at x^k (`problem.evaluate(x_curr)`) and the previously
+    accepted parameters."""
 
     k: int
     x_prev: np.ndarray
     x_curr: np.ndarray
-    g_curr: float
+    g_curr: Evaluation
     dh_prev_curr: float
     tau_prev: float
     L_bar_prev: float
@@ -262,58 +269,59 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     constant whose extrapolated point satisfies the minorant inequality
     g(x^k) >= g(y) + <grad g(y), x^k - y> - L_lower * D_h(x^k, y), with gamma
     re-derived for each trial.  Returns (ok, L_lower, gamma, y, g_y,
-    grad_g_y, trials).
+    dh_curr_y, trials), g_y the evaluation of g at y and dh_curr_y =
+    D_h(x^k, y).
     """
     kernel = problem.kernel
+    x_curr = state.x_curr
+    g_curr = state.g_curr.value
     L_lo = _seed_L_lower(state, config)
     for trial in range(1, config.max_backtracks + 1):
         gamma = gamma_rule(state, L_lo, config, problem)
-        y = state.x_curr + gamma * (state.x_curr - state.x_prev)
-        g_y = problem.g_value(y)
-        grad_g_y = problem.g_grad(y)
-        rhs = (
-            g_y
-            + float(np.dot(grad_g_y, state.x_curr - y))
-            - L_lo * kernel.bregman(state.x_curr, y)
-        )
-        if geq(state.g_curr, rhs):
-            return True, L_lo, gamma, y, g_y, grad_g_y, trial
+        y = x_curr + gamma * (x_curr - state.x_prev)
+        g_y = problem.evaluate(y)
+        dh_curr_y = kernel.bregman(x_curr, y)
+        rhs = g_y.value + float(np.dot(g_y.grad, x_curr - y)) - L_lo * dh_curr_y
+        if geq(g_curr, rhs):
+            return True, L_lo, gamma, y, g_y, dh_curr_y, trial
         L_lo *= config.nu_lower
-    return False, L_lo, 0.0, state.x_curr, state.g_curr, None, config.max_backtracks
+    return False, L_lo, 0.0, x_curr, state.g_curr, 0.0, config.max_backtracks
 
 
-def upper_backtrack(state, y, g_y, grad_g_y, config, problem, centre=None):
+def upper_backtrack(state, y, g_y, config, problem, centre=None):
     """Fix (L_bar, tau, x_next) for one step.
 
-    Starts the ladder at the previous majorant (so L_bar never decreases),
-    sets tau = min(tau_prev, 1/L_bar), solves the proximal subproblem
-    centred at `centre` (default y), and accepts once the majorant
-    inequality g(x_next) <= g(y) + <grad g(y), x_next - y> + L_bar *
-    D_h(x_next, y) holds.  Returns (ok, L_bar, tau, x_next, g_next, trials).
+    g_y is the evaluation of g at y.  Starts the ladder at the previous
+    majorant (so L_bar never decreases), sets tau = min(tau_prev, 1/L_bar),
+    solves the proximal subproblem centred at `centre` (default y), and
+    accepts once the majorant inequality g(x_next) <= g(y) + <grad g(y),
+    x_next - y> + L_bar * D_h(x_next, y) holds.  Returns (ok, L_bar, tau,
+    x_next, g_next, trials), g_next the evaluation of g at x_next.
     """
     kernel = problem.kernel
     grad_h_centre = kernel.grad(y if centre is None else centre)
+    grad_g_y = g_y.grad
     L_bar = state.L_bar_prev
     for trial in range(1, config.max_backtracks + 1):
         tau = min(state.tau_prev, 1.0 / L_bar)
         x_next = problem.f_prox_step(grad_h_centre, grad_g_y, tau)
-        g_next = problem.g_value(x_next)
+        g_next = problem.evaluate(x_next)
         rhs = (
-            g_y
+            g_y.value
             + float(np.dot(grad_g_y, x_next - y))
             + L_bar * kernel.bregman(x_next, y)
         )
-        if leq(g_next, rhs):
+        if leq(g_next.value, rhs):
             return True, L_bar, tau, x_next, g_next, trial
         L_bar *= config.nu_upper
     return False, L_bar, min(state.tau_prev, 1.0 / L_bar), None, None, config.max_backtracks
 
 
-def _fixed_upper_step(state, y, grad_g_y, L_bar, problem):
+def _fixed_upper_step(state, y, g_y, L_bar, problem):
     """Majorant pinned at L_bar: one proximal step, no search."""
     tau = min(state.tau_prev, 1.0 / L_bar)
-    x_next = problem.f_prox_step(problem.kernel.grad(y), grad_g_y, tau)
-    return L_bar, tau, x_next, problem.g_value(x_next)
+    x_next = problem.f_prox_step(problem.kernel.grad(y), g_y.grad, tau)
+    return L_bar, tau, x_next, problem.evaluate(x_next)
 
 
 def _maybe_copy(x, store):
@@ -326,9 +334,10 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
 
     Validates x0 (and, with `barrier`, config.L_bar_init against the
     weak-convexity barrier of f), then for k = 1, 2, ... calls
-    step(IterateState) -> (gamma, L_lower, y, lower_trials, L_bar, tau,
-    x_next, g_next, upper_trials), or None when backtracking fails, and
-    logs record k.  L_bar is the initial majorant (default
+    step(IterateState) -> (gamma, L_lower, y, dh_curr_y, lower_trials,
+    L_bar, tau, x_next, g_next, upper_trials), or None when backtracking
+    fails, and logs record k; g_next, the evaluation of g at x_next,
+    becomes the next state's g_curr.  L_bar is the initial majorant (default
     config.L_bar_init; tau starts at 1/L_bar).
     An ArithmeticError inside a step (a stalled prox solve) ends the run
     as a SolverError naming the solver and the iteration.
@@ -349,8 +358,8 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
     store = config.store_iterates
 
     x_prev = x_curr = x0  # a private copy, never written to
-    g_curr = problem.g_value(x_curr)
-    psi_curr = problem.f_value(x_curr) + g_curr
+    g_curr = problem.evaluate(x_curr)
+    psi_curr = problem.f_value(x_curr) + g_curr.value
     require_finite(psi_curr, "objective at x0")
     L_bar = config.L_bar_init if L_bar is None else L_bar
     tau = 1.0 / L_bar
@@ -378,9 +387,9 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
         if accepted is None:
             termination = TERM_BACKTRACK_FAILURE
             break
-        (gamma, L_lower, y, lower_trials, L_bar, tau, x_next, g_next,
-         upper_trials) = accepted
-        psi_next = problem.f_value(x_next) + g_next
+        (gamma, L_lower, y, dh_curr_y, lower_trials, L_bar, tau, x_next,
+         g_next, upper_trials) = accepted
+        psi_next = problem.f_value(x_next) + g_next.value
         if not np.isfinite(psi_next):
             raise SolverError(
                 f"{name}: objective became non-finite at iteration {k}"
@@ -388,9 +397,7 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
 
         record = TraceRecord(
             k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
-            L_lower=L_lower, dh_prev_curr=dh_prev_curr,
-            # D_h(x, x) = 0 exactly on both kernels
-            dh_curr_y=0.0 if y is x_curr else kernel.bregman(x_curr, y),
+            L_lower=L_lower, dh_prev_curr=dh_prev_curr, dh_curr_y=dh_curr_y,
             step_norm=float(np.linalg.norm(x_curr - x_prev)),
             lower_trials=lower_trials, upper_trials=upper_trials,
             wall_time_ns=time.perf_counter_ns() - tick,
@@ -430,29 +437,28 @@ def _cocain_step(problem, config, gamma_rule):
         if config.gamma_cap == 0.0:
             # No inertia: the base point is x^k itself and the minorant
             # inequality holds as an identity, so the lower search is moot.
-            gamma, L_lower, lower_trials = 0.0, 0.0, 0
+            # D_h(x, x) = 0 exactly on both kernels.
+            gamma, L_lower, dh_curr_y, lower_trials = 0.0, 0.0, 0.0, 0
             y, g_y = state.x_curr, state.g_curr
-            grad_g_y = problem.g_grad(state.x_curr)
         else:
-            ok, L_lower, gamma, y, g_y, grad_g_y, lower_trials = lower_backtrack(
+            ok, L_lower, gamma, y, g_y, dh_curr_y, lower_trials = lower_backtrack(
                 state, config, problem, gamma_rule
             )
             if not ok:
                 return None
         if config.freeze_after is not None and state.k >= config.freeze_after:
             L_bar, tau, x_next, g_next = _fixed_upper_step(
-                state, y, grad_g_y, max(state.L_bar_prev, problem.smad_L),
-                problem,
+                state, y, g_y, max(state.L_bar_prev, problem.smad_L), problem,
             )
             upper_trials = 0
         else:
             ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
-                state, y, g_y, grad_g_y, config, problem
+                state, y, g_y, config, problem
             )
             if not ok:
                 return None
-        return (gamma, L_lower, y, lower_trials, L_bar, tau, x_next, g_next,
-                upper_trials)
+        return (gamma, L_lower, y, dh_curr_y, lower_trials, L_bar, tau,
+                x_next, g_next, upper_trials)
 
     return step
 
@@ -516,9 +522,10 @@ def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
         gamma = _halve_gamma(state, 2.0, config, problem)
         y = state.x_curr + gamma * (state.x_curr - state.x_prev)
         L_bar, tau, x_next, g_next = _fixed_upper_step(
-            state, y, problem.g_grad(y), L, problem
+            state, y, problem.evaluate(y), L, problem
         )
-        return gamma, L, y, 0, L_bar, tau, x_next, g_next, 0
+        dh_curr_y = problem.kernel.bregman(state.x_curr, y)
+        return gamma, L, y, dh_curr_y, 0, L_bar, tau, x_next, g_next, 0
 
     return _drive("cocain_nobt", problem, config, x0, callback, step, L)
 
@@ -537,9 +544,9 @@ def bpg_fixed(problem, config, x0, *, callback=None):
 
     def step(state):
         L_bar, tau, x_next, g_next = _fixed_upper_step(
-            state, state.x_curr, problem.g_grad(state.x_curr), L, problem
+            state, state.x_curr, state.g_curr, L, problem
         )
-        return 0.0, 0.0, state.x_curr, 0, L_bar, tau, x_next, g_next, 0
+        return 0.0, 0.0, state.x_curr, 0.0, 0, L_bar, tau, x_next, g_next, 0
 
     return _drive("bpg_fixed", problem, config, x0, callback, step, L,
                   barrier=False)
@@ -562,11 +569,12 @@ def ipiano(problem, config, x0, *, callback=None):
         x_curr = state.x_curr
         y = x_curr + beta * (x_curr - state.x_prev)
         ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
-            state, x_curr, state.g_curr, problem.g_grad(x_curr), config,
-            problem, centre=y,
+            state, x_curr, state.g_curr, config, problem, centre=y,
         )
         if not ok:
             return None
-        return beta, 0.0, y, 0, L_bar, tau, x_next, g_next, upper_trials
+        dh_curr_y = problem.kernel.bregman(x_curr, y)
+        return (beta, 0.0, y, dh_curr_y, 0, L_bar, tau, x_next, g_next,
+                upper_trials)
 
     return _drive("ipiano", problem, config, x0, callback, step)

@@ -8,6 +8,8 @@ drops the timestamp so outputs are byte-stable functions of config + seed.
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +229,57 @@ max_backtracks = 1
         base.format(extra="fail_on_backtrack = false\n"),
     )
     assert cli.main(["run", "--config", cfg2, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    lambda tmp: ["run", "--config", _write(tmp / "exp.ini", RUN_CONFIG)],
+    lambda tmp: ["sweep", "--n-starts", "2", "--iters", "2"],
+    lambda tmp: ["spurious", "--starts", "2,2", "--iters", "2"],
+    lambda tmp: ["denoise", "--height", "4", "--width", "4", "--iters", "2"],
+])
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main(command(tmp_path) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+PR500_CONFIG = """\
+[problem]
+name = phase_retrieval
+d = 500
+m = 2500
+
+[run]
+solvers = cocain,bpg_wb
+iters = 20
+
+[solver]
+stop_tol = 0
+"""
+
+
+def test_blas_thread_count_does_not_change_outputs(tmp_path):
+    # d=500 is large enough for a multi-threaded OpenBLAS to split the
+    # products and sum them in another order
+    cfg = _write(tmp_path / "pr.ini", PR500_CONFIG)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        pythonpath = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(pythonpath))
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "cocain.cli", "run", "--config", cfg,
+             "--out", str(out), "--compare"],
+            env=env, check=True, stdout=subprocess.DEVNULL)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in sorted(os.listdir(out))})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_stalled_prox_solve_exit_code(tmp_path, capsys):
@@ -449,6 +502,19 @@ def test_denoise_tiny(tmp_path):
     np.testing.assert_allclose(
         noisy, synthetic_blocks(8, 8), atol=0.5 / 255 + 1e-12
     )
+
+
+def test_denoise_backtrack_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a majorant far below the curvature, with no room to escalate
+    monkeypatch.setattr(cli, "DENOISE_CONFIG", dataclasses.replace(
+        cli.DENOISE_CONFIG, L_bar_init=1e-8, max_backtracks=1))
+    out = tmp_path / "out"
+    assert cli.main([
+        "denoise", "--height", "8", "--width", "8", "--data-term", "sql2",
+        "--iters", "5", "--solvers", "bpg_wb", "--out", str(out),
+    ]) == 3
+    assert capsys.readouterr().err == "backtracking failed in: bpg_wb\n"
+    assert "termination = backtrack_failure" in (out / "summary.txt").read_text()
 
 
 # ---------------------------------------------------------------------------

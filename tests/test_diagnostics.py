@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from cocain import diagnostics as diag
 from cocain.diagnostics import (
     LyapunovParams,
     check_acceptance_conditions,
@@ -390,6 +391,29 @@ def test_subgradient_bound_on_frozen_run(frozen_quadratic_run):
     assert report.n_checked >= 1
     assert report.details["rho2_empirical"] > 0.0
     assert math.isfinite(report.details["rho2_empirical"])
+
+
+def test_subgradient_bound_validates_the_trace_once(monkeypatch):
+    # the layout and stored-iterate checks run a fixed number of times per
+    # call, however long the trace (they used to run once per record)
+    calls = []
+    for name in ("_columns", "_require_iterates"):
+        original = getattr(diag, name)
+        monkeypatch.setattr(diag, name, lambda *args, original=original,
+                            name=name: calls.append(name) or original(*args))
+    problem = quadratic_problem([8.0, 0.01])
+    counts = []
+    for iters in (20, 80):
+        cfg = SolverConfig(L_bar_init=8.0, freeze_after=1, max_iters=iters,
+                           stop_tol=0.0, store_iterates=True)
+        result = cocain_bpg(problem, cfg, [3.0, -2.0])
+        params = LyapunovParams(cfg.delta, cfg.epsilon, 0.0,
+                                tau_frozen=result.records[-1].tau)
+        calls.clear()
+        report = check_subgradient_bound(result.records, problem, params)
+        assert report.n_checked == iters
+        counts.append(len(calls))
+    assert counts == [2, 2]
 
 
 # ---------------------------------------------------------------------------

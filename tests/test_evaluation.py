@@ -1,0 +1,181 @@
+"""The evaluation object of g and the products it saves.
+
+`problem.evaluate(x)` must agree bit for bit with g_value and g_grad,
+whether a problem supplies a fused evaluation (phase retrieval, one Ax per
+point) or takes the default one.  The product counts are read against the
+trace's own trial counts: a counting wrapper around the phase-retrieval
+evaluation books one A product per evaluation made and one A^T product per
+gradient first read.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cocain import cli
+from cocain import diagnostics as diag
+from cocain.problems import (
+    generate_phase_retrieval,
+    make_phase_retrieval,
+    make_robust_denoising,
+)
+from test_traces import PROBLEMS
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+def _points(dim, seed):
+    """Random points with +0.0 and -0.0 entries mixed in."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for scale in (1e-3, 1.0, 2.0, 1e3):
+        x = scale * rng.standard_normal(dim)
+        x[rng.choice(dim, size=dim // 4, replace=False)] = 0.0
+        x[rng.choice(dim, size=dim // 4, replace=False)] = -0.0
+        points.append(x)
+    points += [np.zeros(dim), -np.zeros(dim)]
+    return points
+
+
+@pytest.mark.parametrize("reg", ["l1", "sql2"])
+def test_phase_retrieval_evaluation_is_bitwise_the_two_oracles(reg):
+    data = generate_phase_retrieval(40, 200, seed=3, noise_std=0.3)
+    problem = make_phase_retrieval(data, reg=reg, lam=0.1)
+    assert problem.g_eval is not None
+    A, b2 = data.A, data.b * data.b
+    for x in _points(problem.dim, seed=1):
+        ev = problem.evaluate(x)
+        grad = ev.grad
+        value = ev.value
+        assert _bits(value) == _bits(problem.g_value(x))
+        np.testing.assert_array_equal(_bits(grad), _bits(problem.g_grad(x)))
+        # the two closures the fused evaluation replaced
+        r = A @ x
+        t = r * r - b2
+        assert _bits(value) == _bits(0.25 * float(np.dot(t, t)))
+        np.testing.assert_array_equal(_bits(grad),
+                                      _bits(A.T @ ((r * r - b2) * r)))
+        # each is computed once and then kept
+        assert ev.grad is grad and ev.value is value
+
+
+def test_default_evaluation_calls_the_two_oracles_lazily():
+    noisy = np.random.default_rng(0).uniform(0.0, 1.0, (7, 5))
+    problem = make_robust_denoising(noisy, lam=10.0, rho=1.0)
+    assert problem.g_eval is None
+    calls = []
+    counted = replace(
+        problem,
+        g_value=lambda x: calls.append("value") or problem.g_value(x),
+        g_grad=lambda x: calls.append("grad") or problem.g_grad(x),
+    )
+    for x in _points(problem.dim, seed=2):
+        calls.clear()
+        ev = counted.evaluate(x)
+        assert calls == []
+        grad = ev.grad
+        assert _bits(ev.value) == _bits(problem.g_value(x))
+        np.testing.assert_array_equal(_bits(grad), _bits(problem.g_grad(x)))
+        assert ev.grad is grad
+        assert calls == ["grad", "value"]
+
+
+class _Counted:
+    """An evaluation that books its first gradient read as one A^T."""
+
+    def __init__(self, inner, counts):
+        self._inner, self._counts, self._read = inner, counts, False
+
+    @property
+    def value(self):
+        return self._inner.value
+
+    @property
+    def grad(self):
+        if not self._read:
+            self._read = True
+            self._counts["AT"] += 1
+        return self._inner.grad
+
+
+def _counting(problem):
+    counts = {"A": 0, "AT": 0}
+    g_eval = problem.g_eval
+
+    def counted(x):
+        counts["A"] += 1
+        return _Counted(g_eval(x), counts)
+
+    return replace(problem, g_eval=counted), counts
+
+
+def _products_per_iteration(solver, **changes):
+    """(record, A products, A^T products) for each iteration of a run on
+    phase retrieval d=6, whose cocain run takes up to 32 lower trials."""
+    problem, config, x0 = PROBLEMS["phase_retrieval"]()
+    problem, counts = _counting(problem)
+    seen = []
+    last = {"A": 1, "AT": 0}  # the evaluation of x^0 precedes iteration 1
+
+    def callback(record):
+        seen.append((record, counts["A"] - last["A"],
+                     counts["AT"] - last["AT"]))
+        last.update(counts)
+
+    result = cli.SOLVERS[solver](problem, replace(config, **changes), x0,
+                                 callback=callback)
+    assert counts == last  # nothing after the last iteration
+    assert len(seen) == result.iterations == 60
+    return seen
+
+
+@pytest.mark.parametrize("solver", ["cocain", "cfi"])
+def test_inertial_solvers_pay_two_products_per_lower_trial(solver):
+    seen = _products_per_iteration(solver)
+    for rec, a, at in seen:
+        # A y and A^T of each lower trial, A x^{k+1} of each upper trial
+        assert (a, at) == (rec.lower_trials + rec.upper_trials,
+                           rec.lower_trials)
+        assert a + at == 2 * rec.lower_trials + rec.upper_trials
+    if solver == "cocain":
+        assert max(rec.lower_trials for rec, _, _ in seen) > 1
+    assert max(rec.upper_trials for rec, _, _ in seen) > 1
+
+
+def test_bpg_wb_takes_the_gradient_from_the_carried_evaluation():
+    for rec, a, at in _products_per_iteration("bpg_wb"):
+        assert (a, at) == (rec.upper_trials, 1)
+        assert a + at == 1 + rec.upper_trials
+
+
+@pytest.mark.parametrize("solver,products", [("bpg_fixed", (1, 1)),
+                                             ("cocain_nobt", (2, 1))])
+def test_fixed_step_solvers_products(solver, products):
+    for _, a, at in _products_per_iteration(solver):
+        assert (a, at) == products
+
+
+def test_frozen_majorant_evaluates_each_point_once():
+    for rec, a, at in _products_per_iteration("cocain", freeze_after=30):
+        # from k = 30 on one prox step and one evaluation of x^{k+1}
+        assert (rec.upper_trials == 0) == (rec.k >= 30)
+        assert (a, at) == (rec.lower_trials + max(rec.upper_trials, 1),
+                           rec.lower_trials)
+
+
+def test_audit_evaluates_each_stored_point_once():
+    problem, config, x0 = PROBLEMS["phase_retrieval"]()
+    result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
+                                   x0)
+    counted, counts = _counting(problem)
+    params = diag.LyapunovParams.from_run(result, problem)
+    report = diag.check_acceptance_conditions(result.records, counted, params)
+    plain = diag.check_acceptance_conditions(result.records, problem, params)
+    assert report == plain and report.passed
+    n = report.n_checked
+    assert n == result.iterations == 60
+    # x^1..x^{n+1} once each, every y^k once, and one A^T per y^k
+    assert counts == {"A": (n + 1) + n, "AT": n}

@@ -46,7 +46,7 @@ def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
         k=1, x_prev=x_prev, x_curr=x_curr,
-        g_curr=problem.g_value(x_curr),
+        g_curr=problem.evaluate(x_curr),
         dh_prev_curr=problem.kernel.bregman(x_prev, x_curr),
         tau_prev=tau_prev, L_bar_prev=L_bar_prev,
         L_lower_prev=L_lower_prev,
@@ -180,12 +180,13 @@ def test_lower_backtrack_one_trial_on_convex_objective():
     problem = quadratic_problem([2.0, 1.0])
     cfg = SolverConfig()
     state = _state(problem, [1.0, 1.0], [0.5, 0.25], tau_prev=0.5)
-    ok, L_lower, gamma, y, g_y, grad_g_y, trials = lower_backtrack(
+    ok, L_lower, gamma, y, g_y, dh_curr_y, trials = lower_backtrack(
         state, cfg, problem
     )
     assert ok and trials == 1
     assert L_lower == cfg.L_lower_value
-    assert g_y == problem.g_value(y)
+    assert g_y.value == problem.g_value(y)
+    assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
 
 
 # ---------------------------------------------------------------------------
