@@ -14,10 +14,17 @@ Phase retrieval at d=40, m=200 (l1 and sql2, 100 iterations) pins the
 quartic-kernel solvers where the sensing products are large enough for a
 reordering of the smooth oracle to show, and the `cocain` run with stored
 iterates pins the iterates themselves and the acceptance audit over them.
+
+The phase-retrieval runs of the inertial solvers are also held by a drift
+guard that does not hash: their trial counts and termination exactly, and
+psi at a few records to 1e-12 relative.  A change to the lower search that
+moves these traces by rounding only passes it unchanged, and its digests
+above are then re-recorded.
 """
 
 import hashlib
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -226,6 +233,58 @@ def test_stored_iterates_and_audit_match_pinned_digest(problem_name):
 def test_every_solver_is_pinned():
     assert {solver for _, solver in PINNED} == set(cli.SOLVERS)
     assert {name for name, _ in PINNED} == set(PROBLEMS)
+
+
+# (termination, lower_trials and upper_trials of records 1..n as
+# (trials, repeats) runs, {record: float.hex of psi}) of each inertial run
+DRIFT_GUARD = {
+    ("phase_retrieval", "cocain"): (
+        "max_iters",
+        ((1, 39), (32, 1), (7, 1), (2, 1), (3, 1), (2, 3), (1, 1), (2, 4),
+         (1, 1), (2, 1), (1, 7)),
+        ((9, 1), (1, 59)),
+        {10: "0x1.6b10556a4d23cp+6", 30: "0x1.ebafe825a4506p+2",
+         61: "0x1.2cb357ebe89d9p+1"}),
+    ("phase_retrieval", "cfi"): (
+        "max_iters", ((1, 60),), ((9, 1), (1, 59)),
+        {10: "0x1.0a13202ce891fp+5", 30: "0x1.8d7f55c38369ep+0",
+         61: "0x1.81b0c62dfd1efp+0"}),
+    ("phase_retrieval40_l1", "cocain"): (
+        "max_iters", ((1, 100),), ((12, 1), (1, 99)),
+        {10: "0x1.861b05e97c4eap+16", 50: "0x1.7a5cafb043726p+7",
+         101: "0x1.fd3ea8b7da02fp+5"}),
+    ("phase_retrieval40_l1", "cfi"): (
+        "max_iters", ((1, 100),), ((12, 1), (1, 99)),
+        {10: "0x1.3dcfc28bfcd33p+15", 50: "0x1.15c245ef41ed4p+6",
+         101: "0x1.7b16e24fa1a6bp+4"}),
+    ("phase_retrieval40_sql2", "cocain"): (
+        "max_iters", ((1, 100),), ((12, 1), (1, 99)),
+        {10: "0x1.861a721d5a17ep+16", 50: "0x1.7957f4dded476p+7",
+         101: "0x1.f96653818fb10p+5"}),
+    ("phase_retrieval40_sql2", "cfi"): (
+        "max_iters", ((1, 100),), ((12, 1), (1, 99)),
+        {10: "0x1.3dcef00ccac8bp+15", 50: "0x1.13c2e48766ccap+6",
+         101: "0x1.79402ab7d90f1p+4"}),
+}
+
+
+def _runs(values):
+    return tuple((value, len(list(group))) for value, group in groupby(values))
+
+
+@pytest.mark.parametrize("problem_name,solver", sorted(DRIFT_GUARD))
+def test_inertial_phase_retrieval_trials_and_psi(problem_name, solver):
+    termination, lower, upper, psi = DRIFT_GUARD[problem_name, solver]
+    problem, config, x0 = PROBLEMS[problem_name]()
+    result = cli.SOLVERS[solver](problem, config, x0)
+    steps = result.records[1:-1]
+    assert result.termination == termination
+    assert _runs(rec.lower_trials for rec in steps) == lower
+    assert _runs(rec.upper_trials for rec in steps) == upper
+    assert len(result.records) - 1 == max(psi)
+    for k, pinned in psi.items():
+        assert result.records[k].psi == pytest.approx(float.fromhex(pinned),
+                                                      rel=1e-12, abs=0.0)
 
 
 def test_run_config_with_auto_L(tmp_path):
