@@ -490,12 +490,14 @@ def cmd_spurious(args):
         config = dataclasses.replace(config, max_iters=args.iters)
     problem, _ = _build_spurious({})
     target = problem.meta["target"]
-    rows = ["start_x,start_y,final_x,final_y,final_psi,dist_to_target"]
+    minimizer = problem.meta["minimizer"]
+    rows = ["start_x,start_y,final_x,final_y,final_psi,dist_to_minimizer"]
     report = ["# cocain spurious summary",
-              f"target = ({_fmt(target[0])}, {_fmt(target[1])})"]
+              f"target = ({_fmt(target[0])}, {_fmt(target[1])})",
+              f"minimizer = ({_fmt(minimizer[0])}, {_fmt(minimizer[1])})"]
     for x0 in starts:
         res = cocain_bpg(problem, config, x0)
-        dist = float(np.linalg.norm(res.x - target))
+        dist = float(np.linalg.norm(res.x - minimizer))
         rows.append(",".join([_fmt(x0[0]), _fmt(x0[1]), _fmt(res.x[0]),
                               _fmt(res.x[1]), _fmt(res.final_psi), _fmt(dist)]))
         report.append(

@@ -12,7 +12,8 @@ Points are flat float64 arrays; image problems carry their grid shape in
 The solvers read g through `problem.evaluate(x)`, one `Evaluation` per
 point whose value and gradient are each computed at most once.  By default
 it calls g_value and g_grad lazily; a problem whose two oracles share work
-supplies its own through `g_eval` (phase retrieval computes Ax once).
+supplies its own through `g_eval` (phase retrieval computes Ax once, and
+evaluates extrapolated points from the images it already has).
 """
 
 import math
@@ -32,8 +33,9 @@ from .prox import (
 
 class Evaluation:
     """g at one point: value_fn(arg) and grad_fn(arg), each computed on
-    first use and kept.  arg is the point itself for the default oracles,
-    or whatever a fused oracle shares between the two (see g_eval)."""
+    first use and kept.  arg is the point itself for the default oracles;
+    a fused oracle that shares something else between the two (see g_eval)
+    subclasses this and overrides `extrapolated` and `slope_to`."""
 
     __slots__ = ("_value_fn", "_grad_fn", "_arg", "_value", "_grad")
 
@@ -55,6 +57,16 @@ class Evaluation:
             self._grad = self._grad_fn(self._arg)
         return self._grad
 
+    def extrapolated(self, prev, gamma, y):
+        """The evaluation at y = x + gamma * (x - x_prev), x this
+        evaluation's point and prev the evaluation at x_prev; by default a
+        fresh one at y."""
+        return Evaluation(self._value_fn, self._grad_fn, y)
+
+    def slope_to(self, base):
+        """<grad g(y), x - y>, y this evaluation's point and x base's."""
+        return float(np.dot(self.grad, base._arg - self._arg))
+
 
 @dataclass(frozen=True)
 class CompositeProblem:
@@ -70,9 +82,9 @@ class CompositeProblem:
     inf Psi.  sampling_box is the coordinate range the sampling-based
     verifiers draw points from.
 
-    g_eval(x), when set, returns the `Evaluation` of g at x and must agree
-    bit for bit with g_value and g_grad; evaluate(x) falls back to those
-    two otherwise.
+    g_eval(x), when set, returns the `Evaluation` of g at x, whose value
+    and grad must agree bit for bit with g_value and g_grad; evaluate(x)
+    falls back to those two otherwise.
     """
 
     name: str
@@ -194,13 +206,27 @@ def make_spurious2d(lam=0.5, rho=100.0, target=(1.0, 1.0)):
     `target`, but the kinked f creates additional stationary points on the
     coordinate axes that non-inertial methods get caught on.  The minimizer
     of psi = f + g sits at t* per coordinate, slightly below `target`
-    (0.99497... at the defaults), where f's slope balances g's pull.
+    (0.99497... at the defaults), where f's slope balances g's pull;
+    meta["minimizer"] holds it in closed form.
+
+    For t > 0 the coordinate term is log(1+t) + lam*log(1+rho*(t-b)^2),
+    b = target_i > 0.  Setting its derivative to zero and writing u = t - b
+    gives rho*(1+2*lam)*u^2 + 2*lam*rho*(1+b)*u + 1 = 0.  The root near
+    zero is the local minimizer t*; the other root is a local maximum.  t*
+    is taken as 1/(rho*(1+2*lam)*u_minus) from the large-magnitude root
+    u_minus, which avoids the cancellation of the textbook formula.  That
+    t* is psi's global minimizer at the defaults (see criterion 05 of the
+    acceptance tests), not for every lam, rho and target.
     """
     if lam <= 0.0 or rho <= 0.0:
         raise ValueError("lam and rho must be positive")
     b = np.asarray(target, dtype=float)
     if b.shape != (2,):
         raise ValueError(f"target must have two coordinates, got {b.shape}")
+    a = rho * (1.0 + 2.0 * lam)
+    half_b = lam * rho * (1.0 + b)
+    u_minus = -(half_b + np.sqrt(half_b * half_b - a)) / a
+    minimizer = b + 1.0 / (a * u_minus)
 
     def g_value(x):
         t = x - b
@@ -224,7 +250,7 @@ def make_spurious2d(lam=0.5, rho=100.0, target=(1.0, 1.0)):
         smad_L=2.0 * lam * rho,
         alpha=-1.0,
         sampling_box=(-3.0, 3.0),
-        meta={"lam": lam, "rho": rho, "target": b},
+        meta={"lam": lam, "rho": rho, "target": b, "minimizer": minimizer},
     )
 
 
@@ -286,9 +312,27 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
         r, t = rt
         return A.T @ (t * r)
 
+    class PhaseEvaluation(Evaluation):
+        """g from the image r = Ax of its point.  An extrapolated point's
+        image is the same extrapolation of r, and <grad g(y), x - y> =
+        <t_y * r_y, r_x - r_y>, so neither method multiplies by A; both
+        agree with a fresh evaluation up to rounding only."""
+
+        __slots__ = ()
+
+        def extrapolated(self, prev, gamma, y):
+            r = self._arg[0]
+            return at_image(r + gamma * (r - prev._arg[0]))
+
+        def slope_to(self, base):
+            r, t = self._arg
+            return float(np.dot(t * r, base._arg[0] - r))
+
+    def at_image(r):
+        return PhaseEvaluation(value, grad, (r, r * r - b2))
+
     def g_eval(x):
-        r = A @ x
-        return Evaluation(value, grad, (r, r * r - b2))
+        return at_image(A @ x)
 
     reg = reg.lower()
     if reg == "l1":

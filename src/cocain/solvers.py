@@ -20,7 +20,9 @@ the stop test.  Each solver supplies only its step: an inertia rule
 The smooth part g is read only through `problem.evaluate(x)`, once per
 point: the evaluation of x^{k+1} made by the majorant test is carried into
 the next iteration as that of x^k, and the steps without inertia take
-grad g(x^k) from it.
+grad g(x^k) from it.  The lower search derives each trial's evaluation
+from those of x^k and x^{k-1} (`Evaluation.extrapolated`), which lets a
+problem with a linear image evaluate the trials without a product.
 
 Solvers:
   cocain_bpg                  searched inertia, backtracked majorant
@@ -186,12 +188,13 @@ class SolverResult:
 @dataclass
 class IterateState:
     """Inputs of one general step: the two current iterates, the
-    evaluation of g at x^k (`problem.evaluate(x_curr)`) and the previously
-    accepted parameters."""
+    evaluations of g at x^{k-1} and x^k (`problem.evaluate`) and the
+    previously accepted parameters."""
 
     k: int
     x_prev: np.ndarray
     x_curr: np.ndarray
+    g_prev: Evaluation
     g_curr: Evaluation
     dh_prev_curr: float
     tau_prev: float
@@ -270,22 +273,23 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     g(x^k) >= g(y) + <grad g(y), x^k - y> - L_lower * D_h(x^k, y), with gamma
     re-derived for each trial.  Returns (ok, L_lower, gamma, y, g_y,
     dh_curr_y, trials), g_y the evaluation of g at y and dh_curr_y =
-    D_h(x^k, y).
+    D_h(x^k, y).  Each trial's g_y is extrapolated from the evaluations of
+    x^k and x^{k-1}.
     """
     kernel = problem.kernel
     x_curr = state.x_curr
-    g_curr = state.g_curr.value
+    g_curr = state.g_curr
     L_lo = _seed_L_lower(state, config)
     for trial in range(1, config.max_backtracks + 1):
         gamma = gamma_rule(state, L_lo, config, problem)
         y = x_curr + gamma * (x_curr - state.x_prev)
-        g_y = problem.evaluate(y)
+        g_y = g_curr.extrapolated(state.g_prev, gamma, y)
         dh_curr_y = kernel.bregman(x_curr, y)
-        rhs = g_y.value + float(np.dot(g_y.grad, x_curr - y)) - L_lo * dh_curr_y
-        if geq(g_curr, rhs):
+        rhs = g_y.value + g_y.slope_to(g_curr) - L_lo * dh_curr_y
+        if geq(g_curr.value, rhs):
             return True, L_lo, gamma, y, g_y, dh_curr_y, trial
         L_lo *= config.nu_lower
-    return False, L_lo, 0.0, x_curr, state.g_curr, 0.0, config.max_backtracks
+    return False, L_lo, 0.0, x_curr, g_curr, 0.0, config.max_backtracks
 
 
 def upper_backtrack(state, y, g_y, config, problem, centre=None):
@@ -337,8 +341,8 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
     step(IterateState) -> (gamma, L_lower, y, dh_curr_y, lower_trials,
     L_bar, tau, x_next, g_next, upper_trials), or None when backtracking
     fails, and logs record k; g_next, the evaluation of g at x_next,
-    becomes the next state's g_curr.  L_bar is the initial majorant (default
-    config.L_bar_init; tau starts at 1/L_bar).
+    becomes the next state's g_curr, and g_curr its g_prev.  L_bar is the
+    initial majorant (default config.L_bar_init; tau starts at 1/L_bar).
     An ArithmeticError inside a step (a stalled prox solve) ends the run
     as a SolverError naming the solver and the iteration.
     """
@@ -358,7 +362,7 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
     store = config.store_iterates
 
     x_prev = x_curr = x0  # a private copy, never written to
-    g_curr = problem.evaluate(x_curr)
+    g_prev = g_curr = problem.evaluate(x_curr)
     psi_curr = problem.f_value(x_curr) + g_curr.value
     require_finite(psi_curr, "objective at x0")
     L_bar = config.L_bar_init if L_bar is None else L_bar
@@ -376,7 +380,7 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
         tick = time.perf_counter_ns()
         dh_prev_curr = kernel.bregman(x_prev, x_curr)
         state = IterateState(
-            k=k, x_prev=x_prev, x_curr=x_curr, g_curr=g_curr,
+            k=k, x_prev=x_prev, x_curr=x_curr, g_prev=g_prev, g_curr=g_curr,
             dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
             L_lower_prev=L_lower,
         )
@@ -409,7 +413,7 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None,
 
         step_inf = float(np.max(np.abs(x_next - x_curr)))
         x_prev, x_curr = x_curr, x_next
-        g_curr, psi_curr = g_next, psi_next
+        g_prev, g_curr, psi_curr = g_curr, g_next, psi_next
         if step_inf < config.stop_tol:
             termination = TERM_STEP_TOL
             break

@@ -29,25 +29,6 @@ def quadratic_problem(diag, name="quadratic"):
     )
 
 
-def spurious_t_star(lam, rho, target):
-    """Per-coordinate minimizer of make_spurious2d's psi, in closed form.
-
-    For t > 0 the coordinate term is log(1+t) + lam*log(1+rho*(t-b)^2) with
-    b = target > 0.  Setting its derivative to zero and writing u = t - b
-    gives rho*(1+2*lam)*u^2 + 2*lam*rho*(1+b)*u + 1 = 0 (at b = 1:
-    rho*(1+2*lam)*u^2 + 4*lam*rho*u + 1 = 0).  The root near zero is the
-    local minimizer t*; the other root (t = 0.005 at the defaults) is a
-    local maximum.  The small root is taken as 1/(rho*(1+2*lam)*u_minus)
-    from the large-magnitude root u_minus, which avoids the cancellation of
-    the textbook formula.  Works elementwise on an array of targets.
-    """
-    b = np.asarray(target, dtype=float)
-    a = rho * (1.0 + 2.0 * lam)
-    half_b = lam * rho * (1.0 + b)
-    u_minus = -(half_b + np.sqrt(half_b * half_b - a)) / a
-    return b + 1.0 / (a * u_minus)
-
-
 def prox_log1abs_reference(y, tau, center=0.0):
     """Three-candidate prox of tau * log(1 + |x - center|) at y.
 

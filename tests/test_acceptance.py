@@ -18,8 +18,8 @@ t* = 0.99497...; (1, 1) is not critical because f's gradient there is
 is a local maximum, so the minimizers lie among {0, t*}^2: the axis points
 (0, 0), (0, t*), (t*, 0) are critical (|dg/dx_i| = 2*lam*rho/(1+rho) < 1
 on a zero coordinate), and (t*, t*) has the least psi of the four.  The
-target is computed from the problem's own lam, rho and target, never from
-solver output.
+target is `make_spurious2d`'s meta["minimizer"], computed from the
+problem's own lam, rho and target, never from solver output.
 """
 
 import math
@@ -61,7 +61,7 @@ from cocain.solvers import (
     ipiano,
 )
 from cocain.verify import run_scope
-from helpers import assert_traces_identical, spurious_t_star
+from helpers import assert_traces_identical
 
 GLOBAL_MIN_TOL = 1e-3
 
@@ -324,7 +324,7 @@ def test_criterion_04_single_start_contrast(contrast_runs):
 def test_criterion_05_spurious_escape(spurious_runs):
     problem, corners, _, timings = spurious_runs
     meta = problem.meta
-    minimizer = spurious_t_star(meta["lam"], meta["rho"], meta["target"])
+    minimizer = meta["minimizer"]
     # support facts: each axis point is critical (f's subdifferential on a
     # zero coordinate is [-1, 1]; on a t* coordinate psi's gradient
     # vanishes), and the global minimizer lies strictly below all of them

@@ -437,13 +437,18 @@ def test_spurious_single_start(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["spurious", "--starts", "2,2", "--out", str(out)]) == 0
     header, rows = _read_rows(out / "spurious.csv")
-    assert header == "start_x,start_y,final_x,final_y,final_psi,dist_to_target"
+    assert header == ("start_x,start_y,final_x,final_y,final_psi,"
+                      "dist_to_minimizer")
     assert len(rows) == 1
     assert float(rows[0][0]) == 2.0
     # the run must leave the spurious target's immediate vicinity report
     assert math.isfinite(float(rows[0][4]))
+    # and end at psi's minimizer (t*, t*), 7.1e-3 from g's centre (1, 1)
+    assert float(rows[0][5]) < 1e-3
+    minimizer = cli._build_spurious({})[0].meta["minimizer"]
     summary = (out / "spurious_summary.txt").read_text()
     assert "target = (1, 1)" in summary
+    assert f"minimizer = ({cli._fmt(minimizer[0])}, " in summary
     assert capsys.readouterr().out == summary
 
 

@@ -2,10 +2,13 @@
 
 `problem.evaluate(x)` must agree bit for bit with g_value and g_grad,
 whether a problem supplies a fused evaluation (phase retrieval, one Ax per
-point) or takes the default one.  The product counts are read against the
-trace's own trial counts: a counting wrapper around the phase-retrieval
-evaluation books one A product per evaluation made and one A^T product per
-gradient first read.
+point) or takes the default one.  The lower search's extrapolated
+evaluations are, by default, fresh evaluations at y; phase retrieval
+derives them from the images Ax^k and Ax^{k-1} and must agree with fresh
+ones up to rounding.  The product counts are read against the trace's own
+trial counts: a counting wrapper around the phase-retrieval evaluation
+books one A product per `g_eval` call (an extrapolated evaluation makes
+none) and one A^T product per gradient first read.
 """
 
 from dataclasses import replace
@@ -40,6 +43,24 @@ def _points(dim, seed):
     return points
 
 
+def _phase_retrieval40():
+    data = generate_phase_retrieval(40, 200, seed=3, noise_std=0.3)
+    return make_phase_retrieval(data, reg="l1", lam=0.1)
+
+
+def _denoise():
+    noisy = np.random.default_rng(0).uniform(0.0, 1.0, (7, 5))
+    return make_robust_denoising(noisy, lam=10.0, rho=1.0)
+
+
+def _extrapolations(problem, seed):
+    """(x_prev, x, gamma) triples, with gamma = 0 and 1 among them."""
+    rng = np.random.default_rng(seed)
+    for gamma in (0.0, 0.25, 0.5, 0.99, 1.0):
+        x_prev, x = rng.standard_normal((2, problem.dim))
+        yield x_prev, x, gamma
+
+
 @pytest.mark.parametrize("reg", ["l1", "sql2"])
 def test_phase_retrieval_evaluation_is_bitwise_the_two_oracles(reg):
     data = generate_phase_retrieval(40, 200, seed=3, noise_std=0.3)
@@ -63,8 +84,7 @@ def test_phase_retrieval_evaluation_is_bitwise_the_two_oracles(reg):
 
 
 def test_default_evaluation_calls_the_two_oracles_lazily():
-    noisy = np.random.default_rng(0).uniform(0.0, 1.0, (7, 5))
-    problem = make_robust_denoising(noisy, lam=10.0, rho=1.0)
+    problem = _denoise()
     assert problem.g_eval is None
     calls = []
     counted = replace(
@@ -83,8 +103,50 @@ def test_default_evaluation_calls_the_two_oracles_lazily():
         assert calls == ["grad", "value"]
 
 
+@pytest.mark.parametrize("build", [_phase_retrieval40, _denoise])
+def test_extrapolated_evaluation_matches_a_fresh_one(build):
+    problem = build()
+    for x_prev, x, gamma in _extrapolations(problem, seed=4):
+        y = x + gamma * (x - x_prev)
+        g_x = problem.evaluate(x)
+        g_y = g_x.extrapolated(problem.evaluate(x_prev), gamma, y)
+        fresh = problem.evaluate(y)
+        slope = float(np.dot(fresh.grad, x - y))
+        assert g_y.value == pytest.approx(fresh.value, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g_y.grad, fresh.grad, rtol=1e-12, atol=0.0)
+        assert g_y.slope_to(g_x) == pytest.approx(slope, rel=1e-12, abs=0.0)
+        if gamma == 0.0:
+            # the extrapolation collapses onto x and its evaluation
+            assert _bits(g_y.value) == _bits(g_x.value)
+            np.testing.assert_array_equal(_bits(g_y.grad), _bits(g_x.grad))
+            assert g_y.slope_to(g_x) == 0.0
+
+
+def test_default_extrapolation_is_a_fresh_lazy_evaluation():
+    # bit for bit today's lower-search arithmetic on problems without an
+    # image: g at y on first read, and float(np.dot(grad g(y), x - y))
+    problem = _denoise()
+    calls = []
+    counted = replace(
+        problem,
+        g_value=lambda x: calls.append("value") or problem.g_value(x),
+        g_grad=lambda x: calls.append("grad") or problem.g_grad(x),
+    )
+    for x_prev, x, gamma in _extrapolations(problem, seed=5):
+        y = x + gamma * (x - x_prev)
+        g_x = counted.evaluate(x)
+        calls.clear()
+        g_y = g_x.extrapolated(counted.evaluate(x_prev), gamma, y)
+        assert calls == []
+        assert _bits(g_y.value) == _bits(problem.g_value(y))
+        slope = float(np.dot(problem.g_grad(y), x - y))
+        assert _bits(g_y.slope_to(g_x)) == _bits(slope)
+        assert calls == ["value", "grad"]
+
+
 class _Counted:
-    """An evaluation that books its first gradient read as one A^T."""
+    """An evaluation that books its first gradient read as one A^T and
+    passes the lower search's two methods through, booking no product."""
 
     def __init__(self, inner, counts):
         self._inner, self._counts, self._read = inner, counts, False
@@ -99,6 +161,13 @@ class _Counted:
             self._read = True
             self._counts["AT"] += 1
         return self._inner.grad
+
+    def extrapolated(self, prev, gamma, y):
+        return _Counted(self._inner.extrapolated(prev._inner, gamma, y),
+                        self._counts)
+
+    def slope_to(self, base):
+        return self._inner.slope_to(base._inner)
 
 
 def _counting(problem):
@@ -133,13 +202,12 @@ def _products_per_iteration(solver, **changes):
 
 
 @pytest.mark.parametrize("solver", ["cocain", "cfi"])
-def test_inertial_solvers_pay_two_products_per_lower_trial(solver):
+def test_inertial_solvers_pay_no_product_per_lower_trial(solver):
     seen = _products_per_iteration(solver)
     for rec, a, at in seen:
-        # A y and A^T of each lower trial, A x^{k+1} of each upper trial
-        assert (a, at) == (rec.lower_trials + rec.upper_trials,
-                           rec.lower_trials)
-        assert a + at == 2 * rec.lower_trials + rec.upper_trials
+        # A x^{k+1} of each upper trial and the A^T of the accepted y,
+        # whatever the number of lower trials
+        assert (a, at) == (rec.upper_trials, 1)
     if solver == "cocain":
         assert max(rec.lower_trials for rec, _, _ in seen) > 1
     assert max(rec.upper_trials for rec, _, _ in seen) > 1
@@ -162,8 +230,7 @@ def test_frozen_majorant_evaluates_each_point_once():
     for rec, a, at in _products_per_iteration("cocain", freeze_after=30):
         # from k = 30 on one prox step and one evaluation of x^{k+1}
         assert (rec.upper_trials == 0) == (rec.k >= 30)
-        assert (a, at) == (rec.lower_trials + max(rec.upper_trials, 1),
-                           rec.lower_trials)
+        assert (a, at) == (max(rec.upper_trials, 1), 1)
 
 
 def test_audit_evaluates_each_stored_point_once():

@@ -24,11 +24,11 @@ from cocain.problems import (
     make_univariate,
     verify_smad_by_sampling,
 )
-from helpers import quadratic_problem, spurious_t_star
+from helpers import quadratic_problem
 
 # per-coordinate minimizer of 0.5 log(1+100(t-1)^2) + log(1+|t|):
 # t* = 1 + (-200 + sqrt(39200)) / 400, confirmed by bisection and grid;
-# kept as a literal to check the closed form in helpers.spurious_t_star
+# kept as a literal to check the closed form in make_spurious2d
 SPURIOUS_T_STAR = 0.9949747468305832
 SPURIOUS_PSI_STAR = 1.3837849177497237  # psi at (t*, t*)
 SPURIOUS_PSI_TARGET = 2.0 * math.log(2.0)  # psi at (1, 1)
@@ -126,6 +126,16 @@ def test_spurious_g_minimized_at_target():
     assert p.g_value(np.array([1.0, 1.0])) == 0.0
 
 
+@pytest.mark.parametrize("lam,rho,target", [(0.5, 100.0, (2.0, 0.5)),
+                                            (0.25, 400.0, (1.0, 3.0))])
+def test_spurious_minimizer_is_stationary_for_other_targets(lam, rho, target):
+    p = make_spurious2d(lam, rho, target)
+    x_star = p.meta["minimizer"]
+    assert np.all((0.0 < x_star) & (x_star < p.meta["target"]))
+    grad = p.g_grad(x_star) + 1.0 / (1.0 + x_star)
+    np.testing.assert_allclose(grad, np.zeros(2), atol=1e-9)
+
+
 def test_spurious_f_spot_values():
     p = make_spurious2d()
     f = p.f_value
@@ -137,8 +147,8 @@ def test_spurious_true_minimizer_is_off_target():
     # the log(1+|x|) term drags the minimizer slightly below the target
     p = make_spurious2d()
     meta = p.meta
-    closed_form = spurious_t_star(meta["lam"], meta["rho"], meta["target"][0])
-    assert abs(closed_form - SPURIOUS_T_STAR) <= 4 * math.ulp(SPURIOUS_T_STAR)
+    tol = 4 * math.ulp(SPURIOUS_T_STAR)
+    assert np.all(np.abs(meta["minimizer"] - SPURIOUS_T_STAR) <= tol)
     x_star = np.array([SPURIOUS_T_STAR, SPURIOUS_T_STAR])
     assert p.psi(x_star) == pytest.approx(SPURIOUS_PSI_STAR, abs=1e-12)
     assert p.psi(np.array([1.0, 1.0])) == pytest.approx(

@@ -222,21 +222,21 @@ PINNED = {
     'phase_retrieval/bpg_wb':
         'c588b9d32a76126ed3026f9840292745ef263801e90c986ea705ef7b2e3c2eff',
     'phase_retrieval/cfi':
-        '28650b20142f42cf5908c793413129435c4abd12bfd09f783e91d71354256607',
+        '3e09e3e5e3096e7b3540f6904017405b1735df030b382027e0ad3e2cbf195bd6',
     'phase_retrieval/cfi/1':
         '2da349dece914f2db83aab0aace42f4a0b04e8a218829fe3c729af2a457de8e6',
     'phase_retrieval/cfi/gamma':
-        '671a17e035feabaa28caeb5d866360df4c4186e7e113698393f049b7f6d673e7',
+        '53de8b3bbdb21a409a451622333372fcb852cecc643d8cade3c3f5c77627b4db',
     'phase_retrieval/cocain':
-        '726e72ed1dd6b6e9f1a512757e69eb56f911c25f1569d8c15af1c14a1f750ae7',
+        'a71ecd9746ddb0c62fe374ee8d24a48c3acd9af9078ee1030ed07a87150d0f23',
     'phase_retrieval/cocain/dh':
-        'f16b68ee551b75fe498faac3688dd3fef344d7592e0233f1c67e38045559768b',
+        '3d6f426e01e119ae4efef9b9a678269f35722ed081235ce27b12dbd15a2d6ea3',
     'phase_retrieval/cocain/psi':
-        'f19c0244a45981a1faf3f922577802ef65978a2dbac2ade3d60de9e79422c21e',
+        '87c0a7c4269426fcb58a6c53edd3134719aaa86d752e908ff4547b24300280a2',
     'phase_retrieval/cocain/tau':
-        '115f0b223db4a4c76ba22597eb906b1d5160cc44828b740a69897fa218f62c50',
+        'dd4fc99f81664204161f0f9de6eb8266f7fdce919917807f9f32d6cf1d472326',
     'phase_retrieval/cocain/y':
-        '925a7465ff0e1328a02696e9e9ddfefecee036541b74fab7e2225b2a0ee5e254',
+        '7480ead52182570cee1300eecde55514a486e25d9a52c19ad2f0e3a574bc4586',
     'phase_retrieval/cocain_nobt':
         '0dd8f2ac28037954616b72fbf633557a37dbbb297fb1a53fdb899efa44d273ba',
     'quadratic/cocain/freeze':

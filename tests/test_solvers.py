@@ -46,7 +46,7 @@ def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
         k=1, x_prev=x_prev, x_curr=x_curr,
-        g_curr=problem.evaluate(x_curr),
+        g_prev=problem.evaluate(x_prev), g_curr=problem.evaluate(x_curr),
         dh_prev_curr=problem.kernel.bregman(x_prev, x_curr),
         tau_prev=tau_prev, L_bar_prev=L_bar_prev,
         L_lower_prev=L_lower_prev,

@@ -119,9 +119,9 @@ PINNED = {
     ("spurious2d", "ipiano"):
         "d61198a80b89d14507d438559937879a2f20cfab5dafa213a8c027b77c24d23e",
     ("phase_retrieval", "cocain"):
-        "6f053d004bfa13a6a6865c0a211e66246f2cae3be90f3cf0af7296bd526e1354",
+        "05a1a1623d93f62cd0e04fc8c8dc69cb9010aba399fe075f03d5939d1d5d9324",
     ("phase_retrieval", "cfi"):
-        "298ba0c4e48a6cf8f40accf7a529ff0d46fa8f8cba688e99b93ee93a09a91ea1",
+        "fcf88d68070fd0a30530e6f9fd09565c5c7c4fccdc283d905f8c3522e8dcd73f",
     ("phase_retrieval", "cocain_nobt"):
         "e7f578910c184972f41ae6618d00436cc0b05127e0da79157d0a2c6bb7d07589",
     ("phase_retrieval", "bpg_wb"):
@@ -145,9 +145,9 @@ PINNED = {
     ("denoise64", "bpg_fixed"):
         "c2935b9fd682ba05ea8b0db2cccbc37964b24d3ddec32abe872798dc2b5dc96a",
     ("phase_retrieval40_l1", "cocain"):
-        "ac74ff43a456a6ae8709a89f9dff9e6a3d0bf7aa6cbe1e91188628296a382d5e",
+        "149af9d579b0a16a909beaed8bb920e93d903d9ed6529681a571e0ad4026e836",
     ("phase_retrieval40_l1", "cfi"):
-        "6bc5ddf68b5a1fb77cb4f557e789ea3098355179f56b2b1f7af5033dd0cc216e",
+        "e7e2b0f38a5d8b297a1a17aaa5c3828e486fdca5f16299233372c259d0159766",
     ("phase_retrieval40_l1", "bpg_wb"):
         "8642d5dd4183177a75548b6f51ed8ef7282ef582067a0f2cfac9556a39e6af7f",
     ("phase_retrieval40_l1", "bpg_fixed"):
@@ -155,9 +155,9 @@ PINNED = {
     ("phase_retrieval40_l1", "cocain_nobt"):
         "3a06e84a19403b4b0f3aa8e9f0e0e4e68df7e12060e484be5fdd80535c51e4fc",
     ("phase_retrieval40_sql2", "cocain"):
-        "e7d9402e14ca962387ab188736d6685a664b1652ed64ede02c40b6b185cae29e",
+        "aec1d2bd6a8314a8e775b7da54ea0eddb4995ea4b26a1b51e8b917e94b4a9df1",
     ("phase_retrieval40_sql2", "cfi"):
-        "66c79ccfdea9585adda30a17d26beb6a7f1ff45591c83bfc23c7c83f70845ef0",
+        "b3c8d2597eece7522cb27f31714fe6e5d331bb490a1241a72b44b2a5d2428644",
     ("phase_retrieval40_sql2", "bpg_wb"):
         "0d5d40a07a0161f346cf366e5460af0d04d5744d8f023307590b30c6891ea4da",
     ("phase_retrieval40_sql2", "bpg_fixed"):
@@ -214,9 +214,9 @@ def _stored_audit_digest(problem, result):
 # sha256 of the stored iterates and acceptance audits of a cocain run
 PINNED_AUDIT = {
     "phase_retrieval40_l1":
-        "5c2049d19292f2da7a2d86e3147f77cff1293d710f0988423fdb8bdf9f7baf84",
+        "0fa45eb71a376ebd72caab1f4bd01ad3e7b4cac6d05e14c6eb174359a895a753",
     "phase_retrieval40_sql2":
-        "a83af41a781f2b3502f38a41ac168c97841b5e30d840b2d619d47b357669d5e0",
+        "313d2fbcfd2fe00e9fdcaa1648f28f34a828c78a23a9a1bcc62602e7bd8d2824",
 }
 
 
