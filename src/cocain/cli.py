@@ -27,19 +27,18 @@ Exit codes: 0 success, 2 configuration or output error, 3 solver failure
 
 import argparse
 import configparser
-import contextlib
 import ctypes
 import dataclasses
 import os
 import sys
-import tempfile
 import typing
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import verify as verify_mod
-from .pgm import read_pgm, synthetic_blocks, write_pgm
+from .diagnostics import summarize
+from .pgm import atomic_write, read_pgm, synthetic_blocks, write_pgm
 from .problems import (
     add_outlier_noise,
     generate_phase_retrieval,
@@ -185,6 +184,23 @@ def _apply_sets(config, assignments):
     return config
 
 
+def _read_config(args):
+    """The sections of --config (none where it is not given or the
+    subcommand takes no file), with every --set applied."""
+    path = getattr(args, "config", None)
+    config = _load_config(path) if path else {}
+    return _apply_sets(config, getattr(args, "set", None) or [])
+
+
+def _study_config(args, base, config, iters=None):
+    """`base` with the [solver] section of `config` applied, then the
+    iteration budget: --iters, else `iters`."""
+    base = _solver_config(base, config.get("solver", {}))
+    if args.iters is not None:
+        iters = args.iters
+    return base if iters is None else dataclasses.replace(base, max_iters=iters)
+
+
 def _pop_typed(opts, key, typ, default):
     if key not in opts:
         return default
@@ -287,16 +303,7 @@ def _parse_x0(text, dim):
 
 
 def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, text.encode())
 
 
 def _fmt(x):
@@ -317,41 +324,56 @@ def _trace_csv(records, ref, compare_mode):
     return "\n".join(lines) + "\n"
 
 
-def _write_bundle(out_dir, problem, results, compare_mode, header_pairs):
-    """Write one CSV per run plus summary.txt; returns the summary text."""
+def _bundle_files(problem, results, compare_mode, header_pairs):
+    """One trace CSV per run plus summary.txt, as {file name: text}."""
     ref = min(min(rec.psi for rec in res.records) for res in results.values())
     lines = ["# cocain summary"]
-    for key, value in header_pairs:
-        lines.append(f"{key} = {value}")
-    lines.append(f"problem = {problem.name}")
-    lines.append(f"dim = {problem.dim}")
-    lines.append(f"reference_psi = {_fmt(ref)}")
+    lines += [f"{key} = {value}" for key, value in header_pairs]
+    lines += [f"problem = {problem.name}", f"dim = {problem.dim}",
+              f"reference_psi = {_fmt(ref)}"]
     if not compare_mode:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"timestamp = {stamp}")
     order = sorted(results, key=lambda name: results[name].final_psi)
     lines.append("ordering = " + " <= ".join(order))
+    files = {}
     for name, res in results.items():
         csv_name = f"{problem.name}_{name}.csv"
-        _atomic_write_text(os.path.join(out_dir, csv_name),
-                           _trace_csv(res.records, ref, compare_mode))
-        best = min(rec.psi for rec in res.records)
-        lines.append("")
-        lines.append(f"[{name}]")
-        lines.append(f"final_psi = {_fmt(res.final_psi)}")
-        lines.append(f"best_psi = {_fmt(best)}")
-        lines.append(f"final_suboptimality = {_fmt(max(res.final_psi - ref, 0.0))}")
-        lines.append(f"iterations = {res.iterations}")
-        lines.append(f"termination = {res.termination}")
-        lines.append(f"lower_trials_total = {sum(r.lower_trials for r in res.records)}")
-        lines.append(f"upper_trials_total = {sum(r.upper_trials for r in res.records)}")
+        files[csv_name] = _trace_csv(res.records, ref, compare_mode)
+        run = summarize(res, problem)
+        lines += [
+            "", f"[{name}]",
+            f"final_psi = {_fmt(run['final_psi'])}",
+            f"best_psi = {_fmt(min(rec.psi for rec in res.records))}",
+            f"final_suboptimality = {_fmt(max(run['final_psi'] - ref, 0.0))}",
+            f"iterations = {run['iterations']}",
+            f"termination = {run['termination']}",
+            f"lower_trials_total = {run['lower_trials']}",
+            f"upper_trials_total = {run['upper_trials']}",
+        ]
         if not compare_mode:
-            wall = sum(r.wall_time_ns for r in res.records) / 1e9
-            lines.append(f"wall_time_s = {wall:.3f}")
+            lines.append(f"wall_time_s = {run['wall_time_s']:.3f}")
         lines.append(f"trace = {csv_name}")
-    text = "\n".join(lines) + "\n"
-    _atomic_write_text(os.path.join(out_dir, "summary.txt"), text)
-    return text
+    files["summary.txt"] = "\n".join(lines) + "\n"
+    return files
+
+
+def _write_bundle(args, files):
+    """Write `files` ({name: text, or an image array for a graymap}) into
+    the output directory (COCAIN_OUT, else --out), then print the last of
+    them, the summary.  An OSError while writing becomes an OutputError."""
+    out_dir = os.environ.get("COCAIN_OUT") or args.out
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(out_dir, name)
+            if isinstance(content, str):
+                _atomic_write_text(path, content)
+            else:
+                write_pgm(path, content)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+    sys.stdout.write(list(files.values())[-1])
 
 
 def _solver_names(text):
@@ -360,18 +382,6 @@ def _solver_names(text):
         if name not in SOLVERS:
             raise ConfigError(f"unknown solver: {name}")
     return names
-
-
-@contextlib.contextmanager
-def _output_dir(args):
-    """The output directory (COCAIN_OUT, else --out), created; an OSError
-    while it is created or written becomes an OutputError."""
-    out_dir = os.environ.get("COCAIN_OUT") or args.out
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        yield out_dir
-    except OSError as exc:
-        raise OutputError(str(exc)) from exc
 
 
 def _backtrack_status(results):
@@ -389,8 +399,7 @@ def _backtrack_status(results):
 
 
 def cmd_run(args):
-    config = _load_config(args.config)
-    _apply_sets(config, args.set or [])
+    config = _read_config(args)
     if args.seed is not None:
         config.setdefault("problem", {})["seed"] = str(args.seed)
 
@@ -406,39 +415,22 @@ def cmd_run(args):
     if run_opts:
         raise ConfigError(f"unknown run option: {next(iter(run_opts))}")
 
-    base = _solver_config(SolverConfig(), config.get("solver", {}))
-    if args.iters is not None:
-        iters = args.iters
-    if iters is not None:
-        base = dataclasses.replace(base, max_iters=iters)
-
+    base = _study_config(args, SolverConfig(), config, iters)
     configs = {name: _solver_config(base, config.get(f"solver.{name}", {}))
                for name in solver_list}
     results = {name: SOLVERS[name](problem, cfg, x0)
                for name, cfg in configs.items()}
-    with _output_dir(args) as out_dir:
-        summary = _write_bundle(
-            out_dir, problem, results, args.compare,
-            [("command", "run"), ("config", os.path.basename(args.config))],
-        )
-    sys.stdout.write(summary)
+    header = [("command", "run"), ("config", os.path.basename(args.config))]
+    _write_bundle(args, _bundle_files(problem, results, args.compare, header))
     return _backtrack_status(results) if fail_on_backtrack else EXIT_OK
 
 
 def cmd_sweep(args):
-    problem = make_univariate(args.kind)
+    problem, _ = _build_problem({"name": args.kind})
     if args.n_starts < 2:
         raise ConfigError("sweep needs at least 2 starts")
     solvers = _solver_names(args.solvers)
-    config = SWEEP_CONFIG
-    if args.config:
-        loaded = _apply_sets(_load_config(args.config), args.set or [])
-        config = _solver_config(config, loaded.get("solver", {}))
-    elif args.set:
-        loaded = _apply_sets({}, args.set)
-        config = _solver_config(config, loaded.get("solver", {}))
-    if args.iters is not None:
-        config = dataclasses.replace(config, max_iters=args.iters)
+    config = _study_config(args, SWEEP_CONFIG, _read_config(args))
 
     starts = np.linspace(args.lo, args.hi, args.n_starts)
     finals = {
@@ -463,12 +455,8 @@ def cmd_sweep(args):
         if global_psi is not None:
             count = int(np.sum(np.abs(finals[name] - global_psi) <= 1e-3))
             report.append(f"{name}_global_min_count = {count}")
-    text = "\n".join(report) + "\n"
-    with _output_dir(args) as out_dir:
-        _atomic_write_text(os.path.join(out_dir, f"sweep_{args.kind}.csv"),
-                           "\n".join(lines) + "\n")
-        _atomic_write_text(os.path.join(out_dir, "sweep_summary.txt"), text)
-    sys.stdout.write(text)
+    _write_bundle(args, {f"sweep_{args.kind}.csv": "\n".join(lines) + "\n",
+                         "sweep_summary.txt": "\n".join(report) + "\n"})
     return EXIT_OK
 
 
@@ -485,10 +473,8 @@ def cmd_spurious(args):
     if not starts:
         raise ConfigError("no starts given")
 
-    config = SPURIOUS_CONFIG
-    if args.iters is not None:
-        config = dataclasses.replace(config, max_iters=args.iters)
-    problem, _ = _build_spurious({})
+    config = _study_config(args, SPURIOUS_CONFIG, _read_config(args))
+    problem, _ = _build_problem({"name": "spurious2d"})
     target = problem.meta["target"]
     minimizer = problem.meta["minimizer"]
     rows = ["start_x,start_y,final_x,final_y,final_psi,dist_to_minimizer"]
@@ -504,46 +490,32 @@ def cmd_spurious(args):
             f"from ({_fmt(x0[0])}, {_fmt(x0[1])}): final ({_fmt(res.x[0])}, "
             f"{_fmt(res.x[1])}) psi {_fmt(res.final_psi)} dist {_fmt(dist)}"
         )
-    text = "\n".join(report) + "\n"
-    with _output_dir(args) as out_dir:
-        _atomic_write_text(os.path.join(out_dir, "spurious.csv"),
-                           "\n".join(rows) + "\n")
-        _atomic_write_text(os.path.join(out_dir, "spurious_summary.txt"), text)
-    sys.stdout.write(text)
+    _write_bundle(args, {"spurious.csv": "\n".join(rows) + "\n",
+                         "spurious_summary.txt": "\n".join(report) + "\n"})
     return EXIT_OK
 
 
 def cmd_denoise(args):
     seed = 0 if args.seed is None else args.seed
-    if args.image:
-        clean = read_pgm(args.image)
-    else:
-        clean = synthetic_blocks(args.height, args.width)
-    noisy = add_outlier_noise(clean, magnitude=args.magnitude,
-                              fraction=args.fraction, seed=seed)
-    problem = make_robust_denoising(noisy, lam=args.lam, rho=args.rho,
-                                    data_term=args.data_term)
+    keys = ("image", "height", "width", "magnitude", "fraction", "lam", "rho",
+            "data_term")
+    opts = {key: str(getattr(args, key)) for key in keys
+            if getattr(args, key) is not None}
+    problem, x0 = _build_problem({**opts, "name": "denoise", "seed": str(seed)})
     solvers = _solver_names(args.solvers)
-    config = DENOISE_CONFIG
-    if args.iters is not None:
-        config = dataclasses.replace(config, max_iters=args.iters)
-    x0 = np.zeros(problem.dim)
+    config = _study_config(args, DENOISE_CONFIG, _read_config(args))
     results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
 
-    shape = clean.shape
-    with _output_dir(args) as out_dir:
-        # graymap output clips the 1e5 outliers into visible range
-        write_pgm(os.path.join(out_dir, "noisy.pgm"), np.clip(noisy, 0.0, 1.0))
-        for name, res in results.items():
-            write_pgm(os.path.join(out_dir, f"recon_{name}.pgm"),
-                      np.clip(res.x.reshape(shape), 0.0, 1.0))
-        summary = _write_bundle(
-            out_dir, problem, results, args.compare,
-            [("command", "denoise"),
-             ("lam", _fmt(args.lam)), ("rho", _fmt(args.rho)),
-             ("magnitude", _fmt(args.magnitude)), ("seed", seed)],
-        )
-    sys.stdout.write(summary)
+    # graymaps clip the 1e5 outliers into visible range
+    shape = problem.meta["shape"]
+    files = {"noisy.pgm": problem.meta["observed"].reshape(shape)}
+    files.update((f"recon_{name}.pgm", res.x.reshape(shape))
+                 for name, res in results.items())
+    header = [("command", "denoise"),
+              ("lam", _fmt(args.lam)), ("rho", _fmt(args.rho)),
+              ("magnitude", _fmt(args.magnitude)), ("seed", seed)]
+    files.update(_bundle_files(problem, results, args.compare, header))
+    _write_bundle(args, files)
     return _backtrack_status(results)
 
 
@@ -652,19 +624,13 @@ def main(argv=None):
     _pin_blas_threads()
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
+        # setup contracts (dimension mismatches, the initial-majorant
+        # barrier) surface as ValueError from the library
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        # setup contracts (dimension mismatches, the initial-majorant
-        # barrier) surface as ValueError from the library
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

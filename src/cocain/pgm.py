@@ -1,6 +1,7 @@
 """Plain graymap (PGM) reading and writing, plus a synthetic test image.
 
 Supports the ASCII (P2) and binary (P5) variants at 8 or 16 bits per pixel.
+`atomic_write` is the one file writer of the package's outputs.
 Images travel through the rest of the package as float arrays scaled to
 [0, 1]; scaling back to integer levels happens only on write.
 """
@@ -69,12 +70,24 @@ def read_pgm(path):
     return flat.reshape(height, width).astype(float) / float(maxval)
 
 
-def write_pgm(path, image, maxval=255, binary=True):
-    """Write a float image in [0, 1] as a graymap; values are clipped.
+def atomic_write(path, data):
+    """Write bytes to `path`: staged in the target directory and moved into
+    place, so a crash never leaves a partial file behind."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    The file is staged in the target directory and moved into place, so a
-    crash never leaves a partial image behind.
-    """
+
+def write_pgm(path, image, maxval=255, binary=True):
+    """Write a float image in [0, 1] as a graymap through `atomic_write`;
+    values are clipped."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {image.shape}")
@@ -92,16 +105,7 @@ def write_pgm(path, image, maxval=255, binary=True):
         lines += [" ".join(str(v) for v in row) + "\n" for row in levels]
         payload = "".join(lines).encode("ascii")
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".pgm-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, payload)
 
 
 def synthetic_blocks(height=32, width=32):
