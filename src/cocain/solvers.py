@@ -63,11 +63,9 @@ class SolverConfig:
     initial majorant constant (tau starts at 1/L_bar_init), gamma_cap an
     upper bound on the extrapolation factor in [0, 1].
 
-    L_lower_policy seeds the minorant ladder each iteration:
-      "previous"           max(L_lower_value, previous accepted / nu_lower),
-                           so the constant can relax one rung per iteration
-      "constant"           always L_lower_value
-      "fraction_of_upper"  L_lower_value * previous majorant
+    The minorant ladder starts at L_lower_value, then each iteration at
+    max(L_lower_value, previous accepted / nu_lower), so the constant can
+    relax one rung per iteration.
 
     freeze_after, when set, pins the majorant to max(current, problem.smad_L)
     and the step size alongside it from that iteration on; the second phase
@@ -88,7 +86,6 @@ class SolverConfig:
     max_backtracks: int = 60
     max_iters: int = 1000
     stop_tol: float = 1e-9
-    L_lower_policy: str = "previous"
     L_lower_value: float = 1e-10
     store_iterates: bool = False
     freeze_after: Optional[int] = None
@@ -113,8 +110,6 @@ class SolverConfig:
             raise ValueError("max_backtracks and max_iters must be positive")
         if self.stop_tol < 0.0:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if self.L_lower_policy not in ("previous", "constant", "fraction_of_upper"):
-            raise ValueError(f"unknown L_lower_policy {self.L_lower_policy!r}")
         if self.L_lower_value <= 0.0:
             raise ValueError("L_lower_value must be > 0")
         if self.freeze_after is not None and self.freeze_after < 1:
@@ -203,10 +198,6 @@ class IterateState:
 
 
 def _seed_L_lower(state, config):
-    if config.L_lower_policy == "constant":
-        return config.L_lower_value
-    if config.L_lower_policy == "fraction_of_upper":
-        return config.L_lower_value * state.L_bar_prev
     if state.L_lower_prev is None:
         return config.L_lower_value
     return max(config.L_lower_value, state.L_lower_prev / config.nu_lower)

@@ -82,7 +82,6 @@ def test_config_epsilon_defaults_to_hundredth_of_delta():
         {"max_backtracks": 0},
         {"max_iters": 0},
         {"stop_tol": -1e-9},
-        {"L_lower_policy": "adaptive"},
         {"L_lower_value": 0.0},
         {"freeze_after": 0},
     ],
