@@ -21,8 +21,9 @@ def _check_pair(x, y):
 class Kernel:
     """Base class for reference functions h.
 
-    Subclasses provide value/grad and the two second-order facilities the
-    certificates need: `hess_quadratic_form` (the scalar form used by the
+    Subclasses provide value/grad, `bregman` in a closed form that does not
+    cancel for nearly equal points (the three-term definition does),
+    and the two second-order facilities the certificates need: `hess_quadratic_form` (the scalar form used by the
     closed-form inertia bounds) and `hess_vec` (the true Hessian-vector
     product used by the stationarity witnesses).
 
@@ -46,8 +47,7 @@ class Kernel:
 
     def bregman(self, x, y):
         """D_h(x, y), nonnegative for convex h."""
-        _check_pair(x, y)
-        return self.value(x) - self.value(y) - float(np.dot(self.grad(y), x - y))
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -72,7 +72,6 @@ class EuclideanKernel(Kernel):
         return np.copy(v)
 
     def bregman(self, x, y):
-        # Exact closed form; the generic three-term formula would cancel.
         _check_pair(x, y)
         d = x - y
         return 0.5 * float(np.dot(d, d))
@@ -107,6 +106,14 @@ class QuarticKernel(Kernel):
 
     def hess_vec(self, x, v):
         return (float(np.dot(x, x)) + 1.0) * v + 2.0 * float(np.dot(x, v)) * x
+
+    def bregman(self, x, y):
+        # 1/4 <x+y, x-y>^2 + 1/2 (||y||^2 + 1) ||x-y||^2, a sum of
+        # nonnegative terms
+        _check_pair(x, y)
+        d = x - y
+        s = float(np.dot(x + y, d))
+        return 0.25 * s * s + 0.5 * (float(np.dot(y, y)) + 1.0) * float(np.dot(d, d))
 
 
 def three_points_gap(kernel, x, y, z):

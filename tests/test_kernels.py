@@ -6,6 +6,7 @@ each frozen value with an independent numerical recomputation).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +156,29 @@ def test_bregman_nonnegative_and_separating(kernel):
         assert d >= -1e-12
         if not np.array_equal(x, y):
             assert d > 1e-12
+
+
+def _exact_bregman(kernel, x, y):
+    # h(x) - h(y) - <grad h(y), x - y> in rationals, from the float entries
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n2 = lambda v: sum(t * t for t in v)
+    h = lambda v: n2(v) / 2 + (n2(v) ** 2 / 4 if kernel is QUARTIC else 0)
+    scale = n2(y) + 1 if kernel is QUARTIC else 1
+    return h(x) - h(y) - scale * sum(b * (a - b) for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_bregman_accurate_for_nearly_equal_points(kernel):
+    # phase-retrieval iterates near convergence: ||x|| ~ 3, ||x - y|| ~ 1e-9,
+    # where h(x) - h(y) - <grad h(y), x - y> loses every digit to cancellation
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        y = rng.standard_normal(10)
+        x = y + 1e-9 * rng.standard_normal(10)
+        exact = _exact_bregman(kernel, x, y)
+        d = kernel.bregman(x, y)
+        assert d > 0.0
+        assert abs(Fraction(d) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)

@@ -218,27 +218,27 @@ PINNED = {
     'logquad/ipiano':
         'b5a097619c59ae5ff93e1a70c18b9f3e8babc0670ccef974bb1e9baa2663347c',
     'phase_retrieval/bpg_fixed':
-        '00f1c0c8ab74d8ba342a0f36410c1c3435b645b2c439339791f5a2004f507a9d',
+        '696458132617250324cbe9ff0c4d2c20f65f4e2e17e069737bc6778d805a899a',
     'phase_retrieval/bpg_wb':
-        'c588b9d32a76126ed3026f9840292745ef263801e90c986ea705ef7b2e3c2eff',
+        '0f5452eb3a2b58196b64ebe346e6e8926b1f28499512d6bd8cce1c50d1c9634c',
     'phase_retrieval/cfi':
-        '3e09e3e5e3096e7b3540f6904017405b1735df030b382027e0ad3e2cbf195bd6',
+        'de0532b40aacbaf16cb5c6d69931fe277601ee0aec076fa539d91bec4ff4709c',
     'phase_retrieval/cfi/1':
-        '2da349dece914f2db83aab0aace42f4a0b04e8a218829fe3c729af2a457de8e6',
+        '8f836a2e54af09ebc96e7329c2747abfcce7f98b0fe66649ba78334b21b9f25c',
     'phase_retrieval/cfi/gamma':
-        '53de8b3bbdb21a409a451622333372fcb852cecc643d8cade3c3f5c77627b4db',
+        'eb014faeb77f2b193db16fb2d7b312c1a38eba87882f3b566a66a1e450f09339',
     'phase_retrieval/cocain':
-        'a71ecd9746ddb0c62fe374ee8d24a48c3acd9af9078ee1030ed07a87150d0f23',
+        'e386b5001c471870405ce0382e3acb21ee25508e103fe1f2c7eac899b2f8fe46',
     'phase_retrieval/cocain/dh':
-        '3d6f426e01e119ae4efef9b9a678269f35722ed081235ce27b12dbd15a2d6ea3',
+        '6bf41af34bfdbfb6027ca33ee5c2e114c7b05c1c462c673193490cf91aff400e',
     'phase_retrieval/cocain/psi':
-        '87c0a7c4269426fcb58a6c53edd3134719aaa86d752e908ff4547b24300280a2',
+        '9113683d5049d7801907df206a129bc0edcfb1694718356262e4b9089141d1f0',
     'phase_retrieval/cocain/tau':
-        'dd4fc99f81664204161f0f9de6eb8266f7fdce919917807f9f32d6cf1d472326',
+        '28b09ce0f4ec0534708da71b59890715713893db6572df91fd7046924962e608',
     'phase_retrieval/cocain/y':
-        '7480ead52182570cee1300eecde55514a486e25d9a52c19ad2f0e3a574bc4586',
+        'dda29fa64910d286248ed9e4800d77023bcd15333dbdb2f81fcfb4259fa38943',
     'phase_retrieval/cocain_nobt':
-        '0dd8f2ac28037954616b72fbf633557a37dbbb297fb1a53fdb899efa44d273ba',
+        '9939afff4b40b2cb57ba08a4458bf1ad5177a8212522190505202dd8ec87cda6',
     'quadratic/cocain/freeze':
         '20bfc634e27eabe7186952836a05b058b17885b1b47b09c8beb9b9f2567ac45a',
     'spurious2d/bpg_fixed':

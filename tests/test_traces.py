@@ -119,15 +119,15 @@ PINNED = {
     ("spurious2d", "ipiano"):
         "d61198a80b89d14507d438559937879a2f20cfab5dafa213a8c027b77c24d23e",
     ("phase_retrieval", "cocain"):
-        "05a1a1623d93f62cd0e04fc8c8dc69cb9010aba399fe075f03d5939d1d5d9324",
+        "8a70aa11273aa4217c2ebd059d388bb997307e7d059f8576689a1e8795548867",
     ("phase_retrieval", "cfi"):
-        "fcf88d68070fd0a30530e6f9fd09565c5c7c4fccdc283d905f8c3522e8dcd73f",
+        "747bd2718898c0d65fde6e738a79e058ad4fe0a45f6c3dd8dd9c19dddca7b22a",
     ("phase_retrieval", "cocain_nobt"):
-        "e7f578910c184972f41ae6618d00436cc0b05127e0da79157d0a2c6bb7d07589",
+        "443aa2e5b9ce0e382ef2b2be548a1bd2f35575d12f034edf3b70fc98e130b55f",
     ("phase_retrieval", "bpg_wb"):
-        "cc161bce50f736064c1238cf36a445586b36d95a3ea774b5e26aa1e518676b7e",
+        "c20b1cdd51fb8302e40a7158e566507ebbbfb6564675570f160998cfa50beb22",
     ("phase_retrieval", "bpg_fixed"):
-        "63b546d861420c0d6777bd0d46345443b2da4b7cda354978ecd94a5e78a27db8",
+        "21238f70e7456de2f53484f1433b992183ca628674807c3fecc9b84b50771bec",
     ("denoise", "cocain"):
         "87b9795a5ca8d8c17af6f2f27283abd9e3a945c8198ac69781512f9dffedd8ca",
     ("denoise", "cocain_nobt"):
@@ -145,25 +145,25 @@ PINNED = {
     ("denoise64", "bpg_fixed"):
         "c2935b9fd682ba05ea8b0db2cccbc37964b24d3ddec32abe872798dc2b5dc96a",
     ("phase_retrieval40_l1", "cocain"):
-        "149af9d579b0a16a909beaed8bb920e93d903d9ed6529681a571e0ad4026e836",
+        "0ca79f104c4c6a80ba67cb5b5fc1bfda5b678d435e2bab17efea3884bc767b62",
     ("phase_retrieval40_l1", "cfi"):
-        "e7e2b0f38a5d8b297a1a17aaa5c3828e486fdca5f16299233372c259d0159766",
+        "d193c825583cdcbd02f75cb47c1a4cd2cff3e0c9e8845601cbcad88d640cf5d3",
     ("phase_retrieval40_l1", "bpg_wb"):
-        "8642d5dd4183177a75548b6f51ed8ef7282ef582067a0f2cfac9556a39e6af7f",
+        "2f9abf09157dced766b9ca4ab119380bee931e5094704bc295af86a1321737a8",
     ("phase_retrieval40_l1", "bpg_fixed"):
-        "ab9221463d24a7dc75e64b32df2da92f7e3da0b0aca8495bac70088542242bbb",
+        "24686d5d5e2494628d9cb68d1707990ae4d39576f7010d0fdf4a94f0584efd97",
     ("phase_retrieval40_l1", "cocain_nobt"):
-        "3a06e84a19403b4b0f3aa8e9f0e0e4e68df7e12060e484be5fdd80535c51e4fc",
+        "07d5466d5c7520c76568cb4170c6bac9bfc0fd8273490c48c41dd5c062b13eb3",
     ("phase_retrieval40_sql2", "cocain"):
-        "aec1d2bd6a8314a8e775b7da54ea0eddb4995ea4b26a1b51e8b917e94b4a9df1",
+        "5bff181e4096b97ad39082f1865c85f3816ee8c26b53d3e617bd82b7c6024968",
     ("phase_retrieval40_sql2", "cfi"):
-        "b3c8d2597eece7522cb27f31714fe6e5d331bb490a1241a72b44b2a5d2428644",
+        "b037d979df96de7b19f1923453752a754bcc2f9b0c5eed3a20398e10d061754b",
     ("phase_retrieval40_sql2", "bpg_wb"):
-        "0d5d40a07a0161f346cf366e5460af0d04d5744d8f023307590b30c6891ea4da",
+        "8bdfe8d182542d68593308917c32690ff0a83a282c1db05b34cc7fc01ce707ae",
     ("phase_retrieval40_sql2", "bpg_fixed"):
-        "21aea7485ef942a5044117ff53459c5a71de9b9d74a28523dfc74d74e9b9cf4e",
+        "b172fbd2aa75579d51dfff2d350255b86f58fb3c78a3a7770e1dafd44655a19e",
     ("phase_retrieval40_sql2", "cocain_nobt"):
-        "78b6151873232c5d4c81fcc98e7801a3818947c2c22a88164023f3c604d10318",
+        "5ab17d3b536a392983752f7a11ad3e60c20aab47eedf4885872280d5ddd38e7e",
 }
 
 
@@ -214,9 +214,9 @@ def _stored_audit_digest(problem, result):
 # sha256 of the stored iterates and acceptance audits of a cocain run
 PINNED_AUDIT = {
     "phase_retrieval40_l1":
-        "0fa45eb71a376ebd72caab1f4bd01ad3e7b4cac6d05e14c6eb174359a895a753",
+        "daad0095c864d16187cb6f26d828af79a4d20c75c6571edf5de6be2ce7b5637b",
     "phase_retrieval40_sql2":
-        "313d2fbcfd2fe00e9fdcaa1648f28f34a828c78a23a9a1bcc62602e7bd8d2824",
+        "03e05fbadc0bb6fc0488ba947203070ddb255ee932440118d1eeefca05763983",
 }
 
 
