@@ -185,11 +185,10 @@ def _apply_sets(config, assignments):
 
 
 def _read_config(args):
-    """The sections of --config (none where it is not given or the
-    subcommand takes no file), with every --set applied."""
-    path = getattr(args, "config", None)
-    config = _load_config(path) if path else {}
-    return _apply_sets(config, getattr(args, "set", None) or [])
+    """The sections of --config (none where it is not given), with every
+    --set applied."""
+    config = _load_config(args.config) if args.config else {}
+    return _apply_sets(config, args.set or [])
 
 
 def _study_config(args, base, config, iters=None):
@@ -473,7 +472,7 @@ def cmd_spurious(args):
     if not starts:
         raise ConfigError("no starts given")
 
-    config = _study_config(args, SPURIOUS_CONFIG, _read_config(args))
+    config = _study_config(args, SPURIOUS_CONFIG, {})
     problem, _ = _build_problem({"name": "spurious2d"})
     target = problem.meta["target"]
     minimizer = problem.meta["minimizer"]
@@ -503,7 +502,7 @@ def cmd_denoise(args):
             if getattr(args, key) is not None}
     problem, x0 = _build_problem({**opts, "name": "denoise", "seed": str(seed)})
     solvers = _solver_names(args.solvers)
-    config = _study_config(args, DENOISE_CONFIG, _read_config(args))
+    config = _study_config(args, DENOISE_CONFIG, {})
     results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
 
     # graymaps clip the 1e5 outliers into visible range
