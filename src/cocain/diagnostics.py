@@ -32,6 +32,10 @@ import numpy as np
 
 from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 
+# Iterations per block of the acceptance audit: its stored points are
+# evaluated one block at a time.
+AUDIT_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class LyapunovParams:
@@ -198,36 +202,46 @@ def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
     conditions are the contract of the double-backtracking solvers; traces
     from other methods may legitimately fail them.
 
-    g is evaluated once per stored iterate (iteration k's g(x^{k+1}) is
-    iteration k+1's g(x^k)) and once per base point.
+    g is evaluated once per stored point: iteration k's g(x^{k+1}) is
+    iteration k+1's g(x^k), and each y^k once.  The records are walked in
+    blocks of AUDIT_BLOCK iterations, whose points go to
+    `problem.evaluate_rows` together (phase retrieval computes their images
+    with one matrix-matrix product per block, and takes no A^T product,
+    since both linear terms are `g_y.slope_to(g_x)`), so the audit holds
+    the evaluations of at most 2 * AUDIT_BLOCK + 1 points at a time.
     """
     tau, L_lower, L_bar, *logged = _columns(
         records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
         "step_norm")
     _require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
-    # g_x[k - 1] = g(x^k)
-    g_x = [problem.evaluate(rec.x).value for rec in records[1:]]
     rows = []
-    for k in range(1, len(records) - 1):
-        rec = records[k]
-        x_prev = records[k - 1].x
-        x_curr, y = rec.x, rec.y
-        x_next = records[k + 1].x
-        g_y = problem.evaluate(y)
-        y_expected = x_curr + rec.gamma * (x_curr - x_prev)
-        rows.append((
-            kernel.bregman(x_prev, x_curr),
-            kernel.bregman(x_curr, y),
-            float(np.linalg.norm(x_curr - x_prev)),
-            float(np.max(np.abs(y - y_expected))),
-            g_y.value,
-            float(np.dot(g_y.grad, x_curr - y)),
-            g_x[k - 1],
-            float(np.dot(g_y.grad, x_next - y)),
-            kernel.bregman(x_next, y),
-            g_x[k],
-        ))
+    carried = []  # the evaluation at the first x^k of the next block
+    for start in range(1, len(records) - 1, AUDIT_BLOCK):
+        stop = min(start + AUDIT_BLOCK, len(records) - 1)
+        # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
+        g_x = carried + problem.evaluate_rows(
+            [rec.x for rec in records[start + len(carried):stop + 1]])
+        g_y = problem.evaluate_rows([rec.y for rec in records[start:stop]])
+        carried = g_x[-1:]
+        for i, k in enumerate(range(start, stop)):
+            rec = records[k]
+            x_prev = records[k - 1].x
+            x_curr, y = rec.x, rec.y
+            x_next = records[k + 1].x
+            y_expected = x_curr + rec.gamma * (x_curr - x_prev)
+            rows.append((
+                kernel.bregman(x_prev, x_curr),
+                kernel.bregman(x_curr, y),
+                float(np.linalg.norm(x_curr - x_prev)),
+                float(np.max(np.abs(y - y_expected))),
+                g_y[i].value,
+                g_y[i].slope_to(g_x[i]),
+                g_x[i].value,
+                g_y[i].slope_to(g_x[i + 1]),
+                kernel.bregman(x_next, y),
+                g_x[i + 1].value,
+            ))
     n = len(rows)
     fresh = np.array(rows, dtype=float).reshape(n, 10).T
     (dh_prev_curr, dh_curr_y, _, _, g_y, lin_curr, g_curr, lin_next,

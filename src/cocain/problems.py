@@ -13,7 +13,9 @@ The solvers read g through `problem.evaluate(x)`, one `Evaluation` per
 point whose value and gradient are each computed at most once.  By default
 it calls g_value and g_grad lazily; a problem whose two oracles share work
 supplies its own through `g_eval` (phase retrieval computes Ax once, and
-evaluates extrapolated points from the images it already has).
+evaluates extrapolated points from the images it already has).  The audit
+of stored iterates reads g through `problem.evaluate_rows(points)`, which a
+problem may serve with one product for the whole block (`g_eval_rows`).
 """
 
 import math
@@ -84,7 +86,9 @@ class CompositeProblem:
 
     g_eval(x), when set, returns the `Evaluation` of g at x, whose value
     and grad must agree bit for bit with g_value and g_grad; evaluate(x)
-    falls back to those two otherwise.
+    falls back to those two otherwise.  g_eval_rows(points), when set,
+    returns the evaluations at a block of points, computed together; they
+    agree with g_eval up to rounding only.
     """
 
     name: str
@@ -100,12 +104,19 @@ class CompositeProblem:
     sampling_box: tuple = (-1.0, 1.0)
     meta: dict = field(default_factory=dict)
     g_eval: Optional[Callable] = None
+    g_eval_rows: Optional[Callable] = None
 
     def evaluate(self, x):
         """g at x as an `Evaluation` (.value, .grad)."""
         if self.g_eval is None:
             return Evaluation(self.g_value, self.g_grad, x)
         return self.g_eval(x)
+
+    def evaluate_rows(self, points):
+        """g at each of `points`, as a list of `Evaluation`s."""
+        if self.g_eval_rows is None:
+            return [self.evaluate(x) for x in points]
+        return self.g_eval_rows(points)
 
     def psi(self, x):
         return self.f_value(x) + self.g_value(x)
@@ -334,6 +345,10 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     def g_eval(x):
         return at_image(A @ x)
 
+    def g_eval_rows(points):
+        # the images of a block of points from one matrix-matrix product
+        return [at_image(r) for r in np.array(points) @ A.T]
+
     reg = reg.lower()
     if reg == "l1":
         f_value = lambda x: lam * float(np.sum(np.abs(x)))
@@ -356,6 +371,7 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
         sampling_box=(-2.0, 2.0),
         meta={"m": m, "reg": reg, "lam": lam, "data": data},
         g_eval=g_eval,
+        g_eval_rows=g_eval_rows,
     )
 
 

@@ -8,7 +8,9 @@ derives them from the images Ax^k and Ax^{k-1} and must agree with fresh
 ones up to rounding.  The product counts are read against the trace's own
 trial counts: a counting wrapper around the phase-retrieval evaluation
 books one A product per `g_eval` call (an extrapolated evaluation makes
-none) and one A^T product per gradient first read.
+none) and one A^T product per gradient first read.  The audit of stored
+iterates evaluates them in blocks through `g_eval_rows`: one image per
+stored point, computed together, and no A^T product.
 """
 
 from dataclasses import replace
@@ -23,7 +25,7 @@ from cocain.problems import (
     make_phase_retrieval,
     make_robust_denoising,
 )
-from test_traces import PROBLEMS
+from test_traces import PROBLEMS, _broken
 
 
 def _bits(value):
@@ -233,16 +235,76 @@ def test_frozen_majorant_evaluates_each_point_once():
         assert (a, at) == (max(rec.upper_trials, 1), 1)
 
 
+def _counting_rows(problem):
+    """`_counting` with `g_eval_rows` counted too: one A image per point of
+    a block.  Returns the problem, the counts, and the list of every point
+    evaluated and of every block's size."""
+    problem, counts = _counting(problem)
+    g_eval, g_eval_rows = problem.g_eval, problem.g_eval_rows
+    points, blocks = [], []
+
+    def counted(x):
+        points.append(x)
+        return g_eval(x)
+
+    def counted_rows(block):
+        points.extend(block)
+        blocks.append(len(block))
+        counts["A"] += len(block)
+        return [_Counted(ev, counts) for ev in g_eval_rows(block)]
+
+    problem = replace(problem, g_eval=counted, g_eval_rows=counted_rows)
+    return problem, counts, points, blocks
+
+
 def test_audit_evaluates_each_stored_point_once():
     problem, config, x0 = PROBLEMS["phase_retrieval"]()
     result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
                                    x0)
-    counted, counts = _counting(problem)
+    counted, counts, points, blocks = _counting_rows(problem)
     params = diag.LyapunovParams.from_run(result, problem)
     report = diag.check_acceptance_conditions(result.records, counted, params)
     plain = diag.check_acceptance_conditions(result.records, problem, params)
     assert report == plain and report.passed
     n = report.n_checked
     assert n == result.iterations == 60
-    # x^1..x^{n+1} once each, every y^k once, and one A^T per y^k
-    assert counts == {"A": (n + 1) + n, "AT": n}
+    # x^1..x^{n+1} and every y^k once each, in blocks that bound the
+    # audit's memory whatever the trace length, and no A^T product: both
+    # linear terms are taken from the images
+    stored = ([rec.x for rec in result.records[1:]]
+              + [rec.y for rec in result.records[1:-1]])
+    assert sorted(map(id, points)) == sorted(map(id, stored))
+    assert counts == {"A": (n + 1) + n, "AT": 0}
+    assert max(blocks) <= diag.AUDIT_BLOCK + 1
+    assert len(blocks) == 2 * -(-n // diag.AUDIT_BLOCK)
+
+
+def _audit_summary(report):
+    details = report.details
+    violations = {name: details[name]
+                  for name in ("inertia", "minorant", "majorant")}
+    return ((report.passed, report.n_checked, report.worst_index,
+             details["per_condition_index"], details["cross_validation"],
+             details["cross_validation_index"]),
+            report.worst_violation, violations)
+
+
+@pytest.mark.parametrize("problem_name", ["phase_retrieval40_l1",
+                                          "phase_retrieval40_sql2"])
+def test_blocked_audit_matches_the_per_point_audit(problem_name):
+    problem, config, x0 = PROBLEMS[problem_name]()
+    result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
+                                   x0)
+    per_point = replace(problem, g_eval_rows=None)
+    params = diag.LyapunovParams.from_run(result, problem)
+    for trace in (result.records, _broken(result.records)):
+        blocked = _audit_summary(
+            diag.check_acceptance_conditions(trace, problem, params))
+        single = _audit_summary(
+            diag.check_acceptance_conditions(trace, per_point, params))
+        # verdicts, counts, indices and the g-free cross-validation agree
+        # exactly; the violations up to the rounding of the products
+        assert blocked[0] == single[0]
+        assert blocked[1] == pytest.approx(single[1], rel=1e-9, abs=0.0)
+        assert blocked[2] == pytest.approx(single[2], rel=1e-9, abs=0.0)
+    assert blocked[1] > 0.0  # the broken trace's excesses are compared

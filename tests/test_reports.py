@@ -224,7 +224,7 @@ PINNED = {
     'phase_retrieval/cfi':
         'de0532b40aacbaf16cb5c6d69931fe277601ee0aec076fa539d91bec4ff4709c',
     'phase_retrieval/cfi/1':
-        '8f836a2e54af09ebc96e7329c2747abfcce7f98b0fe66649ba78334b21b9f25c',
+        '52fa5e72f9b72a4223feab57145a417c25d34d1e4c299ac44da8352458ba6336',
     'phase_retrieval/cfi/gamma':
         'eb014faeb77f2b193db16fb2d7b312c1a38eba87882f3b566a66a1e450f09339',
     'phase_retrieval/cocain':
