@@ -191,6 +191,14 @@ def _read_config(args):
     return _apply_sets(config, args.set or [])
 
 
+def _check_sections(config, read, command):
+    """A config error naming the first section of `config` that `command`
+    does not read."""
+    for name in config:
+        if name not in read:
+            raise ConfigError(f"{command} reads no config section [{name}]")
+
+
 def _study_config(args, base, config, iters=None):
     """`base` with the [solver] section of `config` applied, then the
     iteration budget: --iters, else `iters`."""
@@ -246,9 +254,11 @@ def _build_phase_retrieval(opts):
 
 
 def _build_denoise(opts):
+    image_path = opts.pop("image", None)
+    if image_path and ("height" in opts or "width" in opts):
+        raise ConfigError("height and width do not apply to an image input")
     height = _pop_typed(opts, "height", int, 32)
     width = _pop_typed(opts, "width", int, 32)
-    image_path = opts.pop("image", None)
     magnitude = _pop_typed(opts, "magnitude", float, 1e5)
     fraction = _pop_typed(opts, "fraction", float, 0.05)
     seed = _pop_typed(opts, "seed", int, 0)
@@ -402,11 +412,14 @@ def cmd_run(args):
     if args.seed is not None:
         config.setdefault("problem", {})["seed"] = str(args.seed)
 
-    problem, x0 = _build_problem(config.get("problem", {}))
     run_opts = dict(config.get("run", {}))
     solver_list = _solver_names(run_opts.pop("solvers", "cocain"))
     if len(set(solver_list)) != len(solver_list):
         raise ConfigError("duplicate solver in run list")
+    _check_sections(config, {"problem", "run", "solver",
+                             *(f"solver.{name}" for name in solver_list)},
+                    "run")
+    problem, x0 = _build_problem(config.get("problem", {}))
     if "x0" in run_opts:
         x0 = _parse_x0(run_opts.pop("x0"), problem.dim)
     fail_on_backtrack = _pop_typed(run_opts, "fail_on_backtrack", bool, True)
@@ -429,7 +442,9 @@ def cmd_sweep(args):
     if args.n_starts < 2:
         raise ConfigError("sweep needs at least 2 starts")
     solvers = _solver_names(args.solvers)
-    config = _study_config(args, SWEEP_CONFIG, _read_config(args))
+    config = _read_config(args)
+    _check_sections(config, {"solver"}, "sweep")
+    config = _study_config(args, SWEEP_CONFIG, config)
 
     starts = np.linspace(args.lo, args.hi, args.n_starts)
     finals = {
@@ -584,8 +599,10 @@ def _make_parser():
     p_den = subs.add_parser("denoise", help="robust denoising bundle")
     p_den.add_argument("--image", default=None,
                        help="input graymap path (default: the block image)")
-    p_den.add_argument("--height", type=int, default=32)
-    p_den.add_argument("--width", type=int, default=32)
+    p_den.add_argument("--height", type=int, default=None,
+                       help="block image height (default 32; not with --image)")
+    p_den.add_argument("--width", type=int, default=None,
+                       help="block image width (default 32; not with --image)")
     p_den.add_argument("--lam", type=float, default=10.0)
     p_den.add_argument("--rho", type=float, default=1.0)
     p_den.add_argument("--magnitude", type=float, default=1e5)

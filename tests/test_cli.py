@@ -324,6 +324,28 @@ def test_config_errors_exit_2(tmp_path, capsys, mutation):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,text,section", [
+    (["run"], RUN_CONFIG + "\n[solvr]\nmax_iters = 3\n", "solvr"),
+    (["run"], RUN_CONFIG + "\n[solver.cocian]\nmax_iters = 3\n",
+     "solver.cocian"),
+    (["run"], RUN_CONFIG + "\n[solver.ipiano]\nbeta = 0.7\n",
+     "solver.ipiano"),
+    (["run", "--set", "solvr.max_iters=1"], RUN_CONFIG, "solvr"),
+    (["sweep", "--set", "solvr.max_iters=1"], None, "solvr"),
+    (["sweep"], "[problem]\nname = logquad\n", "problem"),
+], ids=["run_misspelt", "run_misspelt_solver", "run_solver_not_listed",
+        "run_set", "sweep_set", "sweep_config"])
+def test_unread_config_sections_exit_2(tmp_path, capsys, argv, text, section):
+    # a section the subcommand does not read is an error, not a no-op
+    if text is not None:
+        argv = argv + ["--config", _write(tmp_path / "exp.ini", text)]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {argv[0]} reads no config section [{section}]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["delta", "max_iters", "stop_tol"])
 def test_none_for_required_solver_option_exits_2(tmp_path, capsys, key):
     cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
@@ -507,6 +529,20 @@ def test_denoise_tiny(tmp_path):
     np.testing.assert_allclose(
         noisy, synthetic_blocks(8, 8), atol=0.5 / 255 + 1e-12
     )
+
+
+@pytest.mark.parametrize("flags", [["--height", "8"], ["--width", "8"],
+                                   ["--height", "32", "--width", "32"]])
+def test_denoise_rejects_grid_size_with_image(tmp_path, capsys, flags):
+    # the grid comes from the file, so a size flag has nothing to act on
+    image = tmp_path / "in.pgm"
+    write_pgm(image, synthetic_blocks(6, 5))
+    out = tmp_path / "o"
+    assert cli.main(["denoise", "--image", str(image), *flags,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: height and width do not apply to an image input\n")
+    assert not out.exists()
 
 
 def test_denoise_backtrack_failure_exit_code(tmp_path, capsys, monkeypatch):

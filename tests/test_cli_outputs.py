@@ -48,8 +48,8 @@ IMAGE = (b"P5\n10 12\n255\n" + bytes(
     for row in range(12) for col in range(10)))
 
 DENOISE_FLAGS = [
-    "--image", "{image}", "--height", "6", "--width", "5", "--lam", "4",
-    "--rho", "2", "--magnitude", "50", "--fraction", "0.1",
+    "--image", "{image}", "--lam", "4", "--rho", "2", "--magnitude", "50",
+    "--fraction", "0.1",
     "--solvers", "cocain,cocain_nobt,ipiano", "--seed", "3", "--iters", "15",
 ]
 
