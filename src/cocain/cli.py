@@ -82,8 +82,8 @@ SOLVERS = {
 # desk scale; the constants were tuned once against the reported numbers and
 # are frozen here so every entry point (CLI, tests) runs the same experiment.
 SWEEP_CONFIG = SolverConfig(
-    delta=0.995, epsilon=0.00995, nu_upper=1.5, nu_lower=2.0,
-    L_bar_init=0.204, gamma_cap=0.88, max_iters=1000,
+    delta=0.995, nu_upper=1.5, nu_lower=2.0, L_bar_init=0.204,
+    gamma_cap=0.88, max_iters=1000,
 )
 CONTRAST_CONFIG = SolverConfig(max_iters=1000)
 SPURIOUS_CONFIG = SolverConfig(max_iters=1000, L_bar_init=101.0)
@@ -139,24 +139,37 @@ _OPTIONAL_FIELDS = {
 }
 
 
-def _solver_config(base, overrides):
-    """Apply {key: string} overrides from a config section to a SolverConfig."""
-    kwargs = {}
-    for key, text in overrides.items():
+def _solver_fields(section):
+    """The {field: value} of a solver section's {key: string} entries."""
+    fields = {}
+    for key, text in section.items():
         if key not in _CONFIG_FIELD_TYPES:
             raise ConfigError(f"unknown solver option: {key}")
         if key == "L" and text.strip() == "auto":
-            kwargs[key] = None  # bpg_fixed then uses problem.smad_L
+            fields[key] = None  # bpg_fixed then uses problem.smad_L
             continue
         try:
-            kwargs[key] = _coerce(text, _CONFIG_FIELD_TYPES[key],
+            fields[key] = _coerce(text, _CONFIG_FIELD_TYPES[key],
                                   key in _OPTIONAL_FIELDS)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})")
-    if not kwargs:
-        return base
+    return fields
+
+
+def _resolve_config(args, base, *sections):
+    """The SolverConfig of one run: the study default `base` with the
+    solver `sections` ([solver], then [solver.NAME]) merged in order, then
+    --iters.  A merge that sets delta but not epsilon re-derives epsilon
+    from delta."""
+    fields = {}
+    for section in sections:
+        fields.update(_solver_fields(section))
+    if args.iters is not None:
+        fields["max_iters"] = args.iters
+    if "delta" in fields:
+        fields.setdefault("epsilon", None)
     try:
-        return dataclasses.replace(base, **kwargs)
+        return dataclasses.replace(base, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -199,19 +212,10 @@ def _check_sections(config, read, command):
             raise ConfigError(f"{command} reads no config section [{name}]")
 
 
-def _study_config(args, base, config, iters=None):
-    """`base` with the [solver] section of `config` applied, then the
-    iteration budget: --iters, else `iters`."""
-    base = _solver_config(base, config.get("solver", {}))
-    if args.iters is not None:
-        iters = args.iters
-    return base if iters is None else dataclasses.replace(base, max_iters=iters)
-
-
 def _pop_typed(opts, key, typ, default):
     if key not in opts:
         return default
-    return _coerce(opts.pop(key), typ, optional=default is None)
+    return _coerce(opts.pop(key), typ)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +427,12 @@ def cmd_run(args):
     if "x0" in run_opts:
         x0 = _parse_x0(run_opts.pop("x0"), problem.dim)
     fail_on_backtrack = _pop_typed(run_opts, "fail_on_backtrack", bool, True)
-    iters = _pop_typed(run_opts, "iters", int, None)
     if run_opts:
         raise ConfigError(f"unknown run option: {next(iter(run_opts))}")
 
-    base = _study_config(args, SolverConfig(), config, iters)
-    configs = {name: _solver_config(base, config.get(f"solver.{name}", {}))
+    configs = {name: _resolve_config(args, SolverConfig(),
+                                     config.get("solver", {}),
+                                     config.get(f"solver.{name}", {}))
                for name in solver_list}
     results = {name: SOLVERS[name](problem, cfg, x0)
                for name, cfg in configs.items()}
@@ -444,7 +448,7 @@ def cmd_sweep(args):
     solvers = _solver_names(args.solvers)
     config = _read_config(args)
     _check_sections(config, {"solver"}, "sweep")
-    config = _study_config(args, SWEEP_CONFIG, config)
+    config = _resolve_config(args, SWEEP_CONFIG, config.get("solver", {}))
 
     starts = np.linspace(args.lo, args.hi, args.n_starts)
     finals = {
@@ -487,7 +491,7 @@ def cmd_spurious(args):
     if not starts:
         raise ConfigError("no starts given")
 
-    config = _study_config(args, SPURIOUS_CONFIG, {})
+    config = _resolve_config(args, SPURIOUS_CONFIG)
     problem, _ = _build_problem({"name": "spurious2d"})
     target = problem.meta["target"]
     minimizer = problem.meta["minimizer"]
@@ -517,7 +521,7 @@ def cmd_denoise(args):
             if getattr(args, key) is not None}
     problem, x0 = _build_problem({**opts, "name": "denoise", "seed": str(seed)})
     solvers = _solver_names(args.solvers)
-    config = _study_config(args, DENOISE_CONFIG, {})
+    config = _resolve_config(args, DENOISE_CONFIG)
     results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
 
     # graymaps clip the 1e5 outliers into visible range

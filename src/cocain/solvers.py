@@ -58,14 +58,15 @@ class SolverConfig:
     """Tuning knobs shared by all solvers.
 
     delta/epsilon control how much of the iterate-to-iterate gap the inertia
-    may consume (1 > delta > epsilon > 0; epsilon defaults to 0.01*delta).
-    nu_lower/nu_upper are the backtracking ladder ratios, L_bar_init the
-    initial majorant constant (tau starts at 1/L_bar_init), gamma_cap an
-    upper bound on the extrapolation factor in [0, 1].
+    may consume (1 > delta > epsilon > 0; epsilon None, the default, is
+    derived as 0.01*delta).  nu_lower/nu_upper are the backtracking ladder
+    ratios, L_bar_init the initial majorant constant (tau starts at
+    1/L_bar_init; see `_drive` for its barrier), gamma_cap an upper bound
+    on the extrapolation factor in [0, 1].
 
-    The minorant ladder starts at L_lower_value, then each iteration at
-    max(L_lower_value, previous accepted / nu_lower), so the constant can
-    relax one rung per iteration.
+    The minorant ladder starts each iteration at max(L_lower_value,
+    previous accepted / nu_lower), the previous constant being 0 before the
+    first iteration, so the constant can relax one rung per iteration.
 
     freeze_after, when set, pins the majorant to max(current, problem.smad_L)
     and the step size alongside it from that iteration on; the second phase
@@ -184,7 +185,7 @@ class SolverResult:
 class IterateState:
     """Inputs of one general step: the two current iterates, the
     evaluations of g at x^{k-1} and x^k (`problem.evaluate`) and the
-    previously accepted parameters."""
+    previously accepted parameters (L_lower_prev is 0 in the first)."""
 
     k: int
     x_prev: np.ndarray
@@ -194,13 +195,7 @@ class IterateState:
     dh_prev_curr: float
     tau_prev: float
     L_bar_prev: float
-    L_lower_prev: Optional[float]
-
-
-def _seed_L_lower(state, config):
-    if state.L_lower_prev is None:
-        return config.L_lower_value
-    return max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
+    L_lower_prev: float
 
 
 def _halve_gamma(state, scale, config, problem):
@@ -230,8 +225,6 @@ def find_gamma(state, L_lower_candidate, config, problem):
     from the same candidate and halve until the condition verifies.
     """
     scale = 1.0 + L_lower_candidate * state.tau_prev
-    if scale <= 0.0:
-        return config.gamma_cap
     return _halve_gamma(state, scale, config, problem)
 
 
@@ -247,12 +240,8 @@ def find_gamma_cfi(state, L_lower_candidate, config, problem):
     if nd2 == 0.0:
         return 0.0
     num = (config.delta - config.epsilon) * state.dh_prev_curr
-    if num <= 0.0:
-        return 0.0
     xk2 = float(np.dot(state.x_curr, state.x_curr))
     denom = (1.0 + L_lower_candidate * state.tau_prev) * nd2 * (1.5 * xk2 + 1.75)
-    if denom <= 0.0:
-        return config.gamma_cap
     return min(config.gamma_cap, math.sqrt(num / denom))
 
 
@@ -270,7 +259,7 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     kernel = problem.kernel
     x_curr = state.x_curr
     g_curr = state.g_curr
-    L_lo = _seed_L_lower(state, config)
+    L_lo = max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
     for trial in range(1, config.max_backtracks + 1):
         gamma = gamma_rule(state, L_lo, config, problem)
         y = x_curr + gamma * (x_curr - state.x_prev)
@@ -323,42 +312,41 @@ def _maybe_copy(x, store):
     return np.copy(x) if store else None
 
 
-def _drive(name, problem, config, x0, callback, step, L_bar=None,
-           barrier=True):
+def _drive(name, problem, config, x0, callback, step, L_bar=None):
     """The iteration every solver runs; `step` is what tells them apart.
 
-    Validates x0 (and, with `barrier`, config.L_bar_init against the
-    weak-convexity barrier of f), then for k = 1, 2, ... calls
-    step(IterateState) -> (gamma, L_lower, y, dh_curr_y, lower_trials,
-    L_bar, tau, x_next, g_next, upper_trials), or None when backtracking
-    fails, and logs record k; g_next, the evaluation of g at x_next,
-    becomes the next state's g_curr, and g_curr its g_prev.  L_bar is the
-    initial majorant (default config.L_bar_init; tau starts at 1/L_bar).
-    An ArithmeticError inside a step (a stalled prox solve) ends the run
-    as a SolverError naming the solver and the iteration.
+    L_bar is the initial majorant (tau starts at 1/L_bar): a solver with a
+    fixed constant passes it, the others start from config.L_bar_init,
+    which must exceed the weak-convexity barrier -alpha/((1-delta)*sigma)
+    of f.  For k = 1, 2, ... calls step(IterateState) -> (gamma, L_lower,
+    y, dh_curr_y, lower_trials, L_bar, tau, x_next, g_next, upper_trials),
+    or None when backtracking fails, and logs record k; g_next, the
+    evaluation of g at x_next, becomes the next state's g_curr, and g_curr
+    its g_prev; the first state's L_lower_prev is 0.  An ArithmeticError
+    inside a step (a stalled prox solve) ends the run as a SolverError
+    naming the solver and the iteration.
     """
     x0 = np.array(x0, dtype=float).reshape(-1)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, problem dim is {problem.dim}")
     require_finite(x0, "x0")
     kernel = problem.kernel
-    # The Lyapunov analysis needs the initial majorant to clear the
-    # weak-convexity barrier of f.
-    bound = -problem.alpha / ((1.0 - config.delta) * kernel.sigma)
-    if barrier and config.L_bar_init <= bound:
-        raise ValueError(
-            f"L_bar_init={config.L_bar_init} must exceed "
-            f"-alpha/((1-delta)*sigma)={bound} for this problem"
-        )
+    if L_bar is None:
+        L_bar = config.L_bar_init
+        bound = -problem.alpha / ((1.0 - config.delta) * kernel.sigma)
+        if L_bar <= bound:
+            raise ValueError(
+                f"L_bar_init={L_bar} must exceed "
+                f"-alpha/((1-delta)*sigma)={bound} for this problem"
+            )
     store = config.store_iterates
 
     x_prev = x_curr = x0  # a private copy, never written to
     g_prev = g_curr = problem.evaluate(x_curr)
     psi_curr = problem.f_value(x_curr) + g_curr.value
     require_finite(psi_curr, "objective at x0")
-    L_bar = config.L_bar_init if L_bar is None else L_bar
     tau = 1.0 / L_bar
-    L_lower = None
+    L_lower = 0.0
 
     records = [TraceRecord(
         k=0, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar, L_lower=0.0,
@@ -503,7 +491,8 @@ def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
     fixed step tau = 1/L; the inertia condition then reads
     (delta - eps) * D_h(x^{k-1}, x^k) >= 2 * D_h(x^k, y^k), solved in closed
     form for the Euclidean kernel and by halving otherwise.  Lyapunov descent
-    is still certified per iteration.
+    is still certified per iteration.  L_bar_init is never read, so it is
+    not checked against the barrier.
     """
     L = max(
         -problem.alpha / ((1.0 - config.delta) * problem.kernel.sigma),
@@ -543,8 +532,7 @@ def bpg_fixed(problem, config, x0, *, callback=None):
         )
         return 0.0, 0.0, state.x_curr, 0.0, 0, L_bar, tau, x_next, g_next, 0
 
-    return _drive("bpg_fixed", problem, config, x0, callback, step, L,
-                  barrier=False)
+    return _drive("bpg_fixed", problem, config, x0, callback, step, L)
 
 
 def ipiano(problem, config, x0, *, callback=None):

@@ -1,8 +1,10 @@
 """Shared numeric tolerances and comparison predicates.
 
 The solvers accept a backtracking trial when the defining inequality holds
-under these predicates, and the diagnostics re-verify recorded iterates with
-the very same predicates, so an accepted iterate always re-certifies.
+under `leq`/`geq`.  The diagnostics re-verify whole traces at once with
+`violation`, which measures the same inequality on the same scale
+max(1, |lhs|, |rhs|) against the same slack, so an accepted iterate
+re-certifies up to rounding.
 """
 
 import numpy as np

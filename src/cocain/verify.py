@@ -62,6 +62,15 @@ def _result(scope, name, passed, detail):
     return PropertyResult(scope, name, bool(passed), detail)
 
 
+def _fd_error(value, x, grad, i, eps=1e-6):
+    """The central difference of `value` at x along coordinate i against
+    grad[i], relative to max(1, |grad[i]|)."""
+    e = np.zeros(x.size)
+    e[i] = eps
+    fd = (value(x + e) - value(x - e)) / (2 * eps)
+    return abs(fd - grad[i]) / max(1.0, abs(grad[i]))
+
+
 def _sample_problems():
     """The instances the sampling suites run against, desk-sized."""
     img = synthetic_blocks(8, 8)
@@ -110,17 +119,12 @@ def _check_quartic_hessian_bound(rng):
 
 def _check_kernel_gradients(rng):
     worst = 0.0
-    eps = 1e-6
     for kernel in (EuclideanKernel(), QuarticKernel()):
         for _ in range(50):
             x = 2.0 * rng.standard_normal(4)
             g = kernel.grad(x)
             for i in range(4):
-                e = np.zeros(4)
-                e[i] = eps
-                fd = (kernel.value(x + e) - kernel.value(x - e)) / (2 * eps)
-                rel = abs(fd - g[i]) / max(1.0, abs(g[i]))
-                worst = max(worst, rel)
+                worst = max(worst, _fd_error(kernel.value, x, g, i))
     return worst < 1e-5, f"worst FD relative error = {worst:.3e}"
 
 
@@ -233,7 +237,6 @@ def _suite_prox():
 def _check_gradients_fd(problems_list, rng):
     worst = 0.0
     worst_name = ""
-    eps = 1e-6
     for p in problems_list:
         lo, hi = p.sampling_box
         for _ in range(100 // max(1, p.dim // 8)):
@@ -241,10 +244,7 @@ def _check_gradients_fd(problems_list, rng):
             g = p.g_grad(x)
             idx = rng.integers(0, p.dim, size=min(p.dim, 8))
             for i in np.unique(idx):
-                e = np.zeros(p.dim)
-                e[i] = eps
-                fd = (p.g_value(x + e) - p.g_value(x - e)) / (2 * eps)
-                rel = abs(fd - g[i]) / max(1.0, abs(g[i]))
+                rel = _fd_error(p.g_value, x, g, i)
                 if rel > worst:
                     worst, worst_name = rel, p.name
     return worst < 1e-5, f"worst FD relative error = {worst:.3e} ({worst_name})"
@@ -336,9 +336,13 @@ def _suite_problems():
 # solvers
 
 
-def _trace_fields(result):
-    return [tuple(getattr(rec, name) for name in TRACE_FIELDS)
-            for rec in result.records]
+def _traces_identical(a, b, claim, mismatch="traces differ"):
+    """(True, claim) when runs a and b agree on every TRACE_FIELDS entry of
+    every record, else (False, mismatch)."""
+    rows = [[tuple(getattr(rec, name) for name in TRACE_FIELDS)
+             for rec in res.records] for res in (a, b)]
+    same = rows[0] == rows[1]
+    return same, claim if same else mismatch
 
 
 def _check_reduction_gamma_zero():
@@ -346,8 +350,7 @@ def _check_reduction_gamma_zero():
     cfg = SolverConfig(max_iters=60, gamma_cap=0.0)
     a = cocain_bpg(p, cfg, np.array([7.0]))
     b = bpg_wb(p, SolverConfig(max_iters=60), np.array([7.0]))
-    same = _trace_fields(a) == _trace_fields(b)
-    return same, "cocain(gamma_cap=0) trace == bpg_wb trace" if same else "traces differ"
+    return _traces_identical(a, b, "cocain(gamma_cap=0) trace == bpg_wb trace")
 
 
 def _check_reduction_ipiano_zero():
@@ -355,8 +358,7 @@ def _check_reduction_ipiano_zero():
     cfg = SolverConfig(max_iters=60)
     a = ipiano(p, replace(cfg, beta=0.0), np.array([2.0]))
     b = bpg_wb(p, cfg, np.array([2.0]))
-    same = _trace_fields(a) == _trace_fields(b)
-    return same, "ipiano(beta=0) trace == bpg_wb trace" if same else "traces differ"
+    return _traces_identical(a, b, "ipiano(beta=0) trace == bpg_wb trace")
 
 
 def _check_determinism():
@@ -364,8 +366,7 @@ def _check_determinism():
     cfg = SolverConfig(max_iters=80, L_bar_init=101.0)
     a = cocain_bpg(p, cfg, np.array([2.0, 2.0]))
     b = cocain_bpg(p, cfg, np.array([2.0, 2.0]))
-    same = _trace_fields(a) == _trace_fields(b)
-    return same, "re-run is bit-identical" if same else "re-run diverged"
+    return _traces_identical(a, b, "re-run is bit-identical", "re-run diverged")
 
 
 def _certified_run():
@@ -387,29 +388,20 @@ def _check_certificates():
     )
 
 
-def _check_corrupted_psi_control():
+def _check_corrupted_lyapunov_control(field, verb, corrupt):
+    """Lyapunov descent must fail at the middle record once its `field`
+    is replaced by corrupt(value)."""
     p, res, params = _certified_run()
     mid = len(res.records) // 2
-    records = replace_record(res.records, mid, psi=res.records[mid].psi + 1.0)
-    rep = check_lyapunov_descent(records, params)
-    # the violated transition is reported by its Phi index, one below the
-    # corrupted record
+    value = corrupt(getattr(res.records[mid], field))
+    rep = check_lyapunov_descent(replace_record(res.records, mid, **{field: value}),
+                                 params)
+    # the violated transition is reported by its Phi index, the corrupted
+    # record's or one below
     caught = (not rep.passed) and abs(rep.worst_index - mid) <= 1
     return caught, (
-        f"bumped psi at k={mid} caught at transition {rep.worst_index}"
-        if caught else "bumped psi slipped through"
-    )
-
-
-def _check_corrupted_tau_control():
-    p, res, params = _certified_run()
-    mid = len(res.records) // 2
-    records = replace_record(res.records, mid, tau=res.records[mid].tau * 2.0)
-    rep = check_lyapunov_descent(records, params)
-    caught = (not rep.passed) and abs(rep.worst_index - mid) <= 1
-    return caught, (
-        f"doubled tau at k={mid} caught at transition {rep.worst_index}"
-        if caught else "doubled tau slipped through"
+        f"{verb} {field} at k={mid} caught at transition {rep.worst_index}"
+        if caught else f"{verb} {field} slipped through"
     )
 
 
@@ -431,8 +423,10 @@ def _suite_solvers():
         _result("solvers", "reduction_ipiano_beta_zero", *_check_reduction_ipiano_zero()),
         _result("solvers", "trace_determinism", *_check_determinism()),
         _result("solvers", "certificates_on_accepted_run", *_check_certificates()),
-        _result("solvers", "corrupted_psi_negative_control", *_check_corrupted_psi_control()),
-        _result("solvers", "corrupted_tau_negative_control", *_check_corrupted_tau_control()),
+        _result("solvers", "corrupted_psi_negative_control",
+                *_check_corrupted_lyapunov_control("psi", "bumped", lambda v: v + 1.0)),
+        _result("solvers", "corrupted_tau_negative_control",
+                *_check_corrupted_lyapunov_control("tau", "doubled", lambda v: v * 2.0)),
         _result("solvers", "corrupted_y_negative_control", *_check_corrupted_y_control()),
     ]
 

@@ -197,6 +197,70 @@ beta = 0.0
     assert all(float(row[4]) == 0.0 for row in rows)
 
 
+def _spy_configs(monkeypatch):
+    """{solver name: the SolverConfig cli.main ran it with}, filled as the
+    solvers run."""
+    seen = {}
+    for name, solver in list(cli.SOLVERS.items()):
+        def spy(problem, config, x0, *, _name=name, _solver=solver, **kw):
+            seen[_name] = config
+            return _solver(problem, config, x0, **kw)
+        monkeypatch.setitem(cli.SOLVERS, name, spy)
+    return seen
+
+
+def test_set_delta_rederives_epsilon(tmp_path, monkeypatch):
+    # epsilon follows delta (0.01 * delta) unless a layer sets it
+    seen = _spy_configs(monkeypatch)
+    cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out),
+                     "--set", "solver.delta=0.5"]) == 0
+    assert seen["cocain"].epsilon == 0.005
+    result = cocain_bpg(make_univariate("logquad"),
+                        SolverConfig(delta=0.5, max_iters=40, stop_tol=0.0),
+                        [2.0])
+    _, rows = _read_rows(out / "logquad_cocain.csv")
+    assert [float(row[4]) for row in rows] == [r.gamma for r in result.records]
+    assert [float(row[1]) for row in rows] == [r.psi for r in result.records]
+
+
+@pytest.mark.parametrize("sets,text", [
+    (["solver.delta=0.5", "solver.epsilon=0.2"], RUN_CONFIG),
+    ([], RUN_CONFIG.replace("stop_tol = 0", "stop_tol = 0\nepsilon = 0.2")
+     + "\n[solver.cocain]\ndelta = 0.5\n"),
+], ids=["same_section", "earlier_section"])
+def test_explicit_epsilon_beside_delta_is_kept(tmp_path, monkeypatch, sets,
+                                               text):
+    seen = _spy_configs(monkeypatch)
+    cfg = _write(tmp_path / "exp.ini", text)
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    assert (seen["cocain"].delta, seen["cocain"].epsilon) == (0.5, 0.2)
+
+
+def test_iters_flag_caps_solver_sections(tmp_path):
+    # --iters is the last layer, after [solver.NAME]
+    text = RUN_CONFIG + "\n[solver.cocain]\nmax_iters = 50\n"
+    cfg = _write(tmp_path / "exp.ini", text)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out),
+                     "--iters", "3"]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert summary.count("iterations = 3") == 2
+    assert "iterations = 50" not in summary
+
+
+def test_run_iters_option_exits_2(tmp_path, capsys):
+    # [solver] max_iters is the one spelling of the iteration budget
+    text = RUN_CONFIG.replace("x0 = 2.0", "x0 = 2.0\niters = 5")
+    cfg = _write(tmp_path / "exp.ini", text)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown run option: iters\n"
+
+
 def test_cocain_out_env_overrides_flag(tmp_path, monkeypatch):
     cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
     ignored, actual = tmp_path / "ignored", tmp_path / "actual"
@@ -254,9 +318,9 @@ m = 2500
 
 [run]
 solvers = cocain,bpg_wb
-iters = 20
 
 [solver]
+max_iters = 20
 stop_tol = 0
 """
 
@@ -420,6 +484,28 @@ solvers = cocain
     assert "config error" in capsys.readouterr().err
 
 
+def test_nobt_never_reads_L_bar_init(tmp_path):
+    # cocain_nobt fixes its own constant, so the default L_bar_init, below
+    # spurious2d's barrier, is no error and does not move the trace
+    cfg = _write(tmp_path / "exp.ini", """\
+[problem]
+name = spurious2d
+
+[run]
+solvers = cocain_nobt
+
+[solver]
+max_iters = 20
+""")
+    traces = []
+    for sets in ([], ["--set", "solver.L_bar_init=1e6"]):
+        out = tmp_path / f"out{len(traces)}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--compare", *sets]) == 0
+        traces.append((out / "spurious2d_cocain_nobt.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -442,6 +528,17 @@ def test_sweep_small(tmp_path, capsys):
         "cocain_global_min_count = ", "bpg_wb_global_min_count = ",
     ):
         assert key in summary, key
+
+
+def test_sweep_set_delta_below_default_epsilon(tmp_path, monkeypatch):
+    # the sweep default's epsilon, 0.01 * 0.995, follows a smaller delta
+    seen = _spy_configs(monkeypatch)
+    assert cli.main(["sweep", "--n-starts", "2", "--solvers", "cocain",
+                     "--iters", "5", "--set", "solver.delta=0.005",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert seen["cocain"] == dataclasses.replace(
+        cli.SWEEP_CONFIG, delta=0.005, epsilon=None, max_iters=5)
+    assert seen["cocain"].epsilon == 0.01 * 0.005
 
 
 def test_sweep_needs_two_starts(tmp_path, capsys):
@@ -568,6 +665,28 @@ def test_verify_kernels_scope(capsys):
     assert "PASS kernels." in out
     assert "properties passed" in out
     assert "FAIL" not in out
+
+
+VERIFY_SOLVERS_OUT = """\
+PASS solvers.reduction_gamma_cap_zero: cocain(gamma_cap=0) trace == bpg_wb trace
+PASS solvers.reduction_ipiano_beta_zero: ipiano(beta=0) trace == bpg_wb trace
+PASS solvers.trace_determinism: re-run is bit-identical
+PASS solvers.certificates_on_accepted_run: lyapunov worst margin 0.000e+00, \
+prefix ok=True, conditions ok=True
+PASS solvers.corrupted_psi_negative_control: bumped psi at k=33 caught at \
+transition 32
+PASS solvers.corrupted_tau_negative_control: doubled tau at k=33 caught at \
+transition 33
+PASS solvers.corrupted_y_negative_control: inflated stored y at k=33 caught \
+at k=33
+7/7 properties passed
+"""
+
+
+def test_verify_solvers_scope(capsys):
+    # the reductions, the certificates and their corrupted-trace controls
+    assert cli.main(["verify", "--scope", "solvers"]) == 0
+    assert capsys.readouterr().out == VERIFY_SOLVERS_OUT
 
 
 def test_verify_rejects_unknown_scope():

@@ -41,7 +41,7 @@ from helpers import assert_traces_identical, quadratic_problem
 
 
 def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
-           L_lower_prev=None):
+           L_lower_prev=0.0):
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
@@ -333,6 +333,18 @@ def test_barrier_on_initial_majorant():
         [2.0, 2.0],
     )
     assert result.iterations == 3
+
+
+def test_fixed_constant_solvers_skip_the_barrier():
+    # cocain_nobt and bpg_fixed fix their own majorant and never read
+    # L_bar_init, so the default (below spurious2d's barrier) is no error
+    problem = make_spurious2d()
+    cfg = SolverConfig(max_iters=20, stop_tol=0.0)
+    for solver in (cocain_bpg_no_backtracking, bpg_fixed):
+        result = solver(problem, cfg, [2.0, 2.0])
+        assert result.iterations == 20
+        high = solver(problem, replace(cfg, L_bar_init=1e6), [2.0, 2.0])
+        assert_traces_identical(result.records, high.records)
 
 
 def test_x0_shape_and_finiteness():
