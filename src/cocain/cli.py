@@ -29,6 +29,7 @@ import argparse
 import configparser
 import ctypes
 import dataclasses
+import math
 import os
 import sys
 import typing
@@ -104,56 +105,46 @@ class OutputError(Exception):
 
 
 def _coerce(text, typ, optional=False):
-    """Parse a config string as `typ`; `none` is None where `optional`."""
+    """Parse a config string as `typ`; `none` is None where `optional`.
+    A float must be finite."""
     text = text.strip()
-    if typ is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"not a boolean: {text!r}")
     if text.lower() == "none":
         if optional:
             return None
         raise ValueError("none is accepted only where the value is optional")
-    return typ(text)
+    if typ is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError("not a boolean")
+        return states[text.lower()]
+    value = typ(text)
+    if typ is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _field_type(annotation):
-    if annotation is float or annotation == typing.Optional[float]:
-        return float
-    if annotation is int or annotation == typing.Optional[int]:
-        return int
-    if annotation is bool:
-        return bool
-    return str
-
-
-_CONFIG_FIELD_TYPES = {
-    f.name: _field_type(f.type) for f in dataclasses.fields(SolverConfig)
-}
-_OPTIONAL_FIELDS = {
-    f.name for f in dataclasses.fields(SolverConfig)
-    if type(None) in typing.get_args(f.type)
-}
-
-
-def _solver_fields(section):
-    """The {field: value} of a solver section's {key: string} entries."""
-    fields = {}
+def _options(section, types, what):
+    """The {key: value} of a section's {key: string} entries, each parsed
+    by `_coerce` as types[key] = (type, optional)."""
+    values = {}
     for key, text in section.items():
-        if key not in _CONFIG_FIELD_TYPES:
-            raise ConfigError(f"unknown solver option: {key}")
-        if key == "L" and text.strip() == "auto":
-            fields[key] = None  # bpg_fixed then uses problem.smad_L
-            continue
+        if key not in types:
+            raise ConfigError(f"unknown {what} option: {key}")
         try:
-            fields[key] = _coerce(text, _CONFIG_FIELD_TYPES[key],
-                                  key in _OPTIONAL_FIELDS)
-        except (TypeError, ValueError) as exc:
+            values[key] = _coerce(text, *types[key])
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})")
-    return fields
+    return values
+
+
+# (type, optional) of each SolverConfig field; Optional[T] is (T, True)
+_SOLVER_OPTIONS = {
+    f.name: ((typing.get_args(f.type) or (f.type,))[0],
+             bool(typing.get_args(f.type)))
+    for f in dataclasses.fields(SolverConfig)
+}
+_RUN_OPTIONS = {"solvers": (str, False), "x0": (str, False),
+                "fail_on_backtrack": (bool, False)}
 
 
 def _resolve_config(args, base, *sections):
@@ -163,7 +154,9 @@ def _resolve_config(args, base, *sections):
     from delta."""
     fields = {}
     for section in sections:
-        fields.update(_solver_fields(section))
+        if section.get("L", "").strip() == "auto":
+            section = {**section, "L": "none"}  # bpg_fixed uses problem.smad_L
+        fields.update(_options(section, _SOLVER_OPTIONS, "solver"))
     if args.iters is not None:
         fields["max_iters"] = args.iters
     if "delta" in fields:
@@ -212,80 +205,66 @@ def _check_sections(config, read, command):
             raise ConfigError(f"{command} reads no config section [{name}]")
 
 
-def _pop_typed(opts, key, typ, default):
-    if key not in opts:
-        return default
-    return _coerce(opts.pop(key), typ)
-
-
 # ---------------------------------------------------------------------------
-# problem registry
+# problem registry: each builder takes the typed values of the keys its
+# PROBLEM_BUILDERS entry declares, and holds the defaults of the others
 
 
 def _build_univariate(kind, default_x0):
     def build(opts):
-        opts.pop("seed", None)  # deterministic problem, seed is a no-op
-        problem = make_univariate(kind)
-        if opts:
-            raise ConfigError(f"unknown problem option: {next(iter(opts))}")
-        return problem, np.array([default_x0])
+        return make_univariate(kind), np.array([default_x0])
 
     return build
 
 
 def _build_spurious(opts):
-    opts.pop("seed", None)  # deterministic problem, seed is a no-op
-    lam = _pop_typed(opts, "lam", float, 0.5)
-    rho = _pop_typed(opts, "rho", float, 100.0)
-    bx = _pop_typed(opts, "bx", float, 1.0)
-    by = _pop_typed(opts, "by", float, 1.0)
-    if opts:
-        raise ConfigError(f"unknown problem option: {next(iter(opts))}")
-    return make_spurious2d(lam, rho, (bx, by)), np.array([2.0, 2.0])
+    problem = make_spurious2d(opts.get("lam", 0.5), opts.get("rho", 100.0),
+                              (opts.get("bx", 1.0), opts.get("by", 1.0)))
+    return problem, np.array([2.0, 2.0])
 
 
 def _build_phase_retrieval(opts):
-    d = _pop_typed(opts, "d", int, 10)
-    m = _pop_typed(opts, "m", int, 50)
-    seed = _pop_typed(opts, "seed", int, 0)
-    noise_std = _pop_typed(opts, "noise_std", float, 0.3)
-    reg = opts.pop("reg", "l1")
-    lam = _pop_typed(opts, "lam", float, 0.1)
-    if opts:
-        raise ConfigError(f"unknown problem option: {next(iter(opts))}")
-    data = generate_phase_retrieval(d, m, seed=seed, noise_std=noise_std)
-    return make_phase_retrieval(data, reg=reg, lam=lam), np.full(d, 2.0)
+    d = opts.get("d", 10)
+    data = generate_phase_retrieval(d, opts.get("m", 50),
+                                    seed=opts.get("seed", 0),
+                                    noise_std=opts.get("noise_std", 0.3))
+    problem = make_phase_retrieval(data, reg=opts.get("reg", "l1"),
+                                   lam=opts.get("lam", 0.1))
+    return problem, np.full(d, 2.0)
 
 
 def _build_denoise(opts):
-    image_path = opts.pop("image", None)
+    image_path = opts.get("image")
     if image_path and ("height" in opts or "width" in opts):
         raise ConfigError("height and width do not apply to an image input")
-    height = _pop_typed(opts, "height", int, 32)
-    width = _pop_typed(opts, "width", int, 32)
-    magnitude = _pop_typed(opts, "magnitude", float, 1e5)
-    fraction = _pop_typed(opts, "fraction", float, 0.05)
-    seed = _pop_typed(opts, "seed", int, 0)
-    background_std = _pop_typed(opts, "background_std", float, 0.0)
-    lam = _pop_typed(opts, "lam", float, 10.0)
-    rho = _pop_typed(opts, "rho", float, 1.0)
-    data_term = opts.pop("data_term", "log")
-    if opts:
-        raise ConfigError(f"unknown problem option: {next(iter(opts))}")
-    clean = read_pgm(image_path) if image_path else synthetic_blocks(height, width)
-    noisy = add_outlier_noise(clean, magnitude=magnitude, fraction=fraction,
-                              seed=seed, background_std=background_std)
-    problem = make_robust_denoising(noisy, lam=lam, rho=rho, data_term=data_term)
+    clean = (read_pgm(image_path) if image_path else
+             synthetic_blocks(opts.get("height", 32), opts.get("width", 32)))
+    noisy = add_outlier_noise(clean, magnitude=opts.get("magnitude", 1e5),
+                              fraction=opts.get("fraction", 0.05),
+                              seed=opts.get("seed", 0),
+                              background_std=opts.get("background_std", 0.0))
+    problem = make_robust_denoising(noisy, lam=opts.get("lam", 10.0),
+                                    rho=opts.get("rho", 1.0),
+                                    data_term=opts.get("data_term", "log"))
     return problem, np.zeros(problem.dim)
 
 
+_FLOAT, _INT, _STR = (float, False), (int, False), (str, False)
+_ANY_SEED = {"seed": (str, True)}  # deterministic problems ignore it
+
 PROBLEM_BUILDERS = {
-    "logquad": _build_univariate("logquad", 1.0),
-    "sigmoid": _build_univariate("sigmoid", 5.0),
-    "abssincos": _build_univariate("abssincos", 13.0),
-    "spurious2d": _build_spurious,
-    "phase_retrieval": _build_phase_retrieval,
-    "denoise": _build_denoise,
+    "logquad": (_build_univariate("logquad", 1.0), _ANY_SEED),
+    "sigmoid": (_build_univariate("sigmoid", 5.0), _ANY_SEED),
+    "abssincos": (_build_univariate("abssincos", 13.0), _ANY_SEED),
+    "spurious2d": (_build_spurious, {**_ANY_SEED, "lam": _FLOAT, "rho": _FLOAT,
+                                     "bx": _FLOAT, "by": _FLOAT}),
+    "phase_retrieval": (_build_phase_retrieval, {
+        "d": _INT, "m": _INT, "seed": _INT, "noise_std": _FLOAT, "reg": _STR,
+        "lam": _FLOAT}),
+    "denoise": (_build_denoise, {
+        "image": _STR, "height": _INT, "width": _INT, "magnitude": _FLOAT,
+        "fraction": _FLOAT, "seed": _INT, "background_std": _FLOAT,
+        "lam": _FLOAT, "rho": _FLOAT, "data_term": _STR}),
 }
 
 
@@ -296,7 +275,8 @@ def _build_problem(opts):
         raise ConfigError("[problem] section needs a name")
     if name not in PROBLEM_BUILDERS:
         raise ConfigError(f"unknown problem: {name}")
-    return PROBLEM_BUILDERS[name](opts)
+    build, types = PROBLEM_BUILDERS[name]
+    return build(_options(opts, types, "problem"))
 
 
 def _parse_x0(text, dim):
@@ -416,8 +396,8 @@ def cmd_run(args):
     if args.seed is not None:
         config.setdefault("problem", {})["seed"] = str(args.seed)
 
-    run_opts = dict(config.get("run", {}))
-    solver_list = _solver_names(run_opts.pop("solvers", "cocain"))
+    run_opts = _options(config.get("run", {}), _RUN_OPTIONS, "run")
+    solver_list = _solver_names(run_opts.get("solvers", "cocain"))
     if len(set(solver_list)) != len(solver_list):
         raise ConfigError("duplicate solver in run list")
     _check_sections(config, {"problem", "run", "solver",
@@ -425,10 +405,8 @@ def cmd_run(args):
                     "run")
     problem, x0 = _build_problem(config.get("problem", {}))
     if "x0" in run_opts:
-        x0 = _parse_x0(run_opts.pop("x0"), problem.dim)
-    fail_on_backtrack = _pop_typed(run_opts, "fail_on_backtrack", bool, True)
-    if run_opts:
-        raise ConfigError(f"unknown run option: {next(iter(run_opts))}")
+        x0 = _parse_x0(run_opts["x0"], problem.dim)
+    fail_on_backtrack = run_opts.get("fail_on_backtrack", True)
 
     configs = {name: _resolve_config(args, SolverConfig(),
                                      config.get("solver", {}),
@@ -515,11 +493,11 @@ def cmd_spurious(args):
 
 def cmd_denoise(args):
     seed = 0 if args.seed is None else args.seed
-    keys = ("image", "height", "width", "magnitude", "fraction", "lam", "rho",
-            "data_term")
+    # the flags are named after the denoise keys; background_std has none
+    _, keys = PROBLEM_BUILDERS["denoise"]
     opts = {key: str(getattr(args, key)) for key in keys
-            if getattr(args, key) is not None}
-    problem, x0 = _build_problem({**opts, "name": "denoise", "seed": str(seed)})
+            if getattr(args, key, None) is not None}
+    problem, x0 = _build_problem({**opts, "name": "denoise"})
     solvers = _solver_names(args.solvers)
     config = _resolve_config(args, DENOISE_CONFIG)
     results = {name: SOLVERS[name](problem, config, x0) for name in solvers}
@@ -644,9 +622,10 @@ def main(argv=None):
     _pin_blas_threads()
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         # setup contracts (dimension mismatches, the initial-majorant
-        # barrier) surface as ValueError from the library
+        # barrier) surface as ValueError from the library, and an
+        # unreadable input as OSError (output errors are OutputError)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as exc:

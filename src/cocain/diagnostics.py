@@ -59,8 +59,10 @@ class LyapunovParams:
                 f"need 1 > delta > epsilon > 0, got delta={self.delta}, "
                 f"epsilon={self.epsilon}"
             )
-        if self.tau_frozen is not None and self.tau_frozen <= 0.0:
-            raise ValueError("tau_frozen must be > 0 when set")
+        if not math.isfinite(self.v_lower):
+            raise ValueError(f"v_lower must be finite, got {self.v_lower}")
+        if self.tau_frozen is not None and not 0.0 < self.tau_frozen < math.inf:
+            raise ValueError("tau_frozen must be finite and > 0 when set")
 
     @property
     def delta1(self):

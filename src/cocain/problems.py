@@ -31,6 +31,7 @@ from .prox import (
     prox_log1abs_vec,
     soft_threshold,
 )
+from .tol import require_finite
 
 
 class Evaluation:
@@ -229,11 +230,12 @@ def make_spurious2d(lam=0.5, rho=100.0, target=(1.0, 1.0)):
     t* is psi's global minimizer at the defaults (see criterion 05 of the
     acceptance tests), not for every lam, rho and target.
     """
-    if lam <= 0.0 or rho <= 0.0:
-        raise ValueError("lam and rho must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < rho < math.inf):
+        raise ValueError("lam and rho must be finite and positive")
     b = np.asarray(target, dtype=float)
     if b.shape != (2,):
         raise ValueError(f"target must have two coordinates, got {b.shape}")
+    require_finite(b, "target")
     a = rho * (1.0 + 2.0 * lam)
     half_b = lam * rho * (1.0 + b)
     u_minus = -(half_b + np.sqrt(half_b * half_b - a)) / a
@@ -282,6 +284,8 @@ def generate_phase_retrieval(d, m, seed=0, noise_std=0.0):
     """Gaussian sensing vectors and magnitude measurements of a unit signal."""
     if d < 1 or m < 1:
         raise ValueError("d and m must be positive")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, d))
     x_true = rng.standard_normal(d)
@@ -306,8 +310,8 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     b = np.asarray(data.b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError("incompatible sensing matrix and measurements")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     m, d = A.shape
     b2 = b * b
     row_sq = np.sum(A * A, axis=1)
@@ -425,6 +429,10 @@ def add_outlier_noise(image, magnitude=1e5, fraction=0.05, seed=0,
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    require_finite(magnitude, "magnitude")
+    if not 0.0 <= background_std < math.inf:
+        raise ValueError(
+            f"background_std must be finite and >= 0, got {background_std}")
     rng = np.random.default_rng(seed)
     flat = image.ravel().copy()
     n_out = math.ceil(fraction * flat.size)
@@ -454,8 +462,8 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
         raise ValueError(f"image must be at least 2x2, got shape {b_img.shape}")
     if not np.all(np.isfinite(b_img)):
         raise ValueError("image contains non-finite pixels")
-    if lam <= 0.0 or rho <= 0.0:
-        raise ValueError("lam and rho must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < rho < math.inf):
+        raise ValueError("lam and rho must be finite and positive")
     shape = b_img.shape
     b = b_img.ravel().copy()
 

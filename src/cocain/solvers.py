@@ -101,22 +101,28 @@ class SolverConfig:
                 f"need 1 > delta > epsilon > 0, got delta={self.delta}, "
                 f"epsilon={self.epsilon}"
             )
-        if self.nu_lower <= 1.0 or self.nu_upper <= 1.0:
-            raise ValueError("ladder ratios nu_lower/nu_upper must exceed 1")
-        if self.L_bar_init <= 0.0:
-            raise ValueError(f"L_bar_init must be > 0, got {self.L_bar_init}")
+        # Each check accepts a valid value, so NaN fails it; the bounds make
+        # every float field finite.
+        if not (1.0 < self.nu_lower < math.inf
+                and 1.0 < self.nu_upper < math.inf):
+            raise ValueError("ladder ratios nu_lower/nu_upper must be finite "
+                             "and exceed 1")
+        if not 0.0 < self.L_bar_init < math.inf:
+            raise ValueError(
+                f"L_bar_init must be finite and > 0, got {self.L_bar_init}")
         if not 0.0 <= self.gamma_cap <= 1.0:
             raise ValueError(f"gamma_cap must lie in [0, 1], got {self.gamma_cap}")
-        if self.max_backtracks < 1 or self.max_iters < 1:
+        if not (self.max_backtracks >= 1 and self.max_iters >= 1):
             raise ValueError("max_backtracks and max_iters must be positive")
-        if self.stop_tol < 0.0:
-            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if self.L_lower_value <= 0.0:
-            raise ValueError("L_lower_value must be > 0")
-        if self.freeze_after is not None and self.freeze_after < 1:
+        if not 0.0 <= self.stop_tol < math.inf:
+            raise ValueError(
+                f"stop_tol must be finite and >= 0, got {self.stop_tol}")
+        if not 0.0 < self.L_lower_value < math.inf:
+            raise ValueError("L_lower_value must be finite and > 0")
+        if self.freeze_after is not None and not self.freeze_after >= 1:
             raise ValueError("freeze_after must be >= 1 when set")
-        if self.L is not None and self.L <= 0.0:
-            raise ValueError(f"L must be > 0, got {self.L}")
+        if self.L is not None and not 0.0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and > 0, got {self.L}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 

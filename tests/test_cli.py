@@ -8,8 +8,10 @@ drops the timestamp so outputs are byte-stable functions of config + seed.
 import dataclasses
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -432,7 +434,88 @@ d = none
 solvers = cocain
 """)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error: none is accepted only" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: bad value for d: 'none' "
+        "(none is accepted only where the value is optional)\n")
+
+
+@pytest.mark.parametrize("section,key,text,reason", [
+    ("run", "fail_on_backtrack", "maybe", "not a boolean"),
+    ("problem", "d", "ten", "invalid literal for int() with base 10: 'ten'"),
+], ids=["bool", "int"])
+def test_bad_values_share_one_error_line(tmp_path, capsys, section, key, text,
+                                         reason):
+    cfg = _write(tmp_path / "exp.ini",
+                 "[problem]\nname = phase_retrieval\n[run]\nsolvers = cocain\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--set", f"{section}.{key}={text}"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad value for {key}: {text!r} ({reason})\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, value):
+    # every float key of the solver table and of each problem table,
+    # through `run --set`, and denoise --lam
+    out = tmp_path / "o"
+
+    def wrong(cases):
+        found = []
+        for argv, key in cases:
+            code = cli.main(argv + ["--out", str(out)])
+            err = capsys.readouterr().err
+            if code != 2 or err != (f"config error: bad value for {key}: "
+                                    f"'{value}' (not a finite number)\n"):
+                found.append((argv[-1], code, err))
+        return found
+
+    cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
+    assert not wrong(
+        (["run", "--config", cfg, "--set", f"solver.{f.name}={value}"], f.name)
+        for f in dataclasses.fields(SolverConfig)
+        if float in (f.type, *typing.get_args(f.type)))
+    for name, (_, types) in cli.PROBLEM_BUILDERS.items():
+        cfg = _write(tmp_path / f"{name}.ini",
+                     f"[problem]\nname = {name}\n[run]\nsolvers = cocain\n")
+        assert not wrong(
+            (["run", "--config", cfg, "--set", f"problem.{key}={value}"], key)
+            for key, (typ, _) in types.items() if typ is float)
+    assert not wrong([(["denoise", f"--lam={value}"], "lam")])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["denoise", "run"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command):
+    # a directory where the graymap should be
+    argv = ["denoise", "--image", str(tmp_path)]
+    if command == "run":
+        argv = ["run", "--config", _write(tmp_path / "exp.ini", (
+            f"[problem]\nname = denoise\nimage = {tmp_path}\n"
+            "[run]\nsolvers = cocain\n"))]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_readme_lists_every_problem_key():
+    # the [problem] table in README.md, one row per (problem, key)
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = iter(readme.read_text().splitlines())
+    for line in lines:
+        if line.startswith("| problem | key |"):
+            break
+    next(lines)  # the | --- | row
+    listed = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        problems, key = [cell.strip() for cell in line.split("|")[1:3]]
+        for problem in problems.split(","):
+            listed.setdefault(problem.strip(" `"), set()).add(key.strip("`"))
+    assert listed == {name: set(types)
+                      for name, (_, types) in cli.PROBLEM_BUILDERS.items()}
 
 
 def test_none_for_optional_solver_option_runs(tmp_path):

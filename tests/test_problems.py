@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from cocain.diagnostics import LyapunovParams
 from cocain.kernels import EuclideanKernel, QuarticKernel
 from cocain.problems import (
     PhaseRetrievalData,
@@ -24,6 +25,7 @@ from cocain.problems import (
     make_univariate,
     verify_smad_by_sampling,
 )
+from cocain.solvers import SolverConfig
 from helpers import quadratic_problem
 
 # per-coordinate minimizer of 0.5 log(1+100(t-1)^2) + log(1+|t|):
@@ -501,3 +503,42 @@ def test_smad_contracts():
         verify_smad_by_sampling(p, n_segments=0)
     with pytest.raises(ValueError):
         verify_smad_by_sampling(p, box=(2.0, 2.0))
+
+
+_PR_DATA = generate_phase_retrieval(3, 6, seed=0)
+_IMAGE = np.zeros((4, 4))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: SolverConfig(delta=v),
+    lambda v: SolverConfig(epsilon=v),
+    lambda v: SolverConfig(nu_lower=v),
+    lambda v: SolverConfig(nu_upper=v),
+    lambda v: SolverConfig(L_bar_init=v),
+    lambda v: SolverConfig(gamma_cap=v),
+    lambda v: SolverConfig(stop_tol=v),
+    lambda v: SolverConfig(L_lower_value=v),
+    lambda v: SolverConfig(L=v),
+    lambda v: SolverConfig(beta=v),
+    lambda v: LyapunovParams(delta=0.9, epsilon=0.1, v_lower=v),
+    lambda v: LyapunovParams(delta=0.9, epsilon=0.1, v_lower=0.0,
+                             tau_frozen=v),
+    lambda v: make_spurious2d(lam=v),
+    lambda v: make_spurious2d(rho=v),
+    lambda v: make_spurious2d(target=(1.0, v)),
+    lambda v: make_phase_retrieval(_PR_DATA, lam=v),
+    lambda v: generate_phase_retrieval(3, 6, noise_std=v),
+    lambda v: make_robust_denoising(_IMAGE, lam=v),
+    lambda v: make_robust_denoising(_IMAGE, rho=v),
+    lambda v: add_outlier_noise(_IMAGE, magnitude=v),
+    lambda v: add_outlier_noise(_IMAGE, background_std=v),
+], ids=["delta", "epsilon", "nu_lower", "nu_upper", "L_bar_init",
+        "gamma_cap", "stop_tol", "L_lower_value", "L", "beta", "v_lower",
+        "tau_frozen", "spurious_lam", "spurious_rho", "spurious_target",
+        "phase_retrieval_lam", "noise_std", "denoise_lam", "denoise_rho",
+        "magnitude", "background_std"])
+def test_non_finite_parameters_are_rejected(build, value):
+    # every range check is an acceptance, which NaN never meets
+    with pytest.raises(ValueError):
+        build(value)
