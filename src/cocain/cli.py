@@ -279,11 +279,21 @@ def _build_problem(opts):
     return build(_options(opts, types, "problem"))
 
 
+def _x0_entry(tok):
+    if not tok.strip():
+        raise ValueError("empty entry")
+    return _coerce(tok, float)
+
+
 def _parse_x0(text, dim):
-    text = text.strip()
-    if text == "zeros":
+    """`zeros`, one number for every coordinate, or `dim` comma-separated
+    numbers; each number as `_coerce` reads a float."""
+    if text.strip() == "zeros":
         return np.zeros(dim)
-    parts = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        parts = [_x0_entry(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for x0: {text!r} ({exc})")
     if len(parts) == 1:
         return np.full(dim, parts[0])
     if len(parts) != dim:

@@ -453,6 +453,15 @@ def test_bad_values_share_one_error_line(tmp_path, capsys, section, key, text,
         f"config error: bad value for {key}: {text!r} ({reason})\n")
 
 
+@pytest.mark.parametrize("text", ["1,,", ",1", "1,,2"])
+def test_empty_x0_entry_exits_2(tmp_path, capsys, text):
+    cfg = _write(tmp_path / "exp.ini",
+                 RUN_CONFIG.replace("x0 = 2.0", f"x0 = {text}"))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad value for x0: {text!r} (empty entry)\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, value):
     # every float key of the solver table and of each problem table,

@@ -296,12 +296,23 @@ def _finite_difference_reference(x):
     return d1, d2
 
 
+def _finite_difference_adjoint_reference(y1, y2):
+    """The plain zero-filled form of `finite_difference_adjoint`: one slice
+    pass per term, in the order row +, row -, column +, column -."""
+    out = np.zeros_like(y1)
+    out[1:, :] += y1[:-1, :]
+    out[:-1, :] -= y1[:-1, :]
+    out[:, 1:] += y2[:, :-1]
+    out[:, :-1] -= y2[:, :-1]
+    return out
+
+
 def _denoise_g_reference(x, shape, lam, rho):
     """g and its gradient for make_robust_denoising, one expression each."""
     d1, d2 = _finite_difference_reference(x.reshape(shape))
     value = float(lam * np.sum(np.log1p(rho * (d1 * d1 + d2 * d2))))
     w = 2.0 * lam * rho / (1.0 + rho * (d1 * d1 + d2 * d2))
-    return value, finite_difference_adjoint(w * d1, w * d2).ravel()
+    return value, _finite_difference_adjoint_reference(w * d1, w * d2).ravel()
 
 
 def _bits(a):
@@ -343,6 +354,30 @@ def test_denoising_smooth_oracle_matches_reference(shape):
             np.testing.assert_array_equal(_bits(x), _bits(before))
             assert value.hex() == want_value.hex()
             np.testing.assert_array_equal(_bits(grad), _bits(want_grad))
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES + [(3, 1), (1, 3)])
+def test_finite_difference_adjoint_matches_reference(shape):
+    # signed zeros everywhere (0.0 + -0.0 is +0.0, so the zero fill shows),
+    # and +-0.0, +-inf and NaN in the entries the forward operator never
+    # produces: y1's last row and y2's last column
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + 2)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for scale in STENCIL_SCALES:
+        y1 = scale * rng.standard_normal(shape)
+        y2 = scale * rng.standard_normal(shape)
+        for y in (y1, y2):
+            y[rng.random(shape) < 0.2] = 0.0
+            y[rng.random(shape) < 0.2] = -0.0
+        y1[-1, :] = rng.choice(specials, shape[1])
+        y2[:, -1] = rng.choice(specials, shape[0])
+        before = y1.copy(), y2.copy()
+        with np.errstate(invalid="ignore"):
+            got = finite_difference_adjoint(y1, y2)
+        want = _finite_difference_adjoint_reference(y1, y2)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        np.testing.assert_array_equal(_bits(y1), _bits(before[0]))
+        np.testing.assert_array_equal(_bits(y2), _bits(before[1]))
 
 
 def test_finite_difference_shape_contracts():

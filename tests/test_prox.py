@@ -196,17 +196,28 @@ def _assert_bitwise_equal(got, want):
 @pytest.mark.parametrize("centre_kind", ["scalar", "array"])
 @pytest.mark.parametrize("tau", LOG_PROX_TAUS)
 def test_prox_log1abs_vec_matches_three_candidate_reference(tau, centre_kind):
-    # |z| log-uniform over [1e-4, 1e5] with random signs: both roots
-    # positive (1 < |z| < tau), the larger root only, and the kink alone
+    # |z| log-uniform over [1e-4, 1e300] with random signs: both roots
+    # positive (1 < |z| < tau), the larger root only, the kink alone, and
+    # |z| > ~1e154, where the discriminant overflows to inf; plus z = +-0.0
     seed = LOG_PROX_TAUS.index(tau) + (10 if centre_kind == "array" else 0)
     rng = np.random.default_rng(seed)
     n = 1_000_000
-    z = np.exp(rng.uniform(math.log(1e-4), math.log(1e5), n))
+    z = np.exp(rng.uniform(math.log(1e-4), math.log(1e300), n))
     z *= rng.choice(np.array([-1.0, 1.0]), n)
     center = rng.uniform(-1.0, 2.0, n) if centre_kind == "array" else 0.0
     y = center + z
-    _assert_bitwise_equal(prox_log1abs_vec(y, tau, center=center),
-                          prox_log1abs_reference(y, tau, center=center))
+    # y - center is +0.0 or -0.0 exactly where y is +-0.0 and center is 0.0
+    zeros = rng.choice(n, size=1000, replace=False)
+    y[zeros] = np.copysign(0.0, rng.choice(np.array([-1.0, 1.0]), zeros.size))
+    if centre_kind == "array":
+        center[zeros] = 0.0
+    y_before, center_before = y.copy(), np.copy(center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = prox_log1abs_vec(y, tau, center=center)
+        want = prox_log1abs_reference(y, tau, center=center)
+    _assert_bitwise_equal(got, want)
+    _assert_bitwise_equal(y, y_before)
+    _assert_bitwise_equal(np.asarray(center, dtype=float), center_before)
 
 
 @pytest.mark.parametrize("tau", [t for t in LOG_PROX_TAUS if t > 0.25])
