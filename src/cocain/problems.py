@@ -388,14 +388,18 @@ def finite_difference(x):
 
     Returns (d1, d2) with d1[i, j] = x[i+1, j] - x[i, j] (zero on the last
     row) and d2[i, j] = x[i, j+1] - x[i, j] (zero on the last column).
+    d2 is one contiguous subtraction over the flattened grid; the entries
+    that wrap from the end of one row to the start of the next land on the
+    last column, which is then zeroed.
     """
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {x.shape}")
-    d1 = np.empty_like(x)
-    d2 = np.empty_like(x)
+    d1 = np.empty_like(x, order="C")
+    d2 = np.empty_like(x, order="C")
     np.subtract(x[1:, :], x[:-1, :], out=d1[:-1, :])
     d1[-1, :] = 0.0
-    np.subtract(x[:, 1:], x[:, :-1], out=d2[:, :-1])
+    flat = x.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=d2.reshape(-1)[:-1])
     d2[:, -1] = 0.0
     return d1, d2
 
@@ -404,15 +408,27 @@ def finite_difference_adjoint(y1, y2):
     """Adjoint of `finite_difference`: <Dx, (y1,y2)> = <x, adjoint(y1,y2)>.
 
     The structurally-zero last row of y1 and last column of y2 are ignored,
-    matching the range of the forward operator.
+    matching the range of the forward operator.  Every entry is
+    (((0 + y1[i-1, j]) - y1[i, j]) + y2[i, j-1]) - y2[i, j], with the terms
+    that fall outside the grid left out.  The two row passes run on row
+    blocks and the two column passes on the flattened grid; the first and
+    last columns, where the flat passes pick up terms that wrap from the
+    neighbouring row, are then rewritten from their own expressions.
     """
     if y1.shape != y2.shape or y1.ndim != 2:
         raise ValueError("y1 and y2 must be 2-D grids of equal shape")
-    out = np.zeros_like(y1)
+    out = np.zeros_like(y1, order="C")
     out[1:, :] += y1[:-1, :]
     out[:-1, :] -= y1[:-1, :]
-    out[:, 1:] += y2[:, :-1]
-    out[:, :-1] -= y2[:, :-1]
+    first, last = out[:, 0].copy(), out[:, -1].copy()
+    flat, y2_flat = out.reshape(-1), y2.reshape(-1)
+    flat[1:] += y2_flat[:-1]
+    flat[:-1] -= y2_flat[:-1]
+    if y1.shape[1] == 1:
+        out[:, 0] = first
+    else:
+        np.subtract(first, y2[:, 0], out=out[:, 0])
+        np.add(last, y2[:, -2], out=out[:, -1])
     return out
 
 
@@ -442,6 +458,16 @@ def add_outlier_noise(image, magnitude=1e5, fraction=0.05, seed=0,
         flat += background_std * rng.standard_normal(flat.size)
     flat[idx] += signs * magnitude
     return flat.reshape(image.shape)
+
+
+def _log_data_value(b):
+    """x -> sum log(1 + |x - b|), in one buffer."""
+    def f_value(x):
+        r = np.subtract(x, b)
+        np.abs(r, out=r)
+        np.log1p(r, out=r)
+        return float(np.sum(r))
+    return f_value
 
 
 def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
@@ -493,7 +519,7 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
 
     data_term = data_term.lower()
     if data_term == "log":
-        f_value = lambda x: float(np.sum(np.log1p(np.abs(x - b))))
+        f_value = _log_data_value(b)
         f_prox = lambda gh, gg, tau: prox_log1abs_vec(gh - tau * gg, tau, center=b)
         alpha = -1.0
     elif data_term == "l1":

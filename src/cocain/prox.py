@@ -77,42 +77,48 @@ def prox_log1abs_vec(y, tau, center=0.0):
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    # Four fresh buffers, each reused in place, and every operation in the
-    # order of the plain formulas so the result is the same to the bit:
-    #   az:   |z|, then phi(0) = |z|^2 / (2 tau)
-    #   disc: the discriminant, its clamped root, then phi(c_hi) + TIE_TOL
-    #   c:    4 (tau - |z|), then c_hi, then the result
-    #   u:    (c_hi - |z|)^2 / (2 tau), then z for its sign
-    az = np.subtract(y, center, dtype=float)
-    shape = az.shape
-    az = az.reshape(-1)  # the in-place steps below need an array, not a scalar
-    np.abs(az, out=az)
+    # Every operation runs in the order of the plain formulas, so the result
+    # is the same to the bit.  Four fresh buffers over all entries:
+    #   z:    y - center, kept for the sign of the result
+    #   az:   |z|, then the live entries' (c_hi - |z|)^2 / (2 tau)
+    #   disc: the discriminant, its clamped root, then the live entries'
+    #         phi(c_hi) + TIE_TOL
+    #   c:    4 (tau - |z|), then c_hi before its clamp at 0, then the result
+    # The result is the centre wherever the discriminant is negative or
+    # c_hi <= 0.  Only the other, live entries, gathered by index, pay for
+    # the comparison phi(0) <= phi(c_hi) + TIE_TOL, which a NaN objective
+    # fails, so a NaN or infinite z keeps c_hi.
+    z = np.subtract(y, center, dtype=float)
+    shape = z.shape
+    z = z.reshape(-1)  # the in-place steps below need an array, not a scalar
+    az = np.abs(z)
     disc = np.subtract(az, 1.0)
     disc *= disc
     c = np.subtract(tau, az)
     c *= 4.0
     disc -= c
-    negative = disc < 0.0
+    settled = np.less(disc, 0.0)
     np.maximum(disc, 0.0, out=disc)
     np.sqrt(disc, out=disc)
-    # c_hi = max(0.5 * ((|z| - 1) + root), 0)
     np.subtract(az, 1.0, out=c)
     c += disc
     c *= 0.5
-    np.maximum(c, 0.0, out=c)
-    obj = np.log1p(c, out=disc)
-    u = np.subtract(c, az)
+    settled |= c <= 0.0
+    live = np.flatnonzero(~settled)
+    c_hi = c[live]
+    az_live = az[live]
+    obj = np.log1p(c_hi, out=disc[:live.size])
+    u = np.subtract(c_hi, az_live, out=az[:live.size])
     u *= u
     u /= 2.0 * tau
     obj += u
     obj += TIE_TOL
-    az *= az
-    az /= 2.0 * tau
-    at_kink = np.less_equal(az, obj)
-    at_kink |= negative
-    c[at_kink] = 0.0
-    np.subtract(y, center, out=u.reshape(shape), dtype=float)
-    np.copysign(c, u, out=c)  # sgn(z) * c, as c >= 0 and c = 0 where z = 0
+    az_live *= az_live
+    az_live /= 2.0 * tau  # phi(0)
+    c_hi[az_live <= obj] = 0.0
+    c.fill(0.0)
+    c[live] = c_hi
+    np.copysign(c, z, out=c)  # sgn(z) * c, as c >= 0 and c = 0 where z = 0
     c = c.reshape(shape)
     c += center
     return c

@@ -220,6 +220,17 @@ def test_prox_log1abs_vec_matches_three_candidate_reference(tau, centre_kind):
     _assert_bitwise_equal(np.asarray(center, dtype=float), center_before)
 
 
+@pytest.mark.parametrize("tau", LOG_PROX_TAUS)
+def test_prox_log1abs_vec_non_finite_inputs(tau):
+    # |z| = inf makes phi(c_hi) NaN, which never ties with phi(0): the
+    # result is z itself; a NaN input comes out NaN
+    y = np.array([np.inf, -np.inf, np.nan, 3.0])
+    with np.errstate(invalid="ignore"):
+        got = prox_log1abs_vec(y, tau, center=np.array([1.0, 1.0, 1.0, np.nan]))
+    assert got[0] == np.inf and got[1] == -np.inf
+    assert np.isnan(got[2]) and np.isnan(got[3])
+
+
 @pytest.mark.parametrize("tau", [t for t in LOG_PROX_TAUS if t > 0.25])
 def test_prox_log1abs_vec_negative_discriminant_matches_reference(tau):
     # disc < 0 exactly when (|z| + 1)^2 < 4 tau, i.e. |z| < 2 sqrt(tau) - 1
