@@ -460,16 +460,6 @@ def add_outlier_noise(image, magnitude=1e5, fraction=0.05, seed=0,
     return flat.reshape(image.shape)
 
 
-def _log_data_value(b):
-    """x -> sum log(1 + |x - b|), in one buffer."""
-    def f_value(x):
-        r = np.subtract(x, b)
-        np.abs(r, out=r)
-        np.log1p(r, out=r)
-        return float(np.sum(r))
-    return f_value
-
-
 def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
     """Denoise an observed grid under a nonconvex total-variation prior.
 
@@ -519,7 +509,11 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
 
     data_term = data_term.lower()
     if data_term == "log":
-        f_value = _log_data_value(b)
+        def f_value(x):
+            r = np.subtract(x, b)  # one buffer for |x - b| and its log1p
+            np.abs(r, out=r)
+            np.log1p(r, out=r)
+            return float(np.sum(r))
         f_prox = lambda gh, gg, tau: prox_log1abs_vec(gh - tau * gg, tau, center=b)
         alpha = -1.0
     elif data_term == "l1":

@@ -83,7 +83,8 @@ def prox_log1abs_vec(y, tau, center=0.0):
     #   az:   |z|, then the live entries' (c_hi - |z|)^2 / (2 tau)
     #   disc: the discriminant, its clamped root, then the live entries'
     #         phi(c_hi) + TIE_TOL
-    #   c:    4 (tau - |z|), then c_hi before its clamp at 0, then the result
+    #   c:    4 (tau - |z|), then 0.5 ((|z| - 1) + root), which is c_hi where
+    #         it is positive, then the result
     # The result is the centre wherever the discriminant is negative or
     # c_hi <= 0.  Only the other, live entries, gathered by index, pay for
     # the comparison phi(0) <= phi(c_hi) + TIE_TOL, which a NaN objective
