@@ -98,7 +98,7 @@ def prox_log1abs_vec(y, tau, center=0.0):
     c = np.subtract(tau, az)
     c *= 4.0
     disc -= c
-    settled = np.less(disc, 0.0)
+    settled = disc < 0.0
     np.maximum(disc, 0.0, out=disc)
     np.sqrt(disc, out=disc)
     np.subtract(az, 1.0, out=c)
