@@ -437,8 +437,10 @@ def cmd_sweep(args):
     config = _read_config(args)
     _check_sections(config, {"solver"}, "sweep")
     config = _resolve_config(args, SWEEP_CONFIG, config.get("solver", {}))
+    span = _options({"lo": args.lo, "hi": args.hi},
+                    dict.fromkeys(("lo", "hi"), (float, False)), "sweep")
 
-    starts = np.linspace(args.lo, args.hi, args.n_starts)
+    starts = np.linspace(span["lo"], span["hi"], args.n_starts)
     finals = {
         name: np.array([SOLVERS[name](problem, config, np.array([s])).final_psi
                         for s in starts])
@@ -454,7 +456,7 @@ def cmd_sweep(args):
     report = ["# cocain sweep summary",
               f"kind = {args.kind}",
               f"n_starts = {args.n_starts}",
-              f"interval = [{_fmt(args.lo)}, {_fmt(args.hi)}]"]
+              f"interval = [{_fmt(span['lo'])}, {_fmt(span['hi'])}]"]
     for name in solvers:
         avg = float(finals[name].mean())
         report.append(f"{name}_average_final_psi = {_fmt(avg)}")
@@ -472,7 +474,10 @@ def cmd_spurious(args):
         token = token.strip()
         if not token:
             continue
-        parts = [float(tok) for tok in token.split(",")]
+        try:
+            parts = [_x0_entry(tok) for tok in token.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad value for starts: {args.starts!r} ({exc})")
         if len(parts) != 2:
             raise ConfigError(f"spurious starts are 2-D points, got {token!r}")
         starts.append(np.array(parts))
@@ -574,8 +579,8 @@ def _make_parser():
     p_sweep.add_argument("--kind", default="abssincos",
                          choices=("logquad", "sigmoid", "abssincos"))
     p_sweep.add_argument("--n-starts", type=int, default=100)
-    p_sweep.add_argument("--lo", type=float, default=-15.0)
-    p_sweep.add_argument("--hi", type=float, default=15.0)
+    p_sweep.add_argument("--lo", default="-15")
+    p_sweep.add_argument("--hi", default="15")
     p_sweep.add_argument("--solvers", default="cocain,ipiano,bpg_wb")
     p_sweep.add_argument("--config", default=None,
                          help="optional config file with a [solver] section")
@@ -607,7 +612,7 @@ def _make_parser():
 
     p_ver = subs.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--scope", default="all",
-                       choices=("kernels", "prox", "problems", "solvers", "all"))
+                       choices=(*verify_mod.SCOPES, "all"))
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

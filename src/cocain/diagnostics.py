@@ -36,6 +36,14 @@ from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 # evaluated one block at a time.
 AUDIT_BLOCK = 16
 
+# Fixed tolerances of the checks below, each named in its docstring.
+PREFIX_SLACK = 1e-12
+CROSS_CHECK_TOL = 1e-10
+MIN_MEASURED_STEP = 1e-6
+SETTLING_WINDOW = 50
+SETTLING_REL_TOL = 1e-6
+CFI_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class LyapunovParams:
@@ -173,20 +181,20 @@ def check_lyapunov_descent(records, params):
     return _report("lyapunov_descent", v, LYAPUNOV_SLACK, phi=phi)
 
 
-def check_prefix_bound(records, params, tol=1e-12):
-    """Verify min_{1<=k<=n} D_h(x^{k-1}, x^k) <= Phi^1/(epsilon*n) + tol
-    for every prefix length n."""
+def check_prefix_bound(records, params):
+    """Verify min_{1<=k<=n} D_h(x^{k-1}, x^k) <= Phi^1/(epsilon*n)
+    + PREFIX_SLACK for every prefix length n."""
     phi = lyapunov_phi(records, params)
     phi1 = float(phi[0])
     (dh,) = _columns(records, "dh_prev_curr")
     gaps = dh[1:-1]
     n = np.arange(1, gaps.size + 1)
     excess = np.minimum.accumulate(gaps) - phi1 / (params.epsilon * n)
-    return _report("prefix_bound", excess, tol, phi1=phi1,
+    return _report("prefix_bound", excess, PREFIX_SLACK, phi1=phi1,
                    min_gap=float(gaps.min(initial=math.inf)))
 
 
-def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
+def check_acceptance_conditions(records, problem, params):
     """Recompute the three per-iteration inequalities from stored iterates.
 
     For each iteration k this checks, with the recorded constants and
@@ -200,9 +208,9 @@ def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
                      + L_bar * D_h(x^{k+1}, y^k)
 
     and cross-validates the logged distances, step norms, and extrapolated
-    points against the stored arrays at relative tolerance cross_tol.  The
-    conditions are the contract of the double-backtracking solvers; traces
-    from other methods may legitimately fail them.
+    points against the stored arrays at relative tolerance CROSS_CHECK_TOL.
+    The conditions are the contract of the double-backtracking solvers;
+    traces from other methods may legitimately fail them.
 
     g is evaluated once per stored point: iteration k's g(x^{k+1}) is
     iteration k+1's g(x^k), and each y^k once.  The records are walked in
@@ -268,7 +276,7 @@ def check_acceptance_conditions(records, problem, params, cross_tol=1e-10):
     worst_all, worst_k = max(worst.values(), key=lambda pair: pair[0])
     return CheckReport(
         name="acceptance_conditions",
-        passed=worst_all <= CONDITION_SLACK and cross <= cross_tol,
+        passed=worst_all <= CONDITION_SLACK and cross <= CROSS_CHECK_TOL,
         n_checked=n,
         worst_violation=worst_all,
         worst_index=worst_k,
@@ -336,8 +344,7 @@ def _check_frozen_tau(tau, params, start):
         )
 
 
-def check_sufficient_decrease(records, params, sigma=1.0, start=1,
-                              min_step=1e-6):
+def check_sufficient_decrease(records, params, sigma=1.0, start=1):
     """Sufficient decrease of the regularized objective on a frozen tail.
 
     With u_k = Psi(x^k) + delta1 * D_h(x^{k-1}, x^k) and constant step size
@@ -348,8 +355,8 @@ def check_sufficient_decrease(records, params, sigma=1.0, start=1,
 
     the first ingredient of the abstract convergence template.  Monotonicity
     of u is checked on every step; the empirical rho1 (the smallest observed
-    decrease ratio) is measured only on steps with norm >= min_step, since
-    below that the difference u_k - u_{k+1} drowns in float rounding.
+    decrease ratio) is measured only on steps with norm >= MIN_MEASURED_STEP,
+    below which u_k - u_{k+1} drowns in float rounding.
     """
     psi, dh, tau, step = _columns(
         records, "psi", "dh_prev_curr", "tau", "step_norm")
@@ -357,7 +364,7 @@ def check_sufficient_decrease(records, params, sigma=1.0, start=1,
     u = psi[start:] + params.delta1 * dh[start:]
     worst, worst_k = _worst(violation(u[1:], u[:-1]), start)
     step = step[start:-1]
-    measured = step >= min_step
+    measured = step >= MIN_MEASURED_STEP
     rho1 = (u[:-1] - u[1:])[measured] / _squared(step[measured])
     rho1_emp = float(rho1.min()) if rho1.size else None
     rho1_target = params.epsilon * sigma / (2.0 * params.tau_frozen)
@@ -416,13 +423,13 @@ def _witness(records, problem, params, k):
     return w1, w2
 
 
-def check_subgradient_bound(records, problem, params, start=1,
-                            min_step=1e-6):
+def check_subgradient_bound(records, problem, params, start=1):
     """Relative error bound on the subgradient witnesses of a frozen tail.
 
     Measures ||(w1, w2)|| / ||x^{k+1} - x^k|| over the tail and reports the
     largest ratio as the empirical rho2, the second ingredient of the
-    abstract convergence template.  Steps below min_step are skipped.
+    abstract convergence template.  Steps below MIN_MEASURED_STEP are
+    skipped.
     Passes when every computed witness is finite.
     """
     (tau,) = _columns(records, "tau")
@@ -434,7 +441,7 @@ def check_subgradient_bound(records, problem, params, start=1,
     all_finite = True
     for k in range(start, len(records) - 1):
         step = records[k + 1].step_norm
-        if step < min_step:
+        if step < MIN_MEASURED_STEP:
             continue
         w1, w2 = _witness(records, problem, params, k)
         norm = math.hypot(float(np.linalg.norm(w1)), float(np.linalg.norm(w2)))
@@ -453,34 +460,36 @@ def check_subgradient_bound(records, problem, params, start=1,
     )
 
 
-def check_objective_settling(records, window=50, rel_tol=1e-6):
-    """Continuity proxy: the objective is Cauchy over the trailing window.
+def check_objective_settling(records):
+    """Continuity proxy: the objective is Cauchy, to SETTLING_REL_TOL, over
+    the last SETTLING_WINDOW records.
 
     The abstract convergence template's third ingredient asks for objective
     continuity along convergent subsequences, which a finite trace cannot
     exhibit directly; a settled tail is the observable stand-in.
     """
     (psi,) = _columns(records, "psi")
-    first = max(1, len(records) - window)
+    first = max(1, len(records) - SETTLING_WINDOW)
     tail = psi[first:]
     spread = float(tail.max() - tail.min())
     scale = max(1.0, abs(float(tail[-1])))
     bad = np.flatnonzero(~np.isfinite(tail))
     return CheckReport(
         name="objective_settling",
-        passed=not bad.size and spread <= rel_tol * scale,
+        passed=not bad.size and spread <= SETTLING_REL_TOL * scale,
         n_checked=tail.size,
         worst_violation=(math.inf if bad.size
-                         else max(0.0, spread / scale - rel_tol)),
+                         else max(0.0, spread / scale - SETTLING_REL_TOL)),
         worst_index=first + int(bad[0]) if bad.size else len(records) - 1,
         details={"spread": spread, "window": tail.size},
     )
 
 
-def check_cfi_bound(records, problem, tol=1e-10):
+def check_cfi_bound(records, problem):
     """Verify the distance estimate behind the closed-form inertia rule:
 
-        D_h(x^k, y^k) <= gamma_k^2 ||Delta_k||^2 ((3/2)||x^k||^2 + 7/4) + tol
+        D_h(x^k, y^k) <= gamma_k^2 ||Delta_k||^2 ((3/2)||x^k||^2 + 7/4)
+                         + CFI_SLACK
 
     with Delta_k = x^k - x^{k-1}, from stored iterates.
     """
@@ -493,7 +502,7 @@ def check_cfi_bound(records, problem, tol=1e-10):
         delta_vec = rec.x - records[k - 1].x
         nd2 = float(np.dot(delta_vec, delta_vec))
         xk2 = float(np.dot(rec.x, rec.x))
-        rhs = rec.gamma ** 2 * nd2 * (1.5 * xk2 + 1.75) + tol
+        rhs = rec.gamma ** 2 * nd2 * (1.5 * xk2 + 1.75) + CFI_SLACK
         excess.append(kernel.bregman(rec.x, rec.y) - rhs)
     return _report("cfi_bound", np.array(excess, dtype=float), 0.0)
 

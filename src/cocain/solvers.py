@@ -10,11 +10,11 @@ Bregman proximal step produces the next iterate.  Every accepted quantity is
 logged to a trace from which the Lyapunov certificates in `diagnostics` can
 be recomputed without trusting the solver.
 
-All six solvers are this one step with some choices fixed, and all run on
-one iteration driver (`_drive`), which owns the records, the callback and
-the stop test.  Each solver supplies only its step: an inertia rule
-(searched, closed-form, fixed beta, or none) and a majorant rule
-(backtracked, frozen, or fixed L).  Every solver is called as
+Each solver is this iteration with one inertia rule and one majorant
+rule, composed by one iteration driver (`_drive`), which owns the records,
+the callback and the stop test.  The inertia rule fixes (L_lower, gamma,
+y) and the majorant rule (L_bar, tau, x^{k+1}); either returns None when
+its ladder runs out.  Every solver is called as
 `solver(problem, config, x0, *, callback=None)`.
 
 The smooth part g is read only through `problem.evaluate(x)`, once per
@@ -24,13 +24,15 @@ grad g(x^k) from it.  The lower search derives each trial's evaluation
 from those of x^k and x^{k-1} (`Evaluation.extrapolated`), which lets a
 problem with a linear image evaluate the trials without a product.
 
-Solvers:
-  cocain_bpg                  searched inertia, backtracked majorant
-  cocain_bpg_cfi              closed-form inertia (quartic kernel only)
-  cocain_bpg_no_backtracking  halved inertia, fixed global L, no searches
-  bpg_wb                      no inertia, backtracked majorant
-  bpg_fixed                   no inertia, fixed L (config.L, or smad_L)
-  ipiano                      fixed inertia config.beta, Euclidean kernel
+Solvers, by trace name:
+  name         inertia rule                    majorant rule
+  cocain       searched (`lower_backtrack`)    backtracked (`upper_backtrack`),
+                                               fixed from freeze_after on
+  cfi          searched, gamma in closed form  as cocain (quartic kernel only)
+  bpg_wb       none (`_no_inertia`)            as cocain
+  cocain_nobt  halved, L_lower = L             global L (`_fixed_majorant`)
+  bpg_fixed    none                            fixed L (config.L, or smad_L)
+  ipiano       fixed beta (Euclidean only)     backtracked from x^k, prox at y
 """
 
 import math
@@ -252,15 +254,15 @@ def find_gamma_cfi(state, L_lower_candidate, config, problem):
 
 
 def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
-    """Fix (L_lower, gamma, y) for one step.
+    """The searched inertia rule: fix (L_lower, gamma, y) for one step.
 
     Walks the ladder seed, seed*nu, seed*nu^2, ... and accepts the first
     constant whose extrapolated point satisfies the minorant inequality
     g(x^k) >= g(y) + <grad g(y), x^k - y> - L_lower * D_h(x^k, y), with gamma
-    re-derived for each trial.  Returns (ok, L_lower, gamma, y, g_y,
-    dh_curr_y, trials), g_y the evaluation of g at y and dh_curr_y =
-    D_h(x^k, y).  Each trial's g_y is extrapolated from the evaluations of
-    x^k and x^{k-1}.
+    re-derived for each trial.  Returns (L_lower, gamma, y, g_y, dh_curr_y,
+    trials), g_y the evaluation of g at y and dh_curr_y = D_h(x^k, y), or
+    None when no trial is accepted.  Each trial's g_y is extrapolated from
+    the evaluations of x^k and x^{k-1}.
     """
     kernel = problem.kernel
     x_curr = state.x_curr
@@ -273,20 +275,21 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
         dh_curr_y = kernel.bregman(x_curr, y)
         rhs = g_y.value + g_y.slope_to(g_curr) - L_lo * dh_curr_y
         if geq(g_curr.value, rhs):
-            return True, L_lo, gamma, y, g_y, dh_curr_y, trial
+            return L_lo, gamma, y, g_y, dh_curr_y, trial
         L_lo *= config.nu_lower
-    return False, L_lo, 0.0, x_curr, g_curr, 0.0, config.max_backtracks
+    return None
 
 
 def upper_backtrack(state, y, g_y, config, problem, centre=None):
-    """Fix (L_bar, tau, x_next) for one step.
+    """The backtracked majorant rule: fix (L_bar, tau, x_next) for one step.
 
     g_y is the evaluation of g at y.  Starts the ladder at the previous
     majorant (so L_bar never decreases), sets tau = min(tau_prev, 1/L_bar),
     solves the proximal subproblem centred at `centre` (default y), and
     accepts once the majorant inequality g(x_next) <= g(y) + <grad g(y),
-    x_next - y> + L_bar * D_h(x_next, y) holds.  Returns (ok, L_bar, tau,
-    x_next, g_next, trials), g_next the evaluation of g at x_next.
+    x_next - y> + L_bar * D_h(x_next, y) holds.  Returns (L_bar, tau,
+    x_next, g_next, trials), g_next the evaluation of g at x_next, or None
+    when no trial is accepted.
     """
     kernel = problem.kernel
     grad_h_centre = kernel.grad(y if centre is None else centre)
@@ -302,34 +305,48 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
             + L_bar * kernel.bregman(x_next, y)
         )
         if leq(g_next.value, rhs):
-            return True, L_bar, tau, x_next, g_next, trial
+            return L_bar, tau, x_next, g_next, trial
         L_bar *= config.nu_upper
-    return False, L_bar, min(state.tau_prev, 1.0 / L_bar), None, None, config.max_backtracks
+    return None
 
 
-def _fixed_upper_step(state, y, g_y, L_bar, problem):
-    """Majorant pinned at L_bar: one proximal step, no search."""
-    tau = min(state.tau_prev, 1.0 / L_bar)
-    x_next = problem.f_prox_step(problem.kernel.grad(y), g_y.grad, tau)
-    return L_bar, tau, x_next, problem.evaluate(x_next)
+def _no_inertia(state):
+    """The inertia rule of the plain methods: y = x^k.  The minorant
+    inequality then holds as an identity, so there is nothing to search,
+    and D_h(x, x) = 0 exactly on both kernels."""
+    return 0.0, 0.0, state.x_curr, state.g_curr, 0.0, 0
+
+
+def _fixed_majorant(L, problem):
+    """The majorant rule pinned at L: one proximal step from y, no search."""
+
+    def majorant(state, y, g_y):
+        tau = min(state.tau_prev, 1.0 / L)
+        x_next = problem.f_prox_step(problem.kernel.grad(y), g_y.grad, tau)
+        return L, tau, x_next, problem.evaluate(x_next), 0
+
+    return majorant
 
 
 def _maybe_copy(x, store):
     return np.copy(x) if store else None
 
 
-def _drive(name, problem, config, x0, callback, step, L_bar=None):
-    """The iteration every solver runs; `step` is what tells them apart.
+def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
+    """The iteration every solver runs: its two rules tell them apart.
 
     L_bar is the initial majorant (tau starts at 1/L_bar): a solver with a
     fixed constant passes it, the others start from config.L_bar_init,
     which must exceed the weak-convexity barrier -alpha/((1-delta)*sigma)
-    of f.  For k = 1, 2, ... calls step(IterateState) -> (gamma, L_lower,
-    y, dh_curr_y, lower_trials, L_bar, tau, x_next, g_next, upper_trials),
-    or None when backtracking fails, and logs record k; g_next, the
+    of f.  For k = 1, 2, ... the inertia rule fixes the base point,
+    inertia(IterateState) -> (L_lower, gamma, y, g_y, dh_curr_y,
+    lower_trials), and the majorant rule the step from it,
+    majorant(IterateState, y, g_y) -> (L_bar, tau, x_next, g_next,
+    upper_trials); either returns None when its ladder runs out, which
+    ends the run as a backtrack_failure.  Record k logs both; g_next, the
     evaluation of g at x_next, becomes the next state's g_curr, and g_curr
     its g_prev; the first state's L_lower_prev is 0.  An ArithmeticError
-    inside a step (a stalled prox solve) ends the run as a SolverError
+    inside a rule (a stalled prox solve) ends the run as a SolverError
     naming the solver and the iteration.
     """
     x0 = np.array(x0, dtype=float).reshape(-1)
@@ -370,14 +387,16 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None):
             L_lower_prev=L_lower,
         )
         try:
-            accepted = step(state)
+            accepted = inertia(state)
+            if accepted is not None:
+                L_lower, gamma, y, g_y, dh_curr_y, lower_trials = accepted
+                accepted = majorant(state, y, g_y)
         except ArithmeticError as exc:
             raise SolverError(f"{name}: {exc} at iteration {k}") from exc
         if accepted is None:
             termination = TERM_BACKTRACK_FAILURE
             break
-        (gamma, L_lower, y, dh_curr_y, lower_trials, L_bar, tau, x_next,
-         g_next, upper_trials) = accepted
+        L_bar, tau, x_next, g_next, upper_trials = accepted
         psi_next = problem.f_value(x_next) + g_next.value
         if not np.isfinite(psi_next):
             raise SolverError(
@@ -417,39 +436,23 @@ def _drive(name, problem, config, x0, callback, step, L_bar=None):
     )
 
 
-def _cocain_step(problem, config, gamma_rule):
-    """Searched (or closed-form) inertia with a backtracked majorant that
-    is frozen from config.freeze_after on; gamma_cap = 0 drops the inertia
-    and with it the minorant search."""
+def _cocain(name, problem, config, x0, callback, gamma_rule):
+    """Searched (or closed-form) inertia, gamma_cap = 0 dropping it, and
+    a backtracked majorant frozen at max(L_bar, smad_L) from
+    config.freeze_after on."""
+    if config.gamma_cap == 0.0:
+        inertia = _no_inertia
+    else:
+        def inertia(state):
+            return lower_backtrack(state, config, problem, gamma_rule)
 
-    def step(state):
-        if config.gamma_cap == 0.0:
-            # No inertia: the base point is x^k itself and the minorant
-            # inequality holds as an identity, so the lower search is moot.
-            # D_h(x, x) = 0 exactly on both kernels.
-            gamma, L_lower, dh_curr_y, lower_trials = 0.0, 0.0, 0.0, 0
-            y, g_y = state.x_curr, state.g_curr
-        else:
-            ok, L_lower, gamma, y, g_y, dh_curr_y, lower_trials = lower_backtrack(
-                state, config, problem, gamma_rule
-            )
-            if not ok:
-                return None
+    def majorant(state, y, g_y):
         if config.freeze_after is not None and state.k >= config.freeze_after:
-            L_bar, tau, x_next, g_next = _fixed_upper_step(
-                state, y, g_y, max(state.L_bar_prev, problem.smad_L), problem,
-            )
-            upper_trials = 0
-        else:
-            ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
-                state, y, g_y, config, problem
-            )
-            if not ok:
-                return None
-        return (gamma, L_lower, y, dh_curr_y, lower_trials, L_bar, tau,
-                x_next, g_next, upper_trials)
+            frozen = _fixed_majorant(max(state.L_bar_prev, problem.smad_L), problem)
+            return frozen(state, y, g_y)
+        return upper_backtrack(state, y, g_y, config, problem)
 
-    return step
+    return _drive(name, problem, config, x0, callback, inertia, majorant)
 
 
 def cocain_bpg(problem, config, x0, *, callback=None):
@@ -462,8 +465,7 @@ def cocain_bpg(problem, config, x0, *, callback=None):
     tau_{k-1} (Psi(x^k) - v) + delta * D_h(x^{k-1}, x^k), which
     `diagnostics.check_lyapunov_descent` re-verifies from the trace.
     """
-    step = _cocain_step(problem, config, find_gamma)
-    return _drive("cocain", problem, config, x0, callback, step)
+    return _cocain("cocain", problem, config, x0, callback, find_gamma)
 
 
 def cocain_bpg_cfi(problem, config, x0, *, callback=None):
@@ -474,8 +476,7 @@ def cocain_bpg_cfi(problem, config, x0, *, callback=None):
     """
     if not isinstance(problem.kernel, QuarticKernel):
         raise ValueError("closed-form inertia requires the quartic kernel")
-    step = _cocain_step(problem, config, find_gamma_cfi)
-    return _drive("cfi", problem, config, x0, callback, step)
+    return _cocain("cfi", problem, config, x0, callback, find_gamma_cfi)
 
 
 def bpg_wb(problem, config, x0, *, callback=None):
@@ -486,8 +487,7 @@ def bpg_wb(problem, config, x0, *, callback=None):
     run of the main solver.
     """
     config = replace(config, gamma_cap=0.0)
-    step = _cocain_step(problem, config, find_gamma)
-    return _drive("bpg_wb", problem, config, x0, callback, step)
+    return _cocain("bpg_wb", problem, config, x0, callback, find_gamma)
 
 
 def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
@@ -507,17 +507,15 @@ def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
     if L <= 0.0:
         raise ValueError("no-backtracking variant needs a positive constant")
 
-    def step(state):
+    def inertia(state):
         # 1 + L * tau with tau = 1/L, written as the exact 2
         gamma = _halve_gamma(state, 2.0, config, problem)
         y = state.x_curr + gamma * (state.x_curr - state.x_prev)
-        L_bar, tau, x_next, g_next = _fixed_upper_step(
-            state, y, problem.evaluate(y), L, problem
-        )
         dh_curr_y = problem.kernel.bregman(state.x_curr, y)
-        return gamma, L, y, dh_curr_y, 0, L_bar, tau, x_next, g_next, 0
+        return L, gamma, y, problem.evaluate(y), dh_curr_y, 0
 
-    return _drive("cocain_nobt", problem, config, x0, callback, step, L)
+    return _drive("cocain_nobt", problem, config, x0, callback, inertia,
+                  _fixed_majorant(L, problem), L)
 
 
 def bpg_fixed(problem, config, x0, *, callback=None):
@@ -531,14 +529,8 @@ def bpg_fixed(problem, config, x0, *, callback=None):
     L = problem.smad_L if config.L is None else config.L
     if L <= 0.0:
         raise ValueError(f"L must be > 0, got {L}")
-
-    def step(state):
-        L_bar, tau, x_next, g_next = _fixed_upper_step(
-            state, state.x_curr, state.g_curr, L, problem
-        )
-        return 0.0, 0.0, state.x_curr, 0.0, 0, L_bar, tau, x_next, g_next, 0
-
-    return _drive("bpg_fixed", problem, config, x0, callback, step, L)
+    return _drive("bpg_fixed", problem, config, x0, callback, _no_inertia,
+                  _fixed_majorant(L, problem), L)
 
 
 def ipiano(problem, config, x0, *, callback=None):
@@ -548,22 +540,20 @@ def ipiano(problem, config, x0, *, callback=None):
     the extrapolated point y^k = x^k + beta (x^k - x^{k-1}), beta =
     config.beta; for f = 0 this is the classical heavy-ball update.  Only
     the majorant constant adapts, against the descent inequality between
-    x^k and x^{k+1}.  beta = 0 reproduces bpg_wb bitwise.
+    x^k and x^{k+1}.  beta = 0 reproduces bpg_wb bitwise when freeze_after
+    is unset; this majorant is never frozen.
     """
     if not isinstance(problem.kernel, EuclideanKernel):
         raise ValueError("ipiano is defined for the Euclidean kernel only")
     beta = config.beta
 
-    def step(state):
-        x_curr = state.x_curr
-        y = x_curr + beta * (x_curr - state.x_prev)
-        ok, L_bar, tau, x_next, g_next, upper_trials = upper_backtrack(
-            state, x_curr, state.g_curr, config, problem, centre=y,
-        )
-        if not ok:
-            return None
-        dh_curr_y = problem.kernel.bregman(x_curr, y)
-        return (beta, 0.0, y, dh_curr_y, 0, L_bar, tau, x_next, g_next,
-                upper_trials)
+    def inertia(state):
+        # g is never evaluated at y: the majorant linearizes at x^k
+        y = state.x_curr + beta * (state.x_curr - state.x_prev)
+        return 0.0, beta, y, None, problem.kernel.bregman(state.x_curr, y), 0
 
-    return _drive("ipiano", problem, config, x0, callback, step)
+    def majorant(state, y, g_y):
+        return upper_backtrack(state, state.x_curr, state.g_curr, config,
+                               problem, centre=y)
+
+    return _drive("ipiano", problem, config, x0, callback, inertia, majorant)

@@ -47,9 +47,6 @@ from .solvers import (
     replace_record,
 )
 
-SCOPES = ("kernels", "prox", "problems", "solvers")
-
-
 @dataclass(frozen=True)
 class PropertyResult:
     scope: str
@@ -437,15 +434,13 @@ _SUITES = {
     "problems": _suite_problems,
     "solvers": _suite_solvers,
 }
+SCOPES = tuple(_SUITES)
 
 
 def run_scope(scope):
     """Run one named suite; scope "all" chains the four in order."""
     if scope == "all":
-        out = []
-        for name in SCOPES:
-            out.extend(_SUITES[name]())
-        return out
+        return [result for suite in _SUITES.values() for result in suite()]
     if scope not in _SUITES:
         raise ValueError(f"unknown verify scope: {scope!r}")
     return _SUITES[scope]()

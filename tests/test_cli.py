@@ -696,6 +696,22 @@ def test_spurious_rejects_bad_starts(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spurious", "--starts", "1,,2"],
+     "bad value for starts: '1,,2' (empty entry)"),
+    (["spurious", "--starts", "2,2; nan,1"],
+     "bad value for starts: '2,2; nan,1' (not a finite number)"),
+    (["sweep", "--lo", "nan"], "bad value for lo: 'nan' (not a finite number)"),
+    (["sweep", "--hi", "inf"], "bad value for hi: 'inf' (not a finite number)"),
+])
+def test_study_numbers_go_through_the_shared_reader(tmp_path, capsys, argv,
+                                                    message):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # denoise command
 

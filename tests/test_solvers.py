@@ -179,10 +179,10 @@ def test_lower_backtrack_one_trial_on_convex_objective():
     problem = quadratic_problem([2.0, 1.0])
     cfg = SolverConfig()
     state = _state(problem, [1.0, 1.0], [0.5, 0.25], tau_prev=0.5)
-    ok, L_lower, gamma, y, g_y, dh_curr_y, trials = lower_backtrack(
+    L_lower, gamma, y, g_y, dh_curr_y, trials = lower_backtrack(
         state, cfg, problem
     )
-    assert ok and trials == 1
+    assert trials == 1
     assert L_lower == cfg.L_lower_value
     assert g_y.value == problem.g_value(y)
     assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
