@@ -311,9 +311,8 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
 
 
 def _no_inertia(state):
-    """The inertia rule of the plain methods: y = x^k.  The minorant
-    inequality then holds as an identity, so there is nothing to search,
-    and D_h(x, x) = 0 exactly on both kernels."""
+    """The inertia rule without inertia: y = x^k, where the minorant
+    inequality is an identity and D_h(x, x) = 0 exactly on both kernels."""
     return 0.0, 0.0, state.x_curr, state.g_curr, 0.0, 0
 
 
@@ -437,9 +436,8 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
 
 
 def _cocain(name, problem, config, x0, callback, gamma_rule):
-    """Searched (or closed-form) inertia, gamma_cap = 0 dropping it, and
-    a backtracked majorant frozen at max(L_bar, smad_L) from
-    config.freeze_after on."""
+    """Searched inertia (none when gamma_cap = 0) and a backtracked majorant,
+    fixed at max(L_bar, smad_L) from config.freeze_after on."""
     if config.gamma_cap == 0.0:
         inertia = _no_inertia
     else:

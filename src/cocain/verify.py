@@ -47,6 +47,7 @@ from .solvers import (
     replace_record,
 )
 
+
 @dataclass(frozen=True)
 class PropertyResult:
     scope: str

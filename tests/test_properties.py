@@ -33,8 +33,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cocain.diagnostics import (  # noqa: E402
@@ -71,8 +71,7 @@ KINDS = ("logquad", "sigmoid", "abssincos", "spurious2d",
          "phase_retrieval_l1", "phase_retrieval_sql2",
          "denoise_log", "denoise_l1", "denoise_sql2")
 
-SAMPLED = settings(derandomize=True, database=None, deadline=None,
-                   suppress_health_check=[HealthCheck.too_slow])
+SAMPLED = settings(derandomize=True, database=None, deadline=None)
 
 unit = st.floats(0.0, 1.0)
 
