@@ -32,10 +32,10 @@ from .problems import (
 )
 from .solvers import (
     SolverConfig,
-    SolverError,
     SolverResult,
     TERM_BACKTRACK_FAILURE,
     TERM_MAX_ITERS,
+    TERM_NON_FINITE,
     TERM_STEP_TOL,
     TraceRecord,
     bpg_fixed,
@@ -77,8 +77,8 @@ __all__ = [
     "make_robust_denoising", "make_spurious2d", "make_univariate",
     "verify_smad_by_sampling",
     "read_pgm", "synthetic_blocks", "write_pgm",
-    "SolverConfig", "SolverError", "SolverResult", "TraceRecord",
-    "TERM_BACKTRACK_FAILURE", "TERM_MAX_ITERS", "TERM_STEP_TOL",
+    "SolverConfig", "SolverResult", "TraceRecord", "TERM_BACKTRACK_FAILURE",
+    "TERM_MAX_ITERS", "TERM_NON_FINITE", "TERM_STEP_TOL",
     "bpg_fixed", "bpg_wb", "cocain_bpg", "cocain_bpg_cfi",
     "cocain_bpg_no_backtracking", "ipiano",
     "CheckReport", "LyapunovParams",

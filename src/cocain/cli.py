@@ -22,7 +22,9 @@ product sums in an order that depends on the thread count.
 The COCAIN_OUT environment variable overrides --out.
 
 Exit codes: 0 success, 2 configuration or output error, 3 solver failure
-(backtracking failure included), 4 verification failure.
+(a run ended in backtrack_failure or non_finite; every run's output is
+written first, and fail_on_backtrack = false downgrades backtrack_failure
+only), 4 verification failure.
 """
 
 import argparse
@@ -50,8 +52,8 @@ from .problems import (
 )
 from .solvers import (
     SolverConfig,
-    SolverError,
     TERM_BACKTRACK_FAILURE,
+    TERM_NON_FINITE,
     bpg_fixed,
     bpg_wb,
     cocain_bpg,
@@ -351,6 +353,7 @@ def _bundle_files(problem, results, compare_mode, header_pairs):
             f"final_suboptimality = {_fmt(max(run['final_psi'] - ref, 0.0))}",
             f"iterations = {run['iterations']}",
             f"termination = {run['termination']}",
+            *([f"reason = {res.reason}"] if res.reason else []),
             f"lower_trials_total = {run['lower_trials']}",
             f"upper_trials_total = {run['upper_trials']}",
         ]
@@ -387,14 +390,17 @@ def _solver_names(text):
     return names
 
 
-def _backtrack_status(results):
-    """EXIT_SOLVER, with a line on stderr, when a run's backtracking
-    failed; EXIT_OK otherwise."""
-    failed = [n for n, r in results.items() if r.termination == TERM_BACKTRACK_FAILURE]
-    if failed:
-        print(f"backtracking failed in: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
+def _status(results, fail_on_backtrack=True):
+    """EXIT_SOLVER, naming the runs on stderr, when one ended non_finite or
+    (unless fail_on_backtrack is false) in backtrack_failure; else EXIT_OK."""
+    lines = [f"solver failure: {r.solver}: {r.reason}" for r in results
+             if r.termination == TERM_NON_FINITE]
+    failed = dict.fromkeys(r.solver for r in results
+                           if r.termination == TERM_BACKTRACK_FAILURE)
+    if failed and fail_on_backtrack:
+        lines.append(f"backtracking failed in: {', '.join(failed)}")
+    sys.stderr.writelines(line + "\n" for line in lines)
+    return EXIT_SOLVER if lines else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +432,7 @@ def cmd_run(args):
                for name, cfg in configs.items()}
     header = [("command", "run"), ("config", os.path.basename(args.config))]
     _write_bundle(args, _bundle_files(problem, results, args.compare, header))
-    return _backtrack_status(results) if fail_on_backtrack else EXIT_OK
+    return _status(results.values(), fail_on_backtrack)
 
 
 def cmd_sweep(args):
@@ -441,11 +447,11 @@ def cmd_sweep(args):
                     dict.fromkeys(("lo", "hi"), (float, False)), "sweep")
 
     starts = np.linspace(span["lo"], span["hi"], args.n_starts)
-    finals = {
-        name: np.array([SOLVERS[name](problem, config, np.array([s])).final_psi
-                        for s in starts])
-        for name in solvers
-    }
+    runs = {name: [SOLVERS[name](problem, config, np.array([s]))
+                   for s in starts]
+            for name in solvers}
+    finals = {name: np.array([res.final_psi for res in runs[name]])
+              for name in solvers}
 
     lines = ["start," + ",".join(f"{name}_final_psi" for name in solvers)]
     for i in range(args.n_starts):
@@ -465,7 +471,7 @@ def cmd_sweep(args):
             report.append(f"{name}_global_min_count = {count}")
     _write_bundle(args, {f"sweep_{args.kind}.csv": "\n".join(lines) + "\n",
                          "sweep_summary.txt": "\n".join(report) + "\n"})
-    return EXIT_OK
+    return _status([res for name in solvers for res in runs[name]])
 
 
 def cmd_spurious(args):
@@ -492,8 +498,8 @@ def cmd_spurious(args):
     report = ["# cocain spurious summary",
               f"target = ({_fmt(target[0])}, {_fmt(target[1])})",
               f"minimizer = ({_fmt(minimizer[0])}, {_fmt(minimizer[1])})"]
-    for x0 in starts:
-        res = cocain_bpg(problem, config, x0)
+    results = [cocain_bpg(problem, config, x0) for x0 in starts]
+    for x0, res in zip(starts, results):
         dist = float(np.linalg.norm(res.x - minimizer))
         rows.append(",".join([_fmt(x0[0]), _fmt(x0[1]), _fmt(res.x[0]),
                               _fmt(res.x[1]), _fmt(res.final_psi), _fmt(dist)]))
@@ -503,7 +509,7 @@ def cmd_spurious(args):
         )
     _write_bundle(args, {"spurious.csv": "\n".join(rows) + "\n",
                          "spurious_summary.txt": "\n".join(report) + "\n"})
-    return EXIT_OK
+    return _status(results)
 
 
 def cmd_denoise(args):
@@ -527,7 +533,7 @@ def cmd_denoise(args):
               ("magnitude", _fmt(args.magnitude)), ("seed", seed)]
     files.update(_bundle_files(problem, results, args.compare, header))
     _write_bundle(args, files)
-    return _backtrack_status(results)
+    return _status(results.values())
 
 
 def cmd_verify(args):
@@ -633,6 +639,12 @@ def _pin_blas_threads():
 
 def main(argv=None):
     parser = _make_parser()
+    # argparse takes a lone value that starts with '-' (`--lo -1e1`,
+    # `--starts -2,2`) for a flag, so these flags are joined to theirs
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--starts", "--lo", "--hi"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
     _pin_blas_threads()
     try:
@@ -646,9 +658,6 @@ def main(argv=None):
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -49,10 +49,7 @@ from .tol import geq, leq, require_finite
 TERM_MAX_ITERS = "max_iters"
 TERM_STEP_TOL = "step_tol"
 TERM_BACKTRACK_FAILURE = "backtrack_failure"
-
-
-class SolverError(RuntimeError):
-    """Raised when a run cannot go on (non-finite objective, stalled solve)."""
+TERM_NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,8 @@ def replace_record(records, k, **changes):
 
 @dataclass
 class SolverResult:
-    """Final iterate plus the full per-iteration trace."""
+    """Final iterate plus the full per-iteration trace; reason says why a
+    backtrack_failure or non_finite run stopped, and is empty otherwise."""
 
     solver: str
     problem: str
@@ -183,6 +181,7 @@ class SolverResult:
     iterations: int
     records: list
     config: SolverConfig
+    reason: str = ""
 
     @property
     def final_psi(self):
@@ -345,8 +344,10 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     ends the run as a backtrack_failure.  Record k logs both; g_next, the
     evaluation of g at x_next, becomes the next state's g_curr, and g_curr
     its g_prev; the first state's L_lower_prev is 0.  An ArithmeticError
-    inside a rule (a stalled prox solve) ends the run as a SolverError
-    naming the solver and the iteration.
+    inside a rule (a stalled prox solve) or a non-finite Psi(x_next) ends
+    the run as non_finite.  A stopped run keeps its accepted steps, and
+    `reason` names the failure and its iteration: only the setup checks
+    raise.
     """
     x0 = np.array(x0, dtype=float).reshape(-1)
     if x0.shape != (problem.dim,):
@@ -375,7 +376,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         dh_prev_curr=0.0, dh_curr_y=0.0, step_norm=0.0, lower_trials=0,
         upper_trials=0, wall_time_ns=0, x=_maybe_copy(x0, store), y=None,
     )]
-    termination = TERM_MAX_ITERS
+    termination, reason = TERM_MAX_ITERS, ""
 
     for k in range(1, config.max_iters + 1):
         tick = time.perf_counter_ns()
@@ -386,21 +387,21 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             L_lower_prev=L_lower,
         )
         try:
-            accepted = inertia(state)
-            if accepted is not None:
-                L_lower, gamma, y, g_y, dh_curr_y, lower_trials = accepted
-                accepted = majorant(state, y, g_y)
+            lower = inertia(state)
+            upper = lower and majorant(state, lower[2], lower[3])
+            if upper is None:
+                termination = TERM_BACKTRACK_FAILURE
+                ladder = "minorant" if lower is None else "majorant"
+                reason = f"{ladder} ladder ran out at iteration {k}"
+                break
+            psi_next = problem.f_value(upper[2]) + upper[3].value
+            if not np.isfinite(psi_next):
+                raise FloatingPointError("objective became non-finite")
         except ArithmeticError as exc:
-            raise SolverError(f"{name}: {exc} at iteration {k}") from exc
-        if accepted is None:
-            termination = TERM_BACKTRACK_FAILURE
+            termination, reason = TERM_NON_FINITE, f"{exc} at iteration {k}"
             break
-        L_bar, tau, x_next, g_next, upper_trials = accepted
-        psi_next = problem.f_value(x_next) + g_next.value
-        if not np.isfinite(psi_next):
-            raise SolverError(
-                f"{name}: objective became non-finite at iteration {k}"
-            )
+        L_lower, gamma, y, g_y, dh_curr_y, lower_trials = lower
+        L_bar, tau, x_next, g_next, upper_trials = upper
 
         record = TraceRecord(
             k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
@@ -431,7 +432,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     ))
     return SolverResult(
         solver=name, problem=problem.name, x=x_curr, termination=termination,
-        iterations=iterations, records=records, config=config,
+        iterations=iterations, records=records, config=config, reason=reason,
     )
 
 

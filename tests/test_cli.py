@@ -372,6 +372,64 @@ L = 0.7
     assert "at iteration 62" in err
 
 
+STALL_BUNDLE = """\
+[problem]
+name = phase_retrieval
+d = 6
+m = 30
+
+[run]
+solvers = {solvers}
+{extra}"""
+
+
+def _section(summary, name):
+    body = summary.split(f"\n[{name}]\n", 1)[1].split("\n\n", 1)[0]
+    return body.splitlines()
+
+
+def test_failed_run_keeps_the_other_runs(tmp_path, capsys):
+    # bpg_fixed's prox stalls at iteration 62; cocain's run is written as
+    # if it ran alone, and bpg_fixed's trace ends at its last finite step
+    cfg = _write(tmp_path / "both.ini", STALL_BUNDLE.format(
+        solvers="cocain,bpg_fixed", extra="[solver.bpg_fixed]\nL = 0.7\n"))
+    alone = _write(tmp_path / "alone.ini",
+                   STALL_BUNDLE.format(solvers="cocain", extra=""))
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--compare"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("solver failure: bpg_fixed: cubic solve stalled")
+    assert err.endswith(" at iteration 62\n") and err.count("\n") == 1
+    assert cli.main(["run", "--config", alone, "--out", str(ref),
+                     "--compare"]) == 0
+    csv = "phase_retrieval_l1_cocain.csv"
+    assert (out / csv).read_bytes() == (ref / csv).read_bytes()
+    summary = (out / "summary.txt").read_text()
+    assert _section(summary, "cocain") == _section(
+        (ref / "summary.txt").read_text(), "cocain")
+    failed = _section(summary, "bpg_fixed")
+    assert "termination = non_finite" in failed
+    assert "iterations = 61" in failed
+    assert ("reason = " + err.split(": ", 2)[2].rstrip("\n")) in failed
+    _, rows = _read_rows(out / "phase_retrieval_l1_bpg_fixed.csv")
+    assert len(rows) == 63
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+def test_fail_on_backtrack_does_not_downgrade_non_finite(tmp_path, capsys):
+    cfg = _write(tmp_path / "both.ini", STALL_BUNDLE.format(
+        solvers="bpg_fixed",
+        extra="fail_on_backtrack = false\n[solver.bpg_fixed]\nL = 0.7\n"))
+    with np.errstate(over="ignore"):
+        code = cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("solver failure: bpg_fixed: ")
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
@@ -633,6 +691,32 @@ def test_sweep_set_delta_below_default_epsilon(tmp_path, monkeypatch):
     assert seen["cocain"].epsilon == 0.01 * 0.005
 
 
+def test_sweep_backtrack_failure_exit_code(tmp_path, capsys):
+    # every run's ladder runs out; the sweep still writes its files
+    out = tmp_path / "out"
+    assert cli.main([
+        "sweep", "--n-starts", "3", "--solvers", "cocain,bpg_wb",
+        "--set", "solver.L_bar_init=1e-8", "--set", "solver.max_backtracks=1",
+        "--out", str(out),
+    ]) == 3
+    assert capsys.readouterr().err == "backtracking failed in: cocain, bpg_wb\n"
+    assert (out / "sweep_summary.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lo", "-1e1"],
+    ["--lo=-1e1"],
+    ["--lo", "-1e1", "--hi", "-5"],
+])
+def test_sweep_takes_negative_bounds(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--n-starts", "2", "--solvers", "cocain",
+                     "--iters", "3", *argv, "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "sweep_abssincos.csv")
+    hi = -5.0 if "--hi" in argv else 15.0
+    assert [float(row[0]) for row in rows] == [-10.0, hi]
+
+
 def test_sweep_needs_two_starts(tmp_path, capsys):
     assert cli.main([
         "sweep", "--n-starts", "1", "--out", str(tmp_path / "o"),
@@ -687,6 +771,18 @@ def test_flags_without_effect_are_rejected(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--starts", "-2,2"], ["--starts=-2,2"], ["--starts", "-2,2; -1,-1"],
+])
+def test_spurious_takes_negative_starts(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main(["spurious", *argv, "--iters", "3",
+                     "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "spurious.csv")
+    assert [float(x) for x in rows[0][:2]] == [-2.0, 2.0]
+    assert len(rows) == argv[-1].count(";") + 1
 
 
 def test_spurious_rejects_bad_starts(tmp_path, capsys):

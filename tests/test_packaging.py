@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cocain
+from cocain import solvers
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -17,3 +18,14 @@ def test_version_matches_pyproject():
     with open(path, "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert cocain.__version__ == project["version"]
+
+
+def test_every_export_resolves():
+    missing = [name for name in cocain.__all__ if not hasattr(cocain, name)]
+    assert missing == []
+
+
+def test_every_termination_is_exported():
+    terms = {name for name in vars(solvers) if name.startswith("TERM_")}
+    assert len(terms) == 4
+    assert terms <= set(cocain.__all__)

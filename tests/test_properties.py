@@ -13,12 +13,13 @@ certificates each solver promises from its trace:
 
 cocain_nobt's constants are global and met with equality on some
 problems, so its per-iteration conditions are not checked to the audit's
-1e-12 slack; its Lyapunov descent is.  A run that ends in a
-backtrack_failure is a valid outcome, and its partial trace is held to
-the same certificates.  A second property holds the two reductions bit
-for bit: cocain with gamma_cap = 0 and ipiano with beta = 0 reproduce
-bpg_wb.  iPiano never freezes its majorant, so the second reduction is
-checked on the examples that leave freeze_after unset.
+1e-12 slack; its Lyapunov descent is.  Every run must end in one of the
+four terminations with a finite Psi on every record.  A run that ends in a
+backtrack_failure or non_finite is a valid outcome, and its partial trace
+is held to the same certificates.  A second property holds the two
+reductions bit for bit: cocain with gamma_cap = 0 and ipiano with beta = 0
+reproduce bpg_wb.  iPiano never freezes its majorant, so the second
+reduction is checked on the examples that leave freeze_after unset.
 
 The problem kind is a test parameter rather than a draw: Hypothesis grows
 most examples from earlier ones, so a drawn kind clusters (one kind got a
@@ -55,6 +56,10 @@ from cocain.problems import (  # noqa: E402
     make_univariate,
 )
 from cocain.solvers import (  # noqa: E402
+    TERM_BACKTRACK_FAILURE,
+    TERM_MAX_ITERS,
+    TERM_NON_FINITE,
+    TERM_STEP_TOL,
     SolverConfig,
     bpg_fixed,
     bpg_wb,
@@ -66,6 +71,9 @@ from cocain.solvers import (  # noqa: E402
 from helpers import assert_traces_identical  # noqa: E402
 
 ITERS = 60
+
+TERMINATIONS = (TERM_MAX_ITERS, TERM_STEP_TOL, TERM_BACKTRACK_FAILURE,
+                TERM_NON_FINITE)
 
 KINDS = ("logquad", "sigmoid", "abssincos", "spurious2d",
          "phase_retrieval_l1", "phase_retrieval_sql2",
@@ -145,6 +153,9 @@ def test_sampled_runs_keep_their_certificates(kind, data):
     }
     if isinstance(problem.kernel, QuarticKernel):
         runs["cfi"] = cocain_bpg_cfi(problem, config, x0)
+    for name, run in runs.items():
+        assert run.termination in TERMINATIONS, name
+        assert np.all(np.isfinite([rec.psi for rec in run.records])), name
     for name in ("cocain", "cfi", "cocain_nobt", "bpg_wb"):
         if name in runs:
             records = runs[name].records

@@ -14,6 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cocain.diagnostics import (
+    LyapunovParams,
+    check_lyapunov_descent,
+    check_prefix_bound,
+)
 from cocain.problems import (
     generate_phase_retrieval,
     make_phase_retrieval,
@@ -23,6 +28,7 @@ from cocain.problems import (
 from cocain.solvers import (
     TERM_BACKTRACK_FAILURE,
     TERM_MAX_ITERS,
+    TERM_NON_FINITE,
     TERM_STEP_TOL,
     IterateState,
     SolverConfig,
@@ -306,6 +312,7 @@ def test_upper_backtrack_failure_is_reported():
     cfg = SolverConfig(L_bar_init=1e-8, max_backtracks=1)
     result = cocain_bpg(make_univariate("logquad"), cfg, [13.0])
     assert result.termination == TERM_BACKTRACK_FAILURE
+    assert result.reason == "majorant ladder ran out at iteration 1"
     assert result.iterations == 0
     assert len(result.records) == 2
 
@@ -317,6 +324,59 @@ def test_lower_backtrack_failure_is_reported():
     result = cocain_bpg(make_univariate("sigmoid"), cfg, [-2.0])
     assert result.termination == TERM_BACKTRACK_FAILURE
     assert result.iterations >= 1
+    assert result.reason == (
+        f"minorant ladder ran out at iteration {result.iterations + 1}")
+
+
+def _assert_stopped_on_last_accepted_state(result):
+    """Every logged Psi is finite, and the final record repeats the last
+    accepted step size and majorant."""
+    assert np.all(np.isfinite([rec.psi for rec in result.records]))
+    last, final = result.records[-2], result.records[-1]
+    assert (final.tau, final.L_bar) == (last.tau, last.L_bar)
+    assert final.k == result.iterations + 1
+
+
+def test_non_finite_objective_ends_the_run():
+    # g drops to -inf below 1.  Both ladders accept -inf (a +inf value
+    # would fail the majorant test and end the run as a backtrack_failure),
+    # and with gamma_cap = 0.3 and tau = 1/4 the step of iteration 6
+    # crosses 1 before the extrapolated point does, so Psi(x_next) is the
+    # first -inf.  Freezing at that step raises the majorant to smad_L = 8,
+    # which the final record must not show.
+    problem = replace(quadratic_problem([1.0]), smad_L=8.0, g_value=lambda x: (
+        -math.inf if x[0] < 1.0 else 0.5 * float(x[0] ** 2)))
+    cfg = SolverConfig(L_bar_init=4.0, gamma_cap=0.3, stop_tol=0.0,
+                       freeze_after=6)
+    result = cocain_bpg(problem, cfg, [10.0])
+    assert result.termination == TERM_NON_FINITE
+    assert result.reason == "objective became non-finite at iteration 6"
+    assert result.iterations == 5
+    _assert_stopped_on_last_accepted_state(result)
+    assert result.records[-1].L_bar == 4.0
+    params = LyapunovParams(cfg.delta, cfg.epsilon, problem.psi_lower_bound)
+    for check in (check_lyapunov_descent, check_prefix_bound):
+        report = check(result.records, params)
+        assert report.passed and report.n_checked > 0, report.name
+
+
+@pytest.mark.parametrize("solver", [cocain_bpg, bpg_fixed])
+def test_arithmetic_error_in_a_rule_ends_the_run(solver):
+    # a prox solve that gives up once the step would land below 1
+    def prox_step(grad_h, grad_g, tau):
+        x = grad_h - tau * grad_g
+        if x[0] < 1.0:
+            raise FloatingPointError("prox gave up")
+        return x
+
+    problem = replace(quadratic_problem([1.0]), f_prox_step=prox_step)
+    cfg = SolverConfig(L_bar_init=4.0, L=4.0, gamma_cap=0.3, stop_tol=0.0)
+    result = solver(problem, cfg, [10.0])
+    assert result.termination == TERM_NON_FINITE
+    assert result.reason == f"prox gave up at iteration {result.iterations + 1}"
+    assert result.iterations >= 3
+    assert result.x[0] >= 1.0
+    _assert_stopped_on_last_accepted_state(result)
 
 
 # ---------------------------------------------------------------------------
