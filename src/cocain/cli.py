@@ -315,17 +315,18 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+# one CSV_HEADER row: "%.17g" writes the bytes of _fmt
+_CSV_ROW = "%d," + "%.17g," * 9 + "%d,%d,%d"
+
+
 def _trace_csv(records, ref, compare_mode):
     lines = [CSV_HEADER]
     for rec in records:
-        subopt = max(rec.psi - ref, 0.0)
-        wall = 0 if compare_mode else rec.wall_time_ns
-        lines.append(",".join([
-            str(rec.k), _fmt(rec.psi), _fmt(subopt), _fmt(rec.tau),
-            _fmt(rec.gamma), _fmt(rec.L_bar), _fmt(rec.L_lower),
-            _fmt(rec.dh_prev_curr), _fmt(rec.dh_curr_y), _fmt(rec.step_norm),
-            str(rec.lower_trials), str(rec.upper_trials), str(wall),
-        ]))
+        lines.append(_CSV_ROW % (
+            rec.k, rec.psi, max(rec.psi - ref, 0.0), rec.tau, rec.gamma,
+            rec.L_bar, rec.L_lower, rec.dh_prev_curr, rec.dh_curr_y,
+            rec.step_norm, rec.lower_trials, rec.upper_trials,
+            0 if compare_mode else rec.wall_time_ns))
     return "\n".join(lines) + "\n"
 
 
@@ -388,6 +389,14 @@ def _solver_names(text):
         if name not in SOLVERS:
             raise ConfigError(f"unknown solver: {name}")
     return names
+
+
+def _failed_starts(name, results):
+    """The `NAME_failed_starts = N` summary line of a study's runs that
+    ended in backtrack_failure or non_finite, as a list; empty for none."""
+    failed = sum(r.termination in (TERM_BACKTRACK_FAILURE, TERM_NON_FINITE)
+                 for r in results)
+    return [f"{name}_failed_starts = {failed}"] if failed else []
 
 
 def _status(results, fail_on_backtrack=True):
@@ -469,6 +478,7 @@ def cmd_sweep(args):
         if global_psi is not None:
             count = int(np.sum(np.abs(finals[name] - global_psi) <= 1e-3))
             report.append(f"{name}_global_min_count = {count}")
+        report += _failed_starts(name, runs[name])
     _write_bundle(args, {f"sweep_{args.kind}.csv": "\n".join(lines) + "\n",
                          "sweep_summary.txt": "\n".join(report) + "\n"})
     return _status([res for name in solvers for res in runs[name]])
@@ -507,6 +517,7 @@ def cmd_spurious(args):
             f"from ({_fmt(x0[0])}, {_fmt(x0[1])}): final ({_fmt(res.x[0])}, "
             f"{_fmt(res.x[1])}) psi {_fmt(res.final_psi)} dist {_fmt(dist)}"
         )
+    report += _failed_starts("cocain", results)
     _write_bundle(args, {"spurious.csv": "\n".join(rows) + "\n",
                          "spurious_summary.txt": "\n".join(report) + "\n"})
     return _status(results)
@@ -647,17 +658,20 @@ def main(argv=None):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = parser.parse_args(argv)
     _pin_blas_threads()
-    try:
-        return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
-        # setup contracts (dimension mismatches, the initial-majorant
-        # barrier) surface as ValueError from the library, and an
-        # unreadable input as OSError (output errors are OutputError)
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # an overflowing iterate ends its run as non_finite, which _status
+    # reports; numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        try:
+            return args.func(args)
+        except (ConfigError, OSError, ValueError) as exc:
+            # setup contracts (dimension mismatches, the initial-majorant
+            # barrier) surface as ValueError from the library, and an
+            # unreadable input as OSError (output errors are OutputError)
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OutputError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -72,7 +72,9 @@ class EuclideanKernel(Kernel):
         return np.copy(v)
 
     def bregman(self, x, y):
-        _check_pair(x, y)
+        # tested inline: the solvers call bregman several times an iteration
+        if x.shape != y.shape:
+            _check_pair(x, y)
         d = x - y
         return 0.5 * float(np.dot(d, d))
 
@@ -110,7 +112,8 @@ class QuarticKernel(Kernel):
     def bregman(self, x, y):
         # 1/4 <x+y, x-y>^2 + 1/2 (||y||^2 + 1) ||x-y||^2, a sum of
         # nonnegative terms
-        _check_pair(x, y)
+        if x.shape != y.shape:
+            _check_pair(x, y)
         d = x - y
         s = float(np.dot(x + y, d))
         return 0.25 * s * s + 0.5 * (float(np.dot(y, y)) + 1.0) * float(np.dot(d, d))

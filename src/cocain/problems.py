@@ -141,7 +141,7 @@ def make_univariate(kind):
     if kind == "logquad":
 
         def g_value(x):
-            return float(np.sum(np.log1p(x * x)))
+            return float(np.log1p(x * x).sum())
 
         def g_grad(x):
             return 2.0 * x / (1.0 + x * x)
@@ -163,7 +163,7 @@ def make_univariate(kind):
         # 1/(1+e^x) = 0.5*(1 - tanh(x/2)) avoids exp overflow on either tail.
 
         def g_value(x):
-            return float(np.sum(0.5 * (1.0 - np.tanh(0.5 * x))))
+            return float((0.5 * (1.0 - np.tanh(0.5 * x))).sum())
 
         def g_grad(x):
             s = 0.5 * (1.0 - np.tanh(0.5 * x))
@@ -185,7 +185,7 @@ def make_univariate(kind):
     if kind == "abssincos":
 
         def g_value(x):
-            return float(np.sum(np.sin(x) + np.cos(x)))
+            return float((np.sin(x) + np.cos(x)).sum())
 
         def g_grad(x):
             return np.cos(x) - np.sin(x)
@@ -194,7 +194,7 @@ def make_univariate(kind):
             name="abssincos",
             dim=1,
             kernel=euclid,
-            f_value=lambda x: float(np.sum(np.abs(x))),
+            f_value=lambda x: float(np.abs(x).sum()),
             f_prox_step=lambda gh, gg, tau: soft_threshold(gh - tau * gg, tau),
             g_value=g_value,
             g_grad=g_grad,
@@ -243,7 +243,7 @@ def make_spurious2d(lam=0.5, rho=100.0, target=(1.0, 1.0)):
 
     def g_value(x):
         t = x - b
-        return float(lam * np.sum(np.log1p(rho * t * t)))
+        return float(lam * np.log1p(rho * t * t).sum())
 
     def g_grad(x):
         t = x - b
@@ -256,7 +256,7 @@ def make_spurious2d(lam=0.5, rho=100.0, target=(1.0, 1.0)):
         name="spurious2d",
         dim=2,
         kernel=EuclideanKernel(),
-        f_value=lambda x: float(np.sum(np.log1p(np.abs(x)))),
+        f_value=lambda x: float(np.log1p(np.abs(x)).sum()),
         f_prox_step=f_prox_step,
         g_value=g_value,
         g_grad=g_grad,
@@ -355,7 +355,7 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
 
     reg = reg.lower()
     if reg == "l1":
-        f_value = lambda x: lam * float(np.sum(np.abs(x)))
+        f_value = lambda x: lam * float(np.abs(x).sum())
         f_prox = lambda gh, gg, tau: bpg_step_l1_quartic(gh, gg, tau, lam)
     elif reg == "sql2":
         f_value = lambda x: lam * float(np.dot(x, x))
@@ -493,7 +493,7 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
         d1 += d2
         d1 *= rho
         np.log1p(d1, out=d1)
-        return float(lam * np.sum(d1))
+        return float(lam * d1.sum())
 
     def g_grad(x):
         d1, d2 = finite_difference(x.reshape(shape))
@@ -513,11 +513,11 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
             r = np.subtract(x, b)  # one buffer for |x - b| and its log1p
             np.abs(r, out=r)
             np.log1p(r, out=r)
-            return float(np.sum(r))
+            return float(r.sum())
         f_prox = lambda gh, gg, tau: prox_log1abs_vec(gh - tau * gg, tau, center=b)
         alpha = -1.0
     elif data_term == "l1":
-        f_value = lambda x: float(np.sum(np.abs(x - b)))
+        f_value = lambda x: float(np.abs(x - b).sum())
         f_prox = lambda gh, gg, tau: b + soft_threshold(gh - tau * gg - b, tau)
         alpha = 0.0
     elif data_term == "sql2":

@@ -37,8 +37,8 @@ Solvers, by trace name:
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -126,9 +126,8 @@ class SolverConfig:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One row of a solver trace.
+class TraceRecord(NamedTuple):
+    """One row of a solver trace, an immutable named tuple.
 
     Record k (1-based) describes the state entering general step k plus the
     parameters accepted during it: psi is Psi(x^k), dh_prev_curr is
@@ -157,15 +156,15 @@ class TraceRecord:
 
 # Fields compared for bit-identity between traces: all but the iterate
 # copies and wall_time_ns, the one legitimately nondeterministic column.
-TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord)
-                     if f.name not in ("wall_time_ns", "x", "y"))
+TRACE_FIELDS = tuple(name for name in TraceRecord._fields
+                     if name not in ("wall_time_ns", "x", "y"))
 
 
 def replace_record(records, k, **changes):
     """Copy of `records` with record k's fields overridden (for negative
     controls that corrupt an otherwise valid trace)."""
     out = list(records)
-    out[k] = replace(out[k], **changes)
+    out[k] = out[k]._replace(**changes)
     return out
 
 
@@ -326,6 +325,12 @@ def _fixed_majorant(L, problem):
     return majorant
 
 
+def _norm(d):
+    """||d|| for a 1-D float array, as np.linalg.norm computes it (the
+    square root of d.d) without its Python-level dispatch."""
+    return math.sqrt(float(np.dot(d, d)))
+
+
 def _maybe_copy(x, store):
     return np.copy(x) if store else None
 
@@ -395,7 +400,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
                 reason = f"{ladder} ladder ran out at iteration {k}"
                 break
             psi_next = problem.f_value(upper[2]) + upper[3].value
-            if not np.isfinite(psi_next):
+            if not math.isfinite(psi_next):
                 raise FloatingPointError("objective became non-finite")
         except ArithmeticError as exc:
             termination, reason = TERM_NON_FINITE, f"{exc} at iteration {k}"
@@ -406,7 +411,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         record = TraceRecord(
             k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
             L_lower=L_lower, dh_prev_curr=dh_prev_curr, dh_curr_y=dh_curr_y,
-            step_norm=float(np.linalg.norm(x_curr - x_prev)),
+            step_norm=_norm(x_curr - x_prev),
             lower_trials=lower_trials, upper_trials=upper_trials,
             wall_time_ns=time.perf_counter_ns() - tick,
             x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
@@ -415,7 +420,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         if callback is not None:
             callback(record)
 
-        step_inf = float(np.max(np.abs(x_next - x_curr)))
+        step_inf = float(np.abs(x_next - x_curr).max())
         x_prev, x_curr = x_curr, x_next
         g_prev, g_curr, psi_curr = g_curr, g_next, psi_next
         if step_inf < config.stop_tol:
@@ -426,7 +431,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     records.append(TraceRecord(
         k=iterations + 1, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar,
         L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr),
-        dh_curr_y=0.0, step_norm=float(np.linalg.norm(x_curr - x_prev)),
+        dh_curr_y=0.0, step_norm=_norm(x_curr - x_prev),
         lower_trials=0, upper_trials=0, wall_time_ns=0,
         x=_maybe_copy(x_curr, store), y=None,
     ))

@@ -16,6 +16,7 @@ import os
 import pytest
 
 from cocain import cli, diagnostics, kernels, solvers
+from cocain.problems import make_univariate
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -70,6 +71,29 @@ def test_audit_calls_exist():
     assert isinstance(solvers.TERM_BACKTRACK_FAILURE, str)
     assert set(workloads.AUDITED_SOLVERS) <= set(cli.SOLVERS)
     assert callable(cli.main)
+
+
+@pytest.mark.parametrize("store", [False, True])
+def test_run_attributes_the_benchmark_reads(store):
+    # perfbench/run.py reads these from every captured run and its records;
+    # a change of the record or result type fails here first
+    problem = make_univariate("logquad")
+    config = solvers.SolverConfig(max_iters=4, stop_tol=0.0,
+                                  store_iterates=store)
+    result = solvers.cocain_bpg(problem, config, [2.0])
+    assert result.solver in workloads.AUDITED_SOLVERS
+    assert result.iterations == 4 == len(result.records[1:-1])
+    assert result.termination == solvers.TERM_MAX_ITERS
+    assert result.final_psi == result.records[-1].psi
+    assert (result.config.delta, result.config.epsilon) == (0.99, 0.0099)
+    assert (result.records[0].x is not None) is store
+    for rec in result.records[1:-1]:
+        assert isinstance(rec.lower_trials, int) and rec.lower_trials >= 1
+        assert isinstance(rec.upper_trials, int) and rec.upper_trials >= 1
+    params = diagnostics.LyapunovParams(result.config.delta,
+                                        result.config.epsilon,
+                                        problem.psi_lower_bound)
+    assert diagnostics.check_lyapunov_descent(result.records, params).passed
 
 
 @pytest.mark.parametrize("iters", [None, 3])

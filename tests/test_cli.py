@@ -106,6 +106,40 @@ def test_run_trace_round_trips_exactly(tmp_path):
         assert float(row[2]) == max(float(row[1]) - ref, 0.0)
 
 
+def _reference_trace_csv(records, ref, compare_mode):
+    # the writer's former per-field form, kept as the reference
+    lines = [cli.CSV_HEADER]
+    for rec in records:
+        wall = 0 if compare_mode else rec.wall_time_ns
+        lines.append(",".join([
+            str(rec.k), cli._fmt(rec.psi), cli._fmt(max(rec.psi - ref, 0.0)),
+            cli._fmt(rec.tau), cli._fmt(rec.gamma), cli._fmt(rec.L_bar),
+            cli._fmt(rec.L_lower), cli._fmt(rec.dh_prev_curr),
+            cli._fmt(rec.dh_curr_y), cli._fmt(rec.step_norm),
+            str(rec.lower_trials), str(rec.upper_trials), str(wall),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("compare_mode", [False, True])
+def test_trace_csv_writes_the_reference_bytes(compare_mode):
+    result = cocain_bpg(make_univariate("logquad"),
+                        SolverConfig(max_iters=30, stop_tol=0.0), [2.0])
+    rec = result.records[1]
+    edge = [
+        rec._replace(k=31, psi=math.inf, tau=-math.inf, gamma=math.nan),
+        rec._replace(k=32, psi=-0.0, L_bar=1e-320, L_lower=-1e-320,
+                     dh_prev_curr=5e-324, dh_curr_y=1.7976931348623157e308),
+        rec._replace(k=33, psi=-math.inf, step_norm=0.1,
+                     wall_time_ns=2**63 - 1, lower_trials=60),
+        rec._replace(k=34, psi=math.nan, wall_time_ns=10**30),
+    ]
+    records = result.records + edge
+    for ref in (0.0, -0.0, 1e-320, result.records[-1].psi, math.inf):
+        assert (cli._trace_csv(records, ref, compare_mode)
+                == _reference_trace_csv(records, ref, compare_mode))
+
+
 def test_compare_mode_is_byte_stable(tmp_path):
     cfg = _write(tmp_path / "exp.ini", RUN_CONFIG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -364,8 +398,7 @@ solvers = bpg_fixed
 L = 0.7
 """)
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+    code = cli.main(["run", "--config", cfg, "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert "solver failure: bpg_fixed: cubic solve stalled" in err
@@ -396,9 +429,7 @@ def test_failed_run_keeps_the_other_runs(tmp_path, capsys):
     alone = _write(tmp_path / "alone.ini",
                    STALL_BUNDLE.format(solvers="cocain", extra=""))
     out, ref = tmp_path / "out", tmp_path / "ref"
-    with np.errstate(over="ignore"):
-        code = cli.main(["run", "--config", cfg, "--out", str(out),
-                         "--compare"])
+    code = cli.main(["run", "--config", cfg, "--out", str(out), "--compare"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("solver failure: bpg_fixed: cubic solve stalled")
@@ -419,13 +450,30 @@ def test_failed_run_keeps_the_other_runs(tmp_path, capsys):
     assert all(math.isfinite(float(row[1])) for row in rows)
 
 
+def test_overflow_leaves_one_stderr_line(tmp_path):
+    # the stalled run's iterate overflows numpy's dot first; only the
+    # solver failure line reaches stderr, from a fresh interpreter whose
+    # warnings no test harness captures
+    cfg = _write(tmp_path / "stall.ini", STALL_BUNDLE.format(
+        solvers="bpg_fixed", extra="[solver.bpg_fixed]\nL = 0.7\n"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "cocain.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "out"), "--compare"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stderr == ("solver failure: bpg_fixed: cubic solve stalled: "
+                           "s=inf, b=1.0, c=-1.0, t=0.0 at iteration 62\n")
+
+
 def test_fail_on_backtrack_does_not_downgrade_non_finite(tmp_path, capsys):
     cfg = _write(tmp_path / "both.ini", STALL_BUNDLE.format(
         solvers="bpg_fixed",
         extra="fail_on_backtrack = false\n[solver.bpg_fixed]\nL = 0.7\n"))
-    with np.errstate(over="ignore"):
-        code = cli.main(["run", "--config", cfg,
-                         "--out", str(tmp_path / "out")])
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
     assert capsys.readouterr().err.startswith("solver failure: bpg_fixed: ")
 
@@ -692,7 +740,9 @@ def test_sweep_set_delta_below_default_epsilon(tmp_path, monkeypatch):
 
 
 def test_sweep_backtrack_failure_exit_code(tmp_path, capsys):
-    # every run's ladder runs out; the sweep still writes its files
+    # the ladders of the starts at -15 and 15 run out at iteration 1 (the
+    # start at 0 is stationary and ends by step_tol); the sweep still
+    # writes its files, and counts the failed starts its averages hide
     out = tmp_path / "out"
     assert cli.main([
         "sweep", "--n-starts", "3", "--solvers", "cocain,bpg_wb",
@@ -700,7 +750,11 @@ def test_sweep_backtrack_failure_exit_code(tmp_path, capsys):
         "--out", str(out),
     ]) == 3
     assert capsys.readouterr().err == "backtracking failed in: cocain, bpg_wb\n"
-    assert (out / "sweep_summary.txt").exists()
+    summary = (out / "sweep_summary.txt").read_text().splitlines()
+    for name in ("cocain", "bpg_wb"):
+        at = summary.index(f"{name}_global_min_count = 0")
+        assert summary[at - 1] == f"{name}_average_final_psi = 9.8268747247607848"
+        assert summary[at + 1] == f"{name}_failed_starts = 2"
 
 
 @pytest.mark.parametrize("argv", [

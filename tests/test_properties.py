@@ -14,12 +14,14 @@ certificates each solver promises from its trace:
 cocain_nobt's constants are global and met with equality on some
 problems, so its per-iteration conditions are not checked to the audit's
 1e-12 slack; its Lyapunov descent is.  Every run must end in one of the
-four terminations with a finite Psi on every record.  A run that ends in a
-backtrack_failure or non_finite is a valid outcome, and its partial trace
-is held to the same certificates.  A second property holds the two
-reductions bit for bit: cocain with gamma_cap = 0 and ipiano with beta = 0
-reproduce bpg_wb.  iPiano never freezes its majorant, so the second
-reduction is checked on the examples that leave freeze_after unset.
+four terminations with a finite Psi on every record, and a run that
+stores its iterates must log each step_norm exactly as np.linalg.norm of
+x^k - x^{k-1}.  A run that ends in a backtrack_failure or non_finite is a
+valid outcome, and its partial trace is held to the same certificates.
+A second property holds the two reductions bit for bit: cocain with
+gamma_cap = 0 and ipiano with beta = 0 reproduce bpg_wb.  iPiano never
+freezes its majorant, so the second reduction is checked on the examples
+that leave freeze_after unset.
 
 The problem kind is a test parameter rather than a draw: Hypothesis grows
 most examples from earlier ones, so a drawn kind clusters (one kind got a
@@ -156,6 +158,10 @@ def test_sampled_runs_keep_their_certificates(kind, data):
     for name, run in runs.items():
         assert run.termination in TERMINATIONS, name
         assert np.all(np.isfinite([rec.psi for rec in run.records])), name
+        if run.records[0].x is not None:
+            # bit for bit what np.linalg.norm gives for the logged step
+            for prev, rec in zip(run.records, run.records[1:]):
+                assert rec.step_norm == float(np.linalg.norm(rec.x - prev.x)), name
     for name in ("cocain", "cfi", "cocain_nobt", "bpg_wb"):
         if name in runs:
             records = runs[name].records

@@ -30,6 +30,7 @@ from cocain.solvers import (
     TERM_MAX_ITERS,
     TERM_NON_FINITE,
     TERM_STEP_TOL,
+    TRACE_FIELDS,
     IterateState,
     SolverConfig,
     bpg_fixed,
@@ -41,6 +42,7 @@ from cocain.solvers import (
     find_gamma_cfi,
     ipiano,
     lower_backtrack,
+    replace_record,
 )
 from cocain.tol import leq
 from helpers import assert_traces_identical, quadratic_problem
@@ -250,6 +252,22 @@ def test_trace_layout():
     assert records[0].dh_prev_curr == 0.0 and records[0].step_norm == 0.0
     assert result.final_psi == records[-1].psi
     assert result.problem == "logquad"
+
+
+def test_trace_records_are_immutable():
+    result = cocain_bpg(make_univariate("logquad"),
+                        SolverConfig(max_iters=5, stop_tol=0.0), [3.0])
+    rec = result.records[2]
+    with pytest.raises(AttributeError):
+        rec.L_bar = 0.0
+    corrupted = replace_record(result.records, 2, L_bar=0.0, psi=-1.0)
+    assert (corrupted[2].L_bar, corrupted[2].psi) == (0.0, -1.0)
+    assert corrupted[2]._replace(L_bar=rec.L_bar, psi=rec.psi) == rec
+    assert result.records[2] is rec and rec.L_bar > 0.0
+    assert all(a is b for a, b in zip(corrupted[:2], result.records[:2]))
+    assert TRACE_FIELDS == (
+        "k", "psi", "tau", "gamma", "L_bar", "L_lower", "dh_prev_curr",
+        "dh_curr_y", "step_norm", "lower_trials", "upper_trials")
 
 
 def test_stored_iterates_reproduce_logged_quantities():
