@@ -127,84 +127,58 @@ class CompositeProblem:
 # univariate test functions
 
 
+def _sigmoid_grad(x):
+    s = 0.5 * (1.0 - np.tanh(0.5 * x))
+    return -s * (1.0 - s)
+
+
+# kind: (g, grad g, whether f = |x| (else f = 0), smad_L, psi_lower_bound,
+# global minimum of psi)
+UNIVARIATE_KINDS = {
+    "logquad": (lambda x: float(np.log1p(x * x).sum()),
+                lambda x: 2.0 * x / (1.0 + x * x), False, 2.0, 0.0, 0.0),
+    # 1/(1+e^x) = 0.5*(1 - tanh(x/2)) avoids exp overflow on either tail.
+    "sigmoid": (lambda x: float((0.5 * (1.0 - np.tanh(0.5 * x))).sum()),
+                _sigmoid_grad, False, 0.1, 0.0, 0.0),
+    "abssincos": (lambda x: float((np.sin(x) + np.cos(x)).sum()),
+                  lambda x: np.cos(x) - np.sin(x), True, math.sqrt(2.0),
+                  -math.sqrt(2.0), 0.5 * math.pi - 1.0),
+}
+
+
 def make_univariate(kind):
     """One-dimensional nonconvex test problems on the Euclidean kernel.
 
-    kind:
+    kind (a key of UNIVARIATE_KINDS):
       "logquad"   g(x) = log(1 + x^2), f = 0
       "sigmoid"   g(x) = 1/(1 + e^x), f = 0
       "abssincos" g(x) = sin(x) + cos(x), f(x) = |x|
     """
     kind = kind.lower()
-    euclid = EuclideanKernel()
-
-    if kind == "logquad":
-
-        def g_value(x):
-            return float(np.log1p(x * x).sum())
-
-        def g_grad(x):
-            return 2.0 * x / (1.0 + x * x)
-
-        return CompositeProblem(
-            name="logquad",
-            dim=1,
-            kernel=euclid,
-            f_value=lambda x: 0.0,
-            f_prox_step=lambda gh, gg, tau: gh - tau * gg,
-            g_value=g_value,
-            g_grad=g_grad,
-            smad_L=2.0,
-            sampling_box=(-15.0, 15.0),
-            meta={"global_psi": 0.0},
-        )
-
-    if kind == "sigmoid":
-        # 1/(1+e^x) = 0.5*(1 - tanh(x/2)) avoids exp overflow on either tail.
-
-        def g_value(x):
-            return float((0.5 * (1.0 - np.tanh(0.5 * x))).sum())
-
-        def g_grad(x):
-            s = 0.5 * (1.0 - np.tanh(0.5 * x))
-            return -s * (1.0 - s)
-
-        return CompositeProblem(
-            name="sigmoid",
-            dim=1,
-            kernel=euclid,
-            f_value=lambda x: 0.0,
-            f_prox_step=lambda gh, gg, tau: gh - tau * gg,
-            g_value=g_value,
-            g_grad=g_grad,
-            smad_L=0.1,
-            sampling_box=(-15.0, 15.0),
-            meta={"global_psi": 0.0},
-        )
-
-    if kind == "abssincos":
-
-        def g_value(x):
-            return float((np.sin(x) + np.cos(x)).sum())
-
-        def g_grad(x):
-            return np.cos(x) - np.sin(x)
-
-        return CompositeProblem(
-            name="abssincos",
-            dim=1,
-            kernel=euclid,
-            f_value=lambda x: float(np.abs(x).sum()),
-            f_prox_step=lambda gh, gg, tau: soft_threshold(gh - tau * gg, tau),
-            g_value=g_value,
-            g_grad=g_grad,
-            smad_L=math.sqrt(2.0),
-            psi_lower_bound=-math.sqrt(2.0),
-            sampling_box=(-15.0, 15.0),
-            meta={"global_psi": 0.5 * math.pi - 1.0},
-        )
-
-    raise ValueError(f"unknown univariate kind {kind!r}")
+    if kind not in UNIVARIATE_KINDS:
+        raise ValueError(f"unknown univariate kind {kind!r}")
+    g_value, g_grad, abs_f, smad_L, lower, global_psi = UNIVARIATE_KINDS[kind]
+    if abs_f:
+        # soft_threshold is read from the module at call time, so a wrapper
+        # installed there (perfbench's tracer) sees every call
+        f_value = lambda x: float(np.abs(x).sum())
+        f_prox = lambda gh, gg, tau: soft_threshold(gh - tau * gg, tau)
+    else:
+        f_value = lambda x: 0.0
+        f_prox = lambda gh, gg, tau: gh - tau * gg
+    return CompositeProblem(
+        name=kind,
+        dim=1,
+        kernel=EuclideanKernel(),
+        f_value=f_value,
+        f_prox_step=f_prox,
+        g_value=g_value,
+        g_grad=g_grad,
+        smad_L=smad_L,
+        psi_lower_bound=lower,
+        sampling_box=(-15.0, 15.0),
+        meta={"global_psi": global_psi},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ problem with a linear image evaluate the trials without a product.
 Solvers, by trace name:
   name         inertia rule                    majorant rule
   cocain       searched (`lower_backtrack`)    backtracked (`upper_backtrack`),
-                                               fixed from freeze_after on
+                                               frozen from freeze_after on
   cfi          searched, gamma in closed form  as cocain (quartic kernel only)
   bpg_wb       none (`_no_inertia`)            as cocain
   cocain_nobt  halved, L_lower = L             global L (`_fixed_majorant`)
   bpg_fixed    none                            fixed L (config.L, or smad_L)
-  ipiano       fixed beta (Euclidean only)     backtracked from x^k, prox at y
+  ipiano       fixed beta (Euclidean only)     as cocain, from x^k, prox at y
 """
 
 import math
@@ -68,7 +68,8 @@ class SolverConfig:
     first iteration, so the constant can relax one rung per iteration.
 
     freeze_after, when set, pins the majorant to max(current, problem.smad_L)
-    and the step size alongside it from that iteration on; the second phase
+    and the step size alongside it from that iteration on, in every solver
+    that backtracks its majorant (`upper_backtrack`); the second phase
     Lyapunov function is defined relative to such a frozen step size.
     store_iterates keeps copies of every iterate and base point on the trace
     (needed by the certificates that re-derive distances independently).
@@ -287,16 +288,23 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
     accepts once the majorant inequality g(x_next) <= g(y) + <grad g(y),
     x_next - y> + L_bar * D_h(x_next, y) holds.  Returns (L_bar, tau,
     x_next, g_next, trials), g_next the evaluation of g at x_next, or None
-    when no trial is accepted.
+    when no trial is accepted.  From config.freeze_after on it starts at
+    max(L_bar_prev, smad_L), where the inequality holds since L_bar * h - g
+    is convex, and returns the first rung untested, with 0 trials.
     """
     kernel = problem.kernel
     grad_h_centre = kernel.grad(y if centre is None else centre)
     grad_g_y = g_y.grad
     L_bar = state.L_bar_prev
+    frozen = config.freeze_after is not None and state.k >= config.freeze_after
+    if frozen:
+        L_bar = max(L_bar, problem.smad_L)
     for trial in range(1, config.max_backtracks + 1):
         tau = min(state.tau_prev, 1.0 / L_bar)
         x_next = problem.f_prox_step(grad_h_centre, grad_g_y, tau)
         g_next = problem.evaluate(x_next)
+        if frozen:
+            return L_bar, tau, x_next, g_next, 0
         rhs = (
             g_y.value
             + float(np.dot(grad_g_y, x_next - y))
@@ -442,8 +450,8 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
 
 
 def _cocain(name, problem, config, x0, callback, gamma_rule):
-    """Searched inertia (none when gamma_cap = 0) and a backtracked majorant,
-    fixed at max(L_bar, smad_L) from config.freeze_after on."""
+    """Searched inertia (none when gamma_cap = 0) and the backtracked
+    majorant, which freezes from config.freeze_after on."""
     if config.gamma_cap == 0.0:
         inertia = _no_inertia
     else:
@@ -451,9 +459,6 @@ def _cocain(name, problem, config, x0, callback, gamma_rule):
             return lower_backtrack(state, config, problem, gamma_rule)
 
     def majorant(state, y, g_y):
-        if config.freeze_after is not None and state.k >= config.freeze_after:
-            frozen = _fixed_majorant(max(state.L_bar_prev, problem.smad_L), problem)
-            return frozen(state, y, g_y)
         return upper_backtrack(state, y, g_y, config, problem)
 
     return _drive(name, problem, config, x0, callback, inertia, majorant)
@@ -544,8 +549,8 @@ def ipiano(problem, config, x0, *, callback=None):
     the extrapolated point y^k = x^k + beta (x^k - x^{k-1}), beta =
     config.beta; for f = 0 this is the classical heavy-ball update.  Only
     the majorant constant adapts, against the descent inequality between
-    x^k and x^{k+1}.  beta = 0 reproduces bpg_wb bitwise when freeze_after
-    is unset; this majorant is never frozen.
+    x^k and x^{k+1}, and freezes from config.freeze_after on as in
+    cocain_bpg.  beta = 0 reproduces bpg_wb bitwise.
     """
     if not isinstance(problem.kernel, EuclideanKernel):
         raise ValueError("ipiano is defined for the Euclidean kernel only")

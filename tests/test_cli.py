@@ -5,6 +5,7 @@ are always checked under --compare, which zeroes wall-clock fields and
 drops the timestamp so outputs are byte-stable functions of config + seed.
 """
 
+import ctypes
 import dataclasses
 import math
 import os
@@ -380,6 +381,26 @@ def test_blas_thread_count_does_not_change_outputs(tmp_path):
                         for name in sorted(os.listdir(out))})
     assert len(outputs[0]) == 3
     assert outputs[0] == outputs[1]
+
+
+def test_pin_blas_threads_sets_one_thread():
+    # the pin looks its symbol up by name and returns silently without it,
+    # so a numpy that renamed the symbol would unpin the traces unseen
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not scipy-openblas")
+    library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get_threads = library.scipy_openblas_get_num_threads64_
+    set_threads = library.scipy_openblas_set_num_threads64_
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    before = get_threads()
+    try:
+        set_threads(2)
+        cli._pin_blas_threads()
+        assert get_threads() == 1
+    finally:
+        set_threads(before)
 
 
 def test_stalled_prox_solve_exit_code(tmp_path, capsys):

@@ -19,9 +19,7 @@ stores its iterates must log each step_norm exactly as np.linalg.norm of
 x^k - x^{k-1}.  A run that ends in a backtrack_failure or non_finite is a
 valid outcome, and its partial trace is held to the same certificates.
 A second property holds the two reductions bit for bit: cocain with
-gamma_cap = 0 and ipiano with beta = 0 reproduce bpg_wb.  iPiano never
-freezes its majorant, so the second reduction is checked on the examples
-that leave freeze_after unset.
+gamma_cap = 0 and ipiano with beta = 0 reproduce bpg_wb.
 
 The problem kind is a test parameter rather than a draw: Hypothesis grows
 most examples from earlier ones, so a drawn kind clusters (one kind got a
@@ -184,6 +182,6 @@ def test_sampled_reductions_are_exact(kind, data):
     wb = bpg_wb(problem, config, x0).records
     assert_traces_identical(
         cocain_bpg(problem, replace(config, gamma_cap=0.0), x0).records, wb)
-    if isinstance(problem.kernel, EuclideanKernel) and config.freeze_after is None:
+    if isinstance(problem.kernel, EuclideanKernel):
         heavy_ball_off = ipiano(problem, replace(config, beta=0.0), x0)
         assert_traces_identical(heavy_ball_off.records, wb)

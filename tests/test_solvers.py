@@ -544,10 +544,12 @@ def test_ipiano_heavy_ball_recursion():
 # frozen second phase
 
 
-def test_freeze_after_pins_majorant_and_skips_search():
+@pytest.mark.parametrize("solver", [cocain_bpg, bpg_wb, ipiano],
+                         ids=lambda solver: solver.__name__)
+def test_freeze_after_pins_majorant_and_skips_search(solver):
     problem = make_univariate("logquad")
     cfg = SolverConfig(freeze_after=3, max_iters=12, stop_tol=0.0)
-    result = cocain_bpg(problem, cfg, [13.0])
+    result = solver(problem, cfg, [13.0])
     records = result.records
     assert result.iterations == 12
     for k in range(1, 13):
