@@ -20,6 +20,7 @@ from .problems import (
     CompositeProblem,
     Evaluation,
     PhaseRetrievalData,
+    RowsEvaluation,
     add_outlier_noise,
     finite_difference,
     finite_difference_adjoint,
@@ -71,7 +72,7 @@ __all__ = [
     "prox_log1abs", "prox_log1abs_vec", "soft_threshold",
     "solve_monotone_cubic",
     "CompositeProblem", "Evaluation", "PhaseRetrievalData",
-    "add_outlier_noise",
+    "RowsEvaluation", "add_outlier_noise",
     "finite_difference", "finite_difference_adjoint",
     "generate_phase_retrieval", "make_phase_retrieval",
     "make_robust_denoising", "make_spurious2d", "make_univariate",

@@ -194,6 +194,18 @@ def check_prefix_bound(records, params):
                    min_gap=float(gaps.min(initial=math.inf)))
 
 
+def _audit_blocks(records):
+    """The iterations 1..N-1 of a trace in blocks of AUDIT_BLOCK: for each
+    block of iterations start..stop-1, the slice of their rows counted
+    from 0, the lists of the stored x^{start-1..stop} and y^{start..stop-1},
+    and their stacks."""
+    for start in range(1, len(records) - 1, AUDIT_BLOCK):
+        stop = min(start + AUDIT_BLOCK, len(records) - 1)
+        xs = [rec.x for rec in records[start - 1:stop + 1]]
+        ys = [rec.y for rec in records[start:stop]]
+        yield slice(start - 1, stop - 1), xs, ys, np.array(xs), np.array(ys)
+
+
 def check_acceptance_conditions(records, problem, params):
     """Recompute the three per-iteration inequalities from stored iterates.
 
@@ -212,48 +224,45 @@ def check_acceptance_conditions(records, problem, params):
     The conditions are the contract of the double-backtracking solvers;
     traces from other methods may legitimately fail them.
 
-    g is evaluated once per stored point: iteration k's g(x^{k+1}) is
-    iteration k+1's g(x^k), and each y^k once.  The records are walked in
-    blocks of AUDIT_BLOCK iterations, whose points go to
-    `problem.evaluate_rows` together (phase retrieval computes their images
-    with one matrix-matrix product per block, and takes no A^T product,
-    since both linear terms are `g_y.slope_to(g_x)`), so the audit holds
-    the evaluations of at most 2 * AUDIT_BLOCK + 1 points at a time.
+    The records are walked in blocks of AUDIT_BLOCK iterations.  A block
+    stacks its x^{k-1}..x^{k+1} and its y^k once, as rows, and takes every
+    column of its iterations in whole-stack passes: `kernel.bregman` on
+    two stacks gives one distance per row, with the bits of the call on
+    each pair.  g comes from one `problem.evaluate_rows` per block, which
+    evaluates each stored point once: a block's last x is carried into the
+    next, where it is the first.  Phase retrieval serves it from one image
+    product for the block's x's and one for its y's, and takes no A^T
+    product.  So the audit holds one block's stacks at a time, whatever
+    the trace length: the stored points and, for phase retrieval, a few
+    buffers of their images.
     """
-    tau, L_lower, L_bar, *logged = _columns(
-        records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
-        "step_norm")
+    tau, gamma, L_lower, L_bar, *logged = _columns(
+        records, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
+        "dh_curr_y", "step_norm")
     _require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
-    rows = []
-    carried = []  # the evaluation at the first x^k of the next block
-    for start in range(1, len(records) - 1, AUDIT_BLOCK):
-        stop = min(start + AUDIT_BLOCK, len(records) - 1)
-        # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
-        g_x = carried + problem.evaluate_rows(
-            [rec.x for rec in records[start + len(carried):stop + 1]])
-        g_y = problem.evaluate_rows([rec.y for rec in records[start:stop]])
-        carried = g_x[-1:]
-        for i, k in enumerate(range(start, stop)):
-            rec = records[k]
-            x_prev = records[k - 1].x
-            x_curr, y = rec.x, rec.y
-            x_next = records[k + 1].x
-            y_expected = x_curr + rec.gamma * (x_curr - x_prev)
-            rows.append((
-                kernel.bregman(x_prev, x_curr),
-                kernel.bregman(x_curr, y),
-                float(np.linalg.norm(x_curr - x_prev)),
-                float(np.max(np.abs(y - y_expected))),
-                g_y[i].value,
-                g_y[i].slope_to(g_x[i]),
-                g_x[i].value,
-                g_y[i].slope_to(g_x[i + 1]),
-                kernel.bregman(x_next, y),
-                g_x[i + 1].value,
-            ))
-    n = len(rows)
-    fresh = np.array(rows, dtype=float).reshape(n, 10).T
+    gamma = gamma[1:-1]
+    n = gamma.size
+    fresh = np.empty((10, n))
+    carry = None  # the previous block's evaluation of its last x
+    for rows, xs, ys, X, Y in _audit_blocks(records):
+        x_prev, x_curr, x_next = X[:-2], X[1:-1], X[2:]
+        step = x_curr - x_prev
+        y_expected = x_curr + gamma[rows, None] * step
+        g = problem.evaluate_rows(xs[1 if carry is None else 2:], ys, carry)
+        carry = g.carry
+        fresh[:, rows] = (
+            kernel.bregman(x_prev, x_curr),
+            kernel.bregman(x_curr, Y),
+            np.sqrt(np.vecdot(step, step)),  # the bits of np.linalg.norm
+            np.abs(Y - y_expected).max(axis=1),
+            g.g_y,
+            g.lin_curr,
+            g.g_x[:-1],
+            g.lin_next,
+            kernel.bregman(x_next, Y),
+            g.g_x[1:],
+        )
     (dh_prev_curr, dh_curr_y, _, _, g_y, lin_curr, g_curr, lin_next,
      dh_next_y, g_next) = fresh
     L_lower, L_bar = L_lower[1:-1], L_bar[1:-1]
@@ -493,18 +502,18 @@ def check_cfi_bound(records, problem):
 
     with Delta_k = x^k - x^{k-1}, from stored iterates.
     """
-    _columns(records)
+    (gamma,) = _columns(records, "gamma")
     _require_iterates(records, "check_cfi_bound")
     kernel = problem.kernel
-    excess = []
-    for k in range(1, len(records) - 1):
-        rec = records[k]
-        delta_vec = rec.x - records[k - 1].x
-        nd2 = float(np.dot(delta_vec, delta_vec))
-        xk2 = float(np.dot(rec.x, rec.x))
-        rhs = rec.gamma ** 2 * nd2 * (1.5 * xk2 + 1.75) + CFI_SLACK
-        excess.append(kernel.bregman(rec.x, rec.y) - rhs)
-    return _report("cfi_bound", np.array(excess, dtype=float), 0.0)
+    gamma2 = _squared(gamma[1:-1])
+    excess = np.empty(gamma2.size)
+    for rows, _, _, X, Y in _audit_blocks(records):
+        x_curr = X[1:-1]
+        step = x_curr - X[:-2]
+        rhs = (gamma2[rows] * np.vecdot(step, step)
+               * (1.5 * np.vecdot(x_curr, x_curr) + 1.75) + CFI_SLACK)
+        excess[rows] = kernel.bregman(x_curr, Y) - rhs
+    return _report("cfi_bound", excess, 0.0)
 
 
 def summarize(result, problem, params=None):

@@ -14,13 +14,15 @@ point whose value and gradient are each computed at most once.  By default
 it calls g_value and g_grad lazily; a problem whose two oracles share work
 supplies its own through `g_eval` (phase retrieval computes Ax once, and
 evaluates extrapolated points from the images it already has).  The audit
-of stored iterates reads g through `problem.evaluate_rows(points)`, which a
-problem may serve with one product for the whole block (`g_eval_rows`).
+of stored iterates reads g a block of iterations at a time through
+`problem.evaluate_rows(xs, ys, carry)`, one `RowsEvaluation` of row
+values and linear terms per block, which a problem may serve with
+products over the whole block (`g_eval_rows`).
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,6 +73,19 @@ class Evaluation:
         return float(np.dot(self.grad, base._arg - self._arg))
 
 
+class RowsEvaluation(NamedTuple):
+    """g over one block of stored iterates, row by row: g_x[i] = g(x^i)
+    for i = 0..n, g_y[i] = g(y^i), lin_curr[i] = <grad g(y^i), x^i - y^i>
+    and lin_next[i] = <grad g(y^i), x^{i+1} - y^i> for i = 0..n-1.
+    `carry` is what the next block takes of x^n in place of the point."""
+
+    g_x: np.ndarray
+    g_y: np.ndarray
+    lin_curr: np.ndarray
+    lin_next: np.ndarray
+    carry: object
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     """Oracle bundle for minimizing Psi = f + g over R^dim.
@@ -87,9 +102,9 @@ class CompositeProblem:
 
     g_eval(x), when set, returns the `Evaluation` of g at x, whose value
     and grad must agree bit for bit with g_value and g_grad; evaluate(x)
-    falls back to those two otherwise.  g_eval_rows(points), when set,
-    returns the evaluations at a block of points, computed together; they
-    agree with g_eval up to rounding only.
+    falls back to those two otherwise.  g_eval_rows(xs, ys, carry), when
+    set, serves evaluate_rows from products over the whole block; its rows
+    agree with the per-point evaluations up to rounding only.
     """
 
     name: str
@@ -113,11 +128,23 @@ class CompositeProblem:
             return Evaluation(self.g_value, self.g_grad, x)
         return self.g_eval(x)
 
-    def evaluate_rows(self, points):
-        """g at each of `points`, as a list of `Evaluation`s."""
-        if self.g_eval_rows is None:
-            return [self.evaluate(x) for x in points]
-        return self.g_eval_rows(points)
+    def evaluate_rows(self, xs, ys, carry=None):
+        """g over a block of stored iterates as a `RowsEvaluation`: xs
+        holds the points x^0..x^n, or x^1..x^n after the `carry` of the
+        previous block's last x, and ys the points y^0..y^{n-1}.  By
+        default the rows are read from one `Evaluation` per point."""
+        if self.g_eval_rows is not None:
+            return self.g_eval_rows(xs, ys, carry)
+        g_x = [] if carry is None else [carry]
+        g_x += map(self.evaluate, xs)
+        g_y = list(map(self.evaluate, ys))
+        return RowsEvaluation(
+            np.fromiter((ev.value for ev in g_x), float),
+            np.fromiter((ev.value for ev in g_y), float),
+            np.fromiter((ev.slope_to(x) for ev, x in zip(g_y, g_x)), float),
+            np.fromiter((ev.slope_to(x) for ev, x in zip(g_y, g_x[1:])),
+                        float),
+            g_x[-1])
 
     def psi(self, x):
         return self.f_value(x) + self.g_value(x)
@@ -305,13 +332,17 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
         """g from the image r = Ax of its point.  An extrapolated point's
         image is the same extrapolation of r, and <grad g(y), x - y> =
         <t_y * r_y, r_x - r_y>, so neither method multiplies by A; both
-        agree with a fresh evaluation up to rounding only."""
+        agree with a fresh evaluation up to rounding only.  No method
+        refers to A, even through value, grad or at_image: a class is
+        cyclic garbage, and A must go with the problem, not wait for the
+        collector."""
 
         __slots__ = ()
 
         def extrapolated(self, prev, gamma, y):
             r = self._arg[0]
-            return at_image(r + gamma * (r - prev._arg[0]))
+            r = r + gamma * (r - prev._arg[0])
+            return type(self)(self._value_fn, self._grad_fn, (r, r * r - b2))
 
         def slope_to(self, base):
             r, t = self._arg
@@ -323,9 +354,28 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     def g_eval(x):
         return at_image(A @ x)
 
-    def g_eval_rows(points):
-        # the images of a block of points from one matrix-matrix product
-        return [at_image(r) for r in np.array(points) @ A.T]
+    def g_eval_rows(xs, ys, carry):
+        # PhaseEvaluation's expressions row by row, from one matrix-matrix
+        # product for the images R of the x's, written behind the carried
+        # image of the first, and one for the images S of the y's
+        R = np.empty((len(xs) + (carry is not None), m))
+        if carry is not None:
+            R[0] = carry
+        np.matmul(xs, A.T, out=R[len(R) - len(xs):])
+        S = np.matmul(ys, A.T)
+        T = R * R
+        T -= b2
+        g_x = 0.25 * np.vecdot(T, T)
+        T = np.multiply(S, S, out=T[:len(S)])
+        T -= b2
+        g_y = 0.25 * np.vecdot(T, T)
+        # grad g(y) = A^T (T * S), so both linear terms come from the
+        # images, with no A^T product
+        T *= S
+        D = R[:-1] - S
+        lin_curr = np.vecdot(T, D)
+        lin_next = np.vecdot(T, np.subtract(R[1:], S, out=D))
+        return RowsEvaluation(g_x, g_y, lin_curr, lin_next, R[-1].copy())
 
     reg = reg.lower()
     if reg == "l1":

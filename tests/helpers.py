@@ -1,11 +1,16 @@
 """Builders and comparison helpers shared across test modules."""
 
+import dataclasses
+import struct
+
 import numpy as np
 
+from cocain import diagnostics as diag
 from cocain.kernels import EuclideanKernel
 from cocain.problems import CompositeProblem
 from cocain.prox import TIE_TOL
 from cocain.solvers import TRACE_FIELDS
+from cocain.tol import CONDITION_SLACK, violation
 
 
 def quadratic_problem(diag, name="quadratic"):
@@ -64,3 +69,118 @@ def assert_traces_identical(a, b):
             assert (va is None) == (vb is None), f"record {ra.k}: {name} storage"
             if va is not None:
                 assert np.array_equal(va, vb), f"record {ra.k}: {name} differs"
+
+
+class _ImageEvaluation:
+    """g of phase retrieval at one point from its image r = Ax, with the
+    per-point expressions: g = (1/4)<t, t> and <grad g(y), x - y> =
+    <t_y * r_y, r_x - r_y>, with t = r * r - b^2."""
+
+    def __init__(self, r, b2):
+        self.r, self.t = r, r * r - b2
+
+    @property
+    def value(self):
+        return 0.25 * float(np.dot(self.t, self.t))
+
+    def slope_to(self, base):
+        return float(np.dot(self.t * self.r, base.r - self.r))
+
+
+def _reference_rows(problem, points):
+    """The evaluations of a block of points: one `problem.evaluate` per
+    point, or on phase retrieval (`g_eval_rows` set) the images of the
+    whole block from one product."""
+    if problem.g_eval_rows is None:
+        return [problem.evaluate(x) for x in points]
+    data = problem.meta["data"]
+    b2 = data.b * data.b
+    return [_ImageEvaluation(r, b2) for r in np.array(points) @ data.A.T]
+
+
+def reference_acceptance_conditions(records, problem, params):
+    """`diag.check_acceptance_conditions` as a loop over the iterations:
+    one kernel call, norm and dot product per distance, step and linear
+    term of each iteration, and g from per-point evaluations of each
+    block's points.  The audit stacks each block's rows instead; this form
+    is the reference its reports are held to, bit for bit."""
+    tau, L_lower, L_bar, *logged = diag._columns(
+        records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
+        "step_norm")
+    diag._require_iterates(records, "check_acceptance_conditions")
+    kernel = problem.kernel
+    rows = []
+    carried = []  # the evaluation at the first x^k of the next block
+    for start in range(1, len(records) - 1, diag.AUDIT_BLOCK):
+        stop = min(start + diag.AUDIT_BLOCK, len(records) - 1)
+        # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
+        g_x = carried + _reference_rows(
+            problem, [rec.x for rec in records[start + len(carried):stop + 1]])
+        g_y = _reference_rows(problem, [rec.y for rec in records[start:stop]])
+        carried = g_x[-1:]
+        for i, k in enumerate(range(start, stop)):
+            rec = records[k]
+            x_prev = records[k - 1].x
+            x_curr, y = rec.x, rec.y
+            x_next = records[k + 1].x
+            y_expected = x_curr + rec.gamma * (x_curr - x_prev)
+            rows.append((
+                kernel.bregman(x_prev, x_curr),
+                kernel.bregman(x_curr, y),
+                float(np.linalg.norm(x_curr - x_prev)),
+                float(np.max(np.abs(y - y_expected))),
+                g_y[i].value,
+                g_y[i].slope_to(g_x[i]),
+                g_x[i].value,
+                g_y[i].slope_to(g_x[i + 1]),
+                kernel.bregman(x_next, y),
+                g_x[i + 1].value,
+            ))
+    n = len(rows)
+    fresh = np.array(rows, dtype=float).reshape(n, 10).T
+    (dh_prev_curr, dh_curr_y, _, _, g_y, lin_curr, g_curr, lin_next,
+     dh_next_y, g_next) = fresh
+    L_lower, L_bar = L_lower[1:-1], L_bar[1:-1]
+    worst = {
+        name: diag._worst(v, 1) for name, v in (
+            ("inertia", violation(
+                (1.0 + L_lower * tau[:-2]) * dh_curr_y,
+                (params.delta - params.epsilon) * dh_prev_curr)),
+            ("minorant", violation(g_y + lin_curr - L_lower * dh_curr_y,
+                                        g_curr)),
+            ("majorant", violation(g_next,
+                                        g_y + lin_next + L_bar * dh_next_y)),
+        )
+    }
+    logged = np.array([col[1:-1] for col in logged] + [np.zeros(n)])
+    dev = np.maximum(violation(logged, fresh[:4]),
+                     violation(fresh[:4], logged))
+    cross, cross_k = diag._worst(dev.max(axis=0), 1)
+    worst_all, worst_k = max(worst.values(), key=lambda pair: pair[0])
+    return diag.CheckReport(
+        name="acceptance_conditions",
+        passed=(worst_all <= CONDITION_SLACK
+                and cross <= diag.CROSS_CHECK_TOL),
+        n_checked=n,
+        worst_violation=worst_all,
+        worst_index=worst_k,
+        details={
+            **{name: value for name, (value, _) in worst.items()},
+            "per_condition_index": {name: k for name, (_, k) in worst.items()},
+            "cross_validation": cross,
+            "cross_validation_index": cross_k,
+        },
+    )
+
+
+def report_bits(report):
+    """A `CheckReport` as a dict in which every float is its bit pattern,
+    so that -0.0, 0.0 and two NaNs compare by their bits."""
+    def bits(value):
+        if isinstance(value, dict):
+            return {key: bits(item) for key, item in value.items()}
+        if isinstance(value, float):
+            return struct.unpack("<q", struct.pack("<d", value))[0]
+        return value
+
+    return bits(dataclasses.asdict(report))

@@ -10,7 +10,10 @@ trial counts: a counting wrapper around the phase-retrieval evaluation
 books one A product per `g_eval` call (an extrapolated evaluation makes
 none) and one A^T product per gradient first read.  The audit of stored
 iterates evaluates them in blocks through `g_eval_rows`: one image per
-stored point, computed together, and no A^T product.
+stored point, computed together, and no A^T product.  Its report must
+equal, float bits included, that of the per-iteration reference loop in
+`helpers.py`, on healthy and broken traces and on a run that stops at its
+first iteration.
 """
 
 from dataclasses import replace
@@ -25,6 +28,7 @@ from cocain.problems import (
     make_phase_retrieval,
     make_robust_denoising,
 )
+from helpers import reference_acceptance_conditions, report_bits
 from test_traces import PROBLEMS, _broken
 
 
@@ -237,23 +241,31 @@ def test_frozen_majorant_evaluates_each_point_once():
 
 def _counting_rows(problem):
     """`_counting` with `g_eval_rows` counted too: one A image per point of
-    a block.  Returns the problem, the counts, and the list of every point
-    evaluated and of every block's size."""
+    a block, x's and y's, and one A^T per `g_grad` call.  Returns the
+    problem, the counts, and the list of every point evaluated and of the
+    size of every block of x's and of y's."""
     problem, counts = _counting(problem)
-    g_eval, g_eval_rows = problem.g_eval, problem.g_eval_rows
+    g_eval, g_grad = problem.g_eval, problem.g_grad
+    g_eval_rows = problem.g_eval_rows
     points, blocks = [], []
 
     def counted(x):
         points.append(x)
         return g_eval(x)
 
-    def counted_rows(block):
-        points.extend(block)
-        blocks.append(len(block))
-        counts["A"] += len(block)
-        return [_Counted(ev, counts) for ev in g_eval_rows(block)]
+    def counted_grad(x):
+        counts["AT"] += 1
+        return g_grad(x)
 
-    problem = replace(problem, g_eval=counted, g_eval_rows=counted_rows)
+    def counted_rows(xs, ys, carry):
+        for block in (xs, ys):
+            points.extend(block)
+            blocks.append(len(block))
+            counts["A"] += len(block)
+        return g_eval_rows(xs, ys, carry)
+
+    problem = replace(problem, g_eval=counted, g_grad=counted_grad,
+                      g_eval_rows=counted_rows)
     return problem, counts, points, blocks
 
 
@@ -308,3 +320,35 @@ def test_blocked_audit_matches_the_per_point_audit(problem_name):
         assert blocked[1] == pytest.approx(single[1], rel=1e-9, abs=0.0)
         assert blocked[2] == pytest.approx(single[2], rel=1e-9, abs=0.0)
     assert blocked[1] > 0.0  # the broken trace's excesses are compared
+
+
+@pytest.mark.parametrize("problem_name,rows", [
+    ("phase_retrieval40_l1", True), ("phase_retrieval40_sql2", True),
+    ("phase_retrieval40_l1", False), ("denoise64", False)])
+def test_stacked_audit_is_the_reference_loop(problem_name, rows):
+    problem, config, x0 = PROBLEMS[problem_name]()
+    if not rows:
+        problem = replace(problem, g_eval_rows=None)
+    result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
+                                   x0)
+    params = diag.LyapunovParams.from_run(result, problem)
+    for trace in (result.records, _broken(result.records)):
+        report = diag.check_acceptance_conditions(trace, problem, params)
+        assert report_bits(report) == report_bits(
+            reference_acceptance_conditions(trace, problem, params))
+    assert not report.passed  # the broken trace's excesses are compared
+
+
+@pytest.mark.parametrize("problem_name", ["logquad", "phase_retrieval"])
+def test_audit_of_a_run_that_fails_at_its_first_iteration(problem_name):
+    problem, config, x0 = PROBLEMS[problem_name]()
+    config = replace(config, L_bar_init=1e-8, max_backtracks=1,
+                     store_iterates=True)
+    result = cli.SOLVERS["cocain"](problem, config, x0)
+    assert result.termination == "backtrack_failure"
+    assert result.iterations == 0 and len(result.records) == 2
+    params = diag.LyapunovParams.from_run(result, problem)
+    report = diag.check_acceptance_conditions(result.records, problem, params)
+    assert report.n_checked == 0 and report.passed
+    assert report_bits(report) == report_bits(
+        reference_acceptance_conditions(result.records, problem, params))

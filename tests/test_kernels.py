@@ -195,6 +195,37 @@ def test_bregman_strong_convexity(kernel):
 def test_bregman_shape_mismatch_raises():
     with pytest.raises(ValueError):
         EUCLID.bregman(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        EUCLID.bregman(np.zeros((4, 2)), np.zeros((3, 2)))
+
+
+def _stacked_pairs(dim):
+    """Two (8, dim) stacks: random rows over six decades, rows of +0.0
+    against -0.0, rows holding +inf, -inf or NaN, and identical rows."""
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((8, dim)) * 10.0 ** rng.integers(-3, 4, (8, 1))
+    y = rng.standard_normal((8, dim))
+    x[2], y[2] = 0.0, -0.0
+    x[3, 0] = np.inf
+    y[4, -1] = -np.inf
+    x[5, dim // 2] = np.nan
+    y[6] = x[6]
+    x[7] = y[7] = -0.0
+    return x, y
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 500])
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_bregman_on_stacked_rows_is_the_call_on_each_row(kernel, dim):
+    x, y = _stacked_pairs(dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = kernel.bregman(x, y)
+        single = [kernel.bregman(a, b) for a, b in zip(x, y)]
+    assert all(type(d) is float for d in single)
+    assert rows.shape == (8,) and rows.dtype == np.float64
+    np.testing.assert_array_equal(rows.view(np.int64),
+                                  np.array(single).view(np.int64))
+    assert rows[6] == rows[7] == 0.0 and np.isnan(rows[5])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ objective is separable, its per-coordinate stationarity condition reduces to
 near zero was confirmed against a 1e-6-step grid argmin.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -245,6 +247,24 @@ def test_phase_retrieval_gradient_matches_fd():
     rng = np.random.default_rng(13)
     pts = [rng.uniform(-1.5, 1.5, 5) for _ in range(20)]
     _assert_grad_matches_fd(p, pts)
+
+
+def test_phase_retrieval_frees_its_matrix_without_the_collector():
+    # A is the largest array a run holds: reference counting alone must
+    # free it with the problem, or the next problem's A is built beside it
+    gc.collect()
+    gc.disable()
+    try:
+        data = generate_phase_retrieval(5, 20, seed=6)
+        problem = make_phase_retrieval(data, reg="l1", lam=0.1)
+        x = np.full(5, 0.5)
+        g_x = problem.evaluate(x)
+        g_x.extrapolated(problem.evaluate(-x), 0.5, 2.0 * x).grad
+        matrix = weakref.ref(data.A)
+        del data, problem, g_x
+        assert matrix() is None
+    finally:
+        gc.enable()
 
 
 def test_phase_retrieval_bad_inputs():

@@ -18,6 +18,8 @@ four terminations with a finite Psi on every record, and a run that
 stores its iterates must log each step_norm exactly as np.linalg.norm of
 x^k - x^{k-1}.  A run that ends in a backtrack_failure or non_finite is a
 valid outcome, and its partial trace is held to the same certificates.
+Each acceptance report must also equal, float bits included, the report
+of the per-iteration reference loop in `helpers.py`.
 A second property holds the two reductions bit for bit: cocain with
 gamma_cap = 0 and ipiano with beta = 0 reproduce bpg_wb.
 
@@ -68,7 +70,11 @@ from cocain.solvers import (  # noqa: E402
     cocain_bpg_no_backtracking,
     ipiano,
 )
-from helpers import assert_traces_identical  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_traces_identical,
+    reference_acceptance_conditions,
+    report_bits,
+)
 
 ITERS = 60
 
@@ -167,8 +173,12 @@ def test_sampled_runs_keep_their_certificates(kind, data):
             _assert_passes(check_prefix_bound(records, params), name)
     for name in ("cocain", "cfi", "bpg_wb"):
         if name in runs:
-            _assert_passes(check_acceptance_conditions(
-                runs[name].records, problem, params), name)
+            records = runs[name].records
+            report = check_acceptance_conditions(records, problem, params)
+            _assert_passes(report, name)
+            # the stacked audit is the per-iteration loop, bit for bit
+            assert report_bits(report) == report_bits(
+                reference_acceptance_conditions(records, problem, params)), name
     for name in ("bpg_wb", "bpg_fixed"):
         _assert_passes(check_function_descent(runs[name].records, problem),
                        name)
