@@ -49,6 +49,8 @@ from .solvers import (
 from .diagnostics import (
     CheckReport,
     LyapunovParams,
+    PROMISES,
+    certify,
     check_acceptance_conditions,
     check_cfi_bound,
     check_function_descent,
@@ -60,7 +62,6 @@ from .diagnostics import (
     frozen_phase_start,
     lyapunov_phi,
     subgradient_witness,
-    summarize,
 )
 
 __version__ = "0.1.0"
@@ -82,11 +83,10 @@ __all__ = [
     "TERM_MAX_ITERS", "TERM_NON_FINITE", "TERM_STEP_TOL",
     "bpg_fixed", "bpg_wb", "cocain_bpg", "cocain_bpg_cfi",
     "cocain_bpg_no_backtracking", "ipiano",
-    "CheckReport", "LyapunovParams",
+    "CheckReport", "LyapunovParams", "PROMISES", "certify",
     "check_acceptance_conditions", "check_cfi_bound",
     "check_function_descent", "check_lyapunov_descent",
     "check_objective_settling", "check_prefix_bound",
     "check_subgradient_bound", "check_sufficient_decrease",
     "frozen_phase_start", "lyapunov_phi", "subgradient_witness",
-    "summarize",
 ]

@@ -40,7 +40,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import verify as verify_mod
-from .diagnostics import summarize
 from .pgm import atomic_write, read_pgm, synthetic_blocks, write_pgm
 from .problems import (
     UNIVARIATE_KINDS,
@@ -350,20 +349,20 @@ def _bundle_files(problem, results, compare_mode, header_pairs):
     for name, res in results.items():
         csv_name = f"{problem.name}_{name}.csv"
         files[csv_name] = _trace_csv(res.records, ref, compare_mode)
-        run = summarize(res, problem)
         lines += [
             "", f"[{name}]",
-            f"final_psi = {_fmt(run['final_psi'])}",
+            f"final_psi = {_fmt(res.final_psi)}",
             f"best_psi = {_fmt(min(rec.psi for rec in res.records))}",
-            f"final_suboptimality = {_fmt(max(run['final_psi'] - ref, 0.0))}",
-            f"iterations = {run['iterations']}",
-            f"termination = {run['termination']}",
+            f"final_suboptimality = {_fmt(max(res.final_psi - ref, 0.0))}",
+            f"iterations = {res.iterations}",
+            f"termination = {res.termination}",
             *([f"reason = {res.reason}"] if res.reason else []),
-            f"lower_trials_total = {run['lower_trials']}",
-            f"upper_trials_total = {run['upper_trials']}",
+            f"lower_trials_total = {sum(r.lower_trials for r in res.records)}",
+            f"upper_trials_total = {sum(r.upper_trials for r in res.records)}",
         ]
         if not compare_mode:
-            lines.append(f"wall_time_s = {run['wall_time_s']:.3f}")
+            wall_ns = sum(r.wall_time_ns for r in res.records)
+            lines.append(f"wall_time_s = {wall_ns * 1e-9:.3f}")
         lines.append(f"trace = {csv_name}")
     files["summary.txt"] = "\n".join(lines) + "\n"
     return files

@@ -72,13 +72,13 @@ class EuclideanKernel(Kernel):
     name = "euclidean"
 
     def value(self, x):
-        return 0.5 * float(np.dot(x, x))
+        return 0.5 * _dot(x, x)
 
     def grad(self, x):
         return np.copy(x)
 
     def hess_quadratic_form(self, x, a):
-        return float(np.dot(a, a))
+        return _dot(a, a)
 
     def hess_vec(self, x, v):
         return np.copy(v)
@@ -108,18 +108,18 @@ class QuarticKernel(Kernel):
     name = "quartic"
 
     def value(self, x):
-        n2 = float(np.dot(x, x))
+        n2 = _dot(x, x)
         return 0.25 * n2 * n2 + 0.5 * n2
 
     def grad(self, x):
-        return (float(np.dot(x, x)) + 1.0) * x
+        return (_dot(x, x) + 1.0) * x
 
     def hess_quadratic_form(self, x, a):
-        ax = float(np.dot(a, x))
-        return ax * ax + 0.5 * float(np.dot(x, x)) * float(np.dot(a, a)) + 0.5 * float(np.dot(a, a))
+        ax = _dot(a, x)
+        return ax * ax + 0.5 * _dot(x, x) * _dot(a, a) + 0.5 * _dot(a, a)
 
     def hess_vec(self, x, v):
-        return (float(np.dot(x, x)) + 1.0) * v + 2.0 * float(np.dot(x, v)) * x
+        return (_dot(x, x) + 1.0) * v + 2.0 * _dot(x, v) * x
 
     def bregman(self, x, y):
         # 1/4 <x+y, x-y>^2 + 1/2 (||y||^2 + 1) ||x-y||^2, a sum of

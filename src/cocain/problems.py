@@ -70,7 +70,7 @@ class Evaluation:
 
     def slope_to(self, base):
         """<grad g(y), x - y>, y this evaluation's point and x base's."""
-        return float(np.dot(self.grad, base._arg - self._arg))
+        return float(self.grad.dot(base._arg - self._arg))
 
 
 class RowsEvaluation(NamedTuple):
@@ -322,7 +322,7 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     # g = (1/4)||t||^2 and grad g = A^T (t * r), with t = r * r - b^2.
     def value(rt):
         t = rt[1]
-        return 0.25 * float(np.dot(t, t))
+        return 0.25 * float(t.dot(t))
 
     def grad(rt):
         r, t = rt
@@ -346,7 +346,7 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
 
         def slope_to(self, base):
             r, t = self._arg
-            return float(np.dot(t * r, base._arg[0] - r))
+            return float((t * r).dot(base._arg[0] - r))
 
     def at_image(r):
         return PhaseEvaluation(value, grad, (r, r * r - b2))

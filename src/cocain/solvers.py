@@ -205,51 +205,57 @@ class IterateState:
     L_lower_prev: float
 
 
+def _base_point(state, gamma, kernel):
+    """(gamma, y, D_h(x^k, y)) for the base point y = x^k + gamma Delta,
+    Delta = x^k - x^{k-1}: what every gamma rule returns."""
+    y = state.x_curr + gamma * (state.x_curr - state.x_prev)
+    return gamma, y, kernel.bregman(state.x_curr, y)
+
+
 def _halve_gamma(state, scale, config, problem):
     """Halve g0 = min(gamma_cap, sqrt((delta-eps)/scale)) until
-    scale * D_h(x^k, y) <= (delta-eps) * D_h(x^{k-1}, x^k); g0 as is on the
-    Euclidean kernel, where that holds with equality-or-better.  gamma = 0
-    always verifies since the base point then collapses onto x^k."""
-    gamma = min(config.gamma_cap, math.sqrt((config.delta - config.epsilon) / scale))
+    scale * D_h(x^k, y) <= (delta-eps) * D_h(x^{k-1}, x^k).  On the
+    Euclidean kernel g0 meets it with equality in exact arithmetic, but
+    y - x^k cancels when |x^k| >> |Delta|, so g0 is tested there too.
+    gamma = 0 always verifies since the base point then collapses onto x^k."""
     kernel = problem.kernel
-    if isinstance(kernel, EuclideanKernel):
-        return gamma
+    gamma = min(config.gamma_cap, math.sqrt((config.delta - config.epsilon) / scale))
     bound = (config.delta - config.epsilon) * state.dh_prev_curr
     for _ in range(config.max_backtracks):
-        y = state.x_curr + gamma * (state.x_curr - state.x_prev)
-        if leq(scale * kernel.bregman(state.x_curr, y), bound):
-            return gamma
+        _, y, dh = _base_point(state, gamma, kernel)
+        if leq(scale * dh, bound):
+            return gamma, y, dh
         gamma *= 0.5
-    return 0.0
+    return _base_point(state, 0.0, kernel)
 
 
 def find_gamma(state, L_lower_candidate, config, problem):
-    """Largest extrapolation factor compatible with the inertia condition.
+    """Largest extrapolation factor compatible with the inertia condition,
+    as (gamma, y, D_h(x^k, y)).
 
     For the Euclidean kernel D_h(x^k, y) = gamma^2 * D_h(x^{k-1}, x^k), so
     gamma = min(gamma_cap, sqrt((delta-eps)/(1 + L_lower*tau_prev))) holds
-    with equality-or-better and is returned directly.  Other kernels start
-    from the same candidate and halve until the condition verifies.
+    with equality-or-better up to rounding.  Every kernel starts from that
+    candidate and halves until the condition verifies.
     """
     scale = 1.0 + L_lower_candidate * state.tau_prev
     return _halve_gamma(state, scale, config, problem)
 
 
 def find_gamma_cfi(state, L_lower_candidate, config, problem):
-    """Closed-form inertia for the quartic kernel.
+    """Closed-form inertia for the quartic kernel, as (gamma, y, D_h(x^k, y)).
 
     Uses the bound D_h(x^k, y) <= gamma^2 ||Delta||^2 ((3/2)||x^k||^2 + 7/4)
     with Delta = x^k - x^{k-1} to solve the inertia condition for gamma
-    directly instead of searching.  Delta = 0 returns 0.
+    directly instead of searching.  Delta = 0 gives gamma = 0.
     """
     delta_vec = state.x_curr - state.x_prev
-    nd2 = float(np.dot(delta_vec, delta_vec))
-    if nd2 == 0.0:
-        return 0.0
+    nd2 = float(delta_vec.dot(delta_vec))
     num = (config.delta - config.epsilon) * state.dh_prev_curr
-    xk2 = float(np.dot(state.x_curr, state.x_curr))
+    xk2 = float(state.x_curr.dot(state.x_curr))
     denom = (1.0 + L_lower_candidate * state.tau_prev) * nd2 * (1.5 * xk2 + 1.75)
-    return min(config.gamma_cap, math.sqrt(num / denom))
+    gamma = min(config.gamma_cap, math.sqrt(num / denom)) if nd2 else 0.0
+    return _base_point(state, gamma, problem.kernel)
 
 
 def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
@@ -257,21 +263,17 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
 
     Walks the ladder seed, seed*nu, seed*nu^2, ... and accepts the first
     constant whose extrapolated point satisfies the minorant inequality
-    g(x^k) >= g(y) + <grad g(y), x^k - y> - L_lower * D_h(x^k, y), with gamma
-    re-derived for each trial.  Returns (L_lower, gamma, y, g_y, dh_curr_y,
-    trials), g_y the evaluation of g at y and dh_curr_y = D_h(x^k, y), or
-    None when no trial is accepted.  Each trial's g_y is extrapolated from
-    the evaluations of x^k and x^{k-1}.
+    g(x^k) >= g(y) + <grad g(y), x^k - y> - L_lower * D_h(x^k, y), with
+    gamma, y and dh_curr_y = D_h(x^k, y) from gamma_rule for each trial.
+    Returns (L_lower, gamma, y, g_y, dh_curr_y, trials), g_y the evaluation
+    of g at y, or None when no trial is accepted.  Each trial's g_y is
+    extrapolated from the evaluations of x^k and x^{k-1}.
     """
-    kernel = problem.kernel
-    x_curr = state.x_curr
     g_curr = state.g_curr
     L_lo = max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
     for trial in range(1, config.max_backtracks + 1):
-        gamma = gamma_rule(state, L_lo, config, problem)
-        y = x_curr + gamma * (x_curr - state.x_prev)
+        gamma, y, dh_curr_y = gamma_rule(state, L_lo, config, problem)
         g_y = g_curr.extrapolated(state.g_prev, gamma, y)
-        dh_curr_y = kernel.bregman(x_curr, y)
         rhs = g_y.value + g_y.slope_to(g_curr) - L_lo * dh_curr_y
         if geq(g_curr.value, rhs):
             return L_lo, gamma, y, g_y, dh_curr_y, trial
@@ -307,7 +309,7 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
             return L_bar, tau, x_next, g_next, 0
         rhs = (
             g_y.value
-            + float(np.dot(grad_g_y, x_next - y))
+            + float(grad_g_y.dot(x_next - y))
             + L_bar * kernel.bregman(x_next, y)
         )
         if leq(g_next.value, rhs):
@@ -336,7 +338,7 @@ def _fixed_majorant(L, problem):
 def _norm(d):
     """||d|| for a 1-D float array, as np.linalg.norm computes it (the
     square root of d.d) without its Python-level dispatch."""
-    return math.sqrt(float(np.dot(d, d)))
+    return math.sqrt(float(d.dot(d)))
 
 
 def _maybe_copy(x, store):
@@ -504,8 +506,8 @@ def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
 
     Uses L = max(-alpha/((1-delta)*sigma), smad_L) for both constants and the
     fixed step tau = 1/L; the inertia condition then reads
-    (delta - eps) * D_h(x^{k-1}, x^k) >= 2 * D_h(x^k, y^k), solved in closed
-    form for the Euclidean kernel and by halving otherwise.  Lyapunov descent
+    (delta - eps) * D_h(x^{k-1}, x^k) >= 2 * D_h(x^k, y^k), solved by
+    halving from its Euclidean closed form (`_halve_gamma`).  Lyapunov descent
     is still certified per iteration.  L_bar_init is never read, so it is
     not checked against the barrier.
     """
@@ -518,9 +520,7 @@ def cocain_bpg_no_backtracking(problem, config, x0, *, callback=None):
 
     def inertia(state):
         # 1 + L * tau with tau = 1/L, written as the exact 2
-        gamma = _halve_gamma(state, 2.0, config, problem)
-        y = state.x_curr + gamma * (state.x_curr - state.x_prev)
-        dh_curr_y = problem.kernel.bregman(state.x_curr, y)
+        gamma, y, dh_curr_y = _halve_gamma(state, 2.0, config, problem)
         return L, gamma, y, problem.evaluate(y), dh_curr_y, 0
 
     return _drive("cocain_nobt", problem, config, x0, callback, inertia,

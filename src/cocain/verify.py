@@ -16,9 +16,9 @@ import numpy as np
 from . import prox
 from .diagnostics import (
     LyapunovParams,
+    certify,
     check_acceptance_conditions,
     check_lyapunov_descent,
-    check_prefix_bound,
 )
 from .kernels import (
     EuclideanKernel,
@@ -375,10 +375,8 @@ def _certified_run():
 
 
 def _check_certificates():
-    p, res, params = _certified_run()
-    ly = check_lyapunov_descent(res.records, params)
-    pb = check_prefix_bound(res.records, params)
-    ac = check_acceptance_conditions(res.records, p, params)
+    p, res, _ = _certified_run()
+    ly, pb, ac = certify(res, p)
     ok = bool(ly) and bool(pb) and bool(ac)
     return ok, (
         f"lyapunov worst margin {ly.worst_violation:.3e}, prefix ok={bool(pb)}, "

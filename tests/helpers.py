@@ -175,10 +175,13 @@ def reference_acceptance_conditions(records, problem, params):
 
 def report_bits(report):
     """A `CheckReport` as a dict in which every float is its bit pattern,
-    so that -0.0, 0.0 and two NaNs compare by their bits."""
+    so that -0.0, 0.0 and two NaNs compare by their bits, and every array
+    its dtype, shape and bytes."""
     def bits(value):
         if isinstance(value, dict):
             return {key: bits(item) for key, item in value.items()}
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
         if isinstance(value, float):
             return struct.unpack("<q", struct.pack("<d", value))[0]
         return value

@@ -73,6 +73,13 @@ def test_audit_calls_exist():
     assert callable(cli.main)
 
 
+def test_audited_solvers_are_those_promising_lyapunov_descent():
+    # the benchmark keeps its own copy of this column of the promise table
+    promised = {name for name, checks in diagnostics.PROMISES.items()
+                if "lyapunov_descent" in checks}
+    assert set(workloads.AUDITED_SOLVERS) == promised
+
+
 @pytest.mark.parametrize("store", [False, True])
 def test_run_attributes_the_benchmark_reads(store):
     # perfbench/run.py reads these from every captured run and its records;

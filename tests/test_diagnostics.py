@@ -11,9 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from cocain import cli
 from cocain import diagnostics as diag
 from cocain.diagnostics import (
+    PROMISES,
     LyapunovParams,
+    certify,
     check_acceptance_conditions,
     check_cfi_bound,
     check_function_descent,
@@ -25,7 +28,6 @@ from cocain.diagnostics import (
     frozen_phase_start,
     lyapunov_phi,
     subgradient_witness,
-    summarize,
 )
 from cocain.problems import (
     generate_phase_retrieval,
@@ -39,6 +41,7 @@ from cocain.solvers import (
     cocain_bpg,
     cocain_bpg_cfi,
     cocain_bpg_no_backtracking,
+    ipiano,
     replace_record,
 )
 from helpers import quadratic_problem
@@ -454,29 +457,31 @@ def test_cfi_bound_catches_understated_gamma(cfi_run):
 
 
 # ---------------------------------------------------------------------------
-# summaries
+# the promise table
 
 
-def test_summarize_keys(logquad_run):
-    problem, result, params = logquad_run
-    out = summarize(result, problem, params)
-    for key in (
-        "solver", "problem", "termination", "iterations", "final_psi",
-        "final_step_norm", "lower_trials", "upper_trials", "wall_time_s",
-        "lyapunov_descent", "lyapunov_worst_violation", "prefix_bound",
-        "acceptance_conditions", "conditions_worst_violation",
-    ):
-        assert key in out, key
-    assert out["lyapunov_descent"] and out["prefix_bound"]
-    assert out["acceptance_conditions"]
-    assert out["wall_time_s"] > 0.0
+def test_promises_cover_every_cli_solver():
+    assert set(PROMISES) == set(cli.SOLVERS)
 
 
-def test_summarize_without_params(abssincos_run):
+def test_certify_reports_the_promised_checks(logquad_run):
+    problem, result, _ = logquad_run
+    reports = certify(result, problem)
+    assert [r.name for r in reports] == list(PROMISES["cocain"])
+    assert all(reports)
+
+
+def test_certify_skips_acceptance_without_iterates(abssincos_run):
     problem, result, _ = abssincos_run
-    out = summarize(result, problem)
-    assert "lyapunov_descent" not in out
-    assert out["iterations"] == result.iterations
+    reports = certify(result, problem)
+    assert [r.name for r in reports] == ["lyapunov_descent", "prefix_bound"]
+    assert all(reports)
+
+
+def test_certify_holds_ipiano_to_nothing():
+    problem = make_univariate("logquad")
+    cfg = SolverConfig(max_iters=20, store_iterates=True)
+    assert certify(ipiano(problem, cfg, [3.0]), problem) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,10 @@ Each example draws one problem of the given kind (a univariate test
 function, the 2-D escape problem, phase retrieval l1/sql2 with d = 2..8,
 or a denoise grid 2..6 on a side with one of the three data terms), a
 start in the problem's sampling box and a solver config, runs 60
-iterations with stop_tol = 0 and stored iterates, and re-verifies the
-certificates each solver promises from its trace:
-
-  Lyapunov descent and prefix bound   cocain, cfi, cocain_nobt, bpg_wb
-  acceptance conditions               cocain, cfi, bpg_wb
-  function descent                    bpg_wb, bpg_fixed
-
-cocain_nobt's constants are global and met with equality on some
-problems, so its per-iteration conditions are not checked to the audit's
-1e-12 slack; its Lyapunov descent is.  Every run must end in one of the
+iterations with stop_tol = 0 and stored iterates, and re-verifies from
+its trace the certificates the solver promises (`diagnostics.certify`,
+which reads them from `diagnostics.PROMISES`).  cocain_nobt and bpg_fixed
+run without stored iterates.  Every run must end in one of the
 four terminations with a finite Psi on every record, and a run that
 stores its iterates must log each step_norm exactly as np.linalg.norm of
 x^k - x^{k-1}.  A run that ends in a backtrack_failure or non_finite is a
@@ -40,13 +34,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cocain.diagnostics import (  # noqa: E402
-    LyapunovParams,
-    check_acceptance_conditions,
-    check_function_descent,
-    check_lyapunov_descent,
-    check_prefix_bound,
-)
+from cocain.diagnostics import LyapunovParams, certify  # noqa: E402
 from cocain.kernels import EuclideanKernel, QuarticKernel  # noqa: E402
 from cocain.pgm import synthetic_blocks  # noqa: E402
 from cocain.problems import (  # noqa: E402
@@ -148,8 +136,6 @@ def _assert_passes(report, solver):
 @given(data=st.data())
 def test_sampled_runs_keep_their_certificates(kind, data):
     problem, config, x0 = _case(kind, data.draw)
-    params = LyapunovParams(config.delta, config.epsilon,
-                            problem.psi_lower_bound)
     unstored = replace(config, store_iterates=False)
     runs = {
         "cocain": cocain_bpg(problem, config, x0),
@@ -166,22 +152,14 @@ def test_sampled_runs_keep_their_certificates(kind, data):
             # bit for bit what np.linalg.norm gives for the logged step
             for prev, rec in zip(run.records, run.records[1:]):
                 assert rec.step_norm == float(np.linalg.norm(rec.x - prev.x)), name
-    for name in ("cocain", "cfi", "cocain_nobt", "bpg_wb"):
-        if name in runs:
-            records = runs[name].records
-            _assert_passes(check_lyapunov_descent(records, params), name)
-            _assert_passes(check_prefix_bound(records, params), name)
-    for name in ("cocain", "cfi", "bpg_wb"):
-        if name in runs:
-            records = runs[name].records
-            report = check_acceptance_conditions(records, problem, params)
+        for report in certify(run, problem):
             _assert_passes(report, name)
-            # the stacked audit is the per-iteration loop, bit for bit
-            assert report_bits(report) == report_bits(
-                reference_acceptance_conditions(records, problem, params)), name
-    for name in ("bpg_wb", "bpg_fixed"):
-        _assert_passes(check_function_descent(runs[name].records, problem),
-                       name)
+            if report.name == "acceptance_conditions":
+                # the stacked audit is the per-iteration loop, bit for bit
+                params = LyapunovParams.from_run(run, problem)
+                assert report_bits(report) == report_bits(
+                    reference_acceptance_conditions(run.records, problem,
+                                                    params)), name
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -11,7 +11,9 @@ verdict, index or worst violation by one ulp fails here, in the same way
 The grid: every CLI solver on the four small problems of
 `tests/test_traces.py` with stored iterates, one-iteration runs, runs with
 a frozen majorant, and copies of healthy traces with psi, tau, the logged
-distance or the stored base point corrupted at one record.
+distance or the stored base point corrupted at one record.  On every trace
+of the grid, `diagnostics.certify` must also give the reports of the
+checks it runs, called directly, bit for bit.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from cocain import cli
 from cocain import diagnostics as diag
 from cocain.problems import make_univariate
 from cocain.solvers import replace_record
-from helpers import quadratic_problem
+from helpers import quadratic_problem, report_bits
 from test_traces import PROBLEMS
 
 SOLVER_GRID = {
@@ -119,6 +121,10 @@ GRID = _grid()
 
 def _plain(value):
     """A value as plain Python data whose repr fixes every bit."""
+    if isinstance(value, diag.CheckReport):
+        return _plain((value.name, value.passed, value.n_checked,
+                       value.worst_violation, value.worst_index,
+                       value.details))
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, dict):
@@ -151,9 +157,6 @@ def _reports(problem, result):
         ("frozen5", lambda: k0),
         ("settling", lambda: diag.check_objective_settling(records)),
         ("cfi", lambda: diag.check_cfi_bound(records, problem)),
-        ("summary", lambda: {key: value for key, value
-                             in diag.summarize(result, problem, params).items()
-                             if key != "wall_time_s"}),
     ]
     for start in sorted({1, k0 or 1}):
         checks += [
@@ -169,10 +172,6 @@ def _reports(problem, result):
             outcome = check()
         except ValueError as exc:
             outcome = ("raises", str(exc))
-        if isinstance(outcome, diag.CheckReport):
-            outcome = (outcome.name, outcome.passed, outcome.n_checked,
-                       outcome.worst_violation, outcome.worst_index,
-                       outcome.details)
         out.append((name, _plain(outcome)))
     return out
 
@@ -184,81 +183,106 @@ def _digest(problem, result):
 # sha256 of the repr of every check's outcome on each trace of the grid
 PINNED = {
     'abssincos/cocain/freeze':
-        'd903ddcc1d7a264ac8aa2ca8256f33764be2de1b22de6f28b84ad221c0bd41c1',
+        'a83270d062d8e3eead81ef998f176fb9eea2bdce825abeb23a74a74042f32e83',
     'abssincos/cocain/gaps':
-        '4aae7c6f11b831e18f1bcb2bd15396eab7cfd436f169c5f1f63819a783657c59',
+        '44c3f2fe7459f02477c8059c49a3f69766f589d1a266f1ee112dcc69ac09ec77',
     'denoise/bpg_fixed':
-        '3d3773747f352c16dabfa01c6cfd3031b00364946e388e6c58cacfa240849b3d',
+        '4b644ea0f38d09e7658b9844a1a2cdf058ae6325800dc20c6c552ac5c39a176d',
     'denoise/bpg_wb':
-        'd0766d2a798255ee099cd53c11800b13c6692fd6133690a6ac7c557da465dc51',
+        'cbfa17b86f45a9eb20f2b7ba0c4d39d294ac85c12eb2771f54896a84768e02a4',
     'denoise/cocain':
-        '63648f0a896dbb6096b1290d8b2617f4a7b750ef0d3db04315d9ee6a8dec7009',
+        '9e63ee04a1f8358a6f31b92e34dc688914f15d8b32d1aabca440a5676e66dde8',
     'denoise/cocain_nobt':
-        '39b85892eb9e6a432790e1a7d9026ff5a6bbb995b77569f14ab527dbc77ee7d9',
+        '319876da22e064e20e63d14ddf98315beaa56b6c956fd9593e5d2aed25d24456',
     'denoise/ipiano':
-        'b7b1526832c95b2c7951d97b7b638411473ad78744671a5b301c728feb8a98cc',
+        '47aaa48fbd4a7698edf88746d3e365bb8dcecc354150365a4935e9a0db5127ed',
     'logquad/bpg_fixed':
-        '4bc8ecb5fb558e62bd732871b56643f916c321d0b19410d16420d7a6f136a926',
+        '2981210825560d422c99fdd05b3eefae8c863e3c4cd4175f9ea396d465a50650',
     'logquad/bpg_wb':
-        '79e7c0774690a25d46e0c3bf2626f408b9d04a1e57b4a7d24b1ecb4ff0c1965a',
+        '8ce454e941bb5752bdc0a0b8f385d1c69f94f1cc5539bafa3a83b39c2799e3e9',
     'logquad/cocain':
-        'eb2c26d858476b83154b2ffcdf15b31ff8a291bacbe1374cd1716201d37671bc',
+        'c768dabb17d6ed5cc633790d5daeef4d119da9dae9f154fa14d1becc9f2b3e2a',
     'logquad/cocain/1':
-        '20c3c109d05150ac1f2fc88d48ace68db9819844c866c584af287d59b647de9c',
+        'dc5fd93434e111fb5e315c338ceb9222b508dbce0be538d816071beab735fe88',
     'logquad/cocain/dh':
-        '445a8dd9bdd89865d4011acbd5bb864f7691f59d0c8449a934eab1796c7bdcb3',
+        'd0a5d3e5fdfa9f2a770530dfa2fcd92449fecb6e14360445f46da2c1dd276c4d',
     'logquad/cocain/psi':
-        '97524b7fa7616e183250a47a5e8698cee0d2b78b54869edd29106b99135cc3f3',
+        '0d709d1b7b73e77b35d48b2a529da1803355eea4e0c30e1b04dcd8e33023c91b',
     'logquad/cocain/tau':
-        'eb2c26d858476b83154b2ffcdf15b31ff8a291bacbe1374cd1716201d37671bc',
+        'c768dabb17d6ed5cc633790d5daeef4d119da9dae9f154fa14d1becc9f2b3e2a',
     'logquad/cocain/y':
-        'c87d4f1114d8e5077b3cae5547902df498ce5433d4d01704a01ae1e908bd98af',
+        'b28f302d8394c4445063686f660c8eb92572105061717cf40807ac0d8173120f',
     'logquad/cocain_nobt':
-        '3edeb4d1715e8a307b3a5a28366939a373d62cbdb21bb09f43081f102147f94f',
+        '5418d45af882ae08387aaf73800075e9917c30cb53ec1278b14369bafed68bcc',
     'logquad/ipiano':
-        'b5a097619c59ae5ff93e1a70c18b9f3e8babc0670ccef974bb1e9baa2663347c',
+        '78dc1a348c7ce4baaebe1e0137ff973d53abdefedb7cd1d519646abea7f4992a',
     'phase_retrieval/bpg_fixed':
-        '696458132617250324cbe9ff0c4d2c20f65f4e2e17e069737bc6778d805a899a',
+        '129c90904f5c1454771ad8fa48c9bf576d15ac9d267f6ec8cb54a0c7dffa1e48',
     'phase_retrieval/bpg_wb':
-        '0f5452eb3a2b58196b64ebe346e6e8926b1f28499512d6bd8cce1c50d1c9634c',
+        'e69f6daa2f85c1220c6d07eb4f6b4489ac253bd4f45182d7d3cc8653e942d003',
     'phase_retrieval/cfi':
-        'de0532b40aacbaf16cb5c6d69931fe277601ee0aec076fa539d91bec4ff4709c',
+        'dfa8bc36e60a759b9b92f6ba8f5a93e561d976d507263f42ec4413503ac9650d',
     'phase_retrieval/cfi/1':
-        '52fa5e72f9b72a4223feab57145a417c25d34d1e4c299ac44da8352458ba6336',
+        'aef1cdb628506f1c02e10d20f078843305556f2340764ecfe02ea76947836336',
     'phase_retrieval/cfi/gamma':
-        'eb014faeb77f2b193db16fb2d7b312c1a38eba87882f3b566a66a1e450f09339',
+        '66ef690f85f1ed03852848f36a4bf1916816b359f6055661a5b8b135aa3e0bd7',
     'phase_retrieval/cocain':
-        'e386b5001c471870405ce0382e3acb21ee25508e103fe1f2c7eac899b2f8fe46',
+        '566a8b4fbf64de0ea2880ece3b7984f05da80a788d47750bd7d487d0b3dd3804',
     'phase_retrieval/cocain/dh':
-        '6bf41af34bfdbfb6027ca33ee5c2e114c7b05c1c462c673193490cf91aff400e',
+        'e9af67c856a148c3f1e415a39f266c39491856b6b8d643f040b2109c300ea6bc',
     'phase_retrieval/cocain/psi':
-        '9113683d5049d7801907df206a129bc0edcfb1694718356262e4b9089141d1f0',
+        'de59c2238536cd9ae83c502a6db6053506bfcf050ddabe40955590cb8f4069a8',
     'phase_retrieval/cocain/tau':
-        '28b09ce0f4ec0534708da71b59890715713893db6572df91fd7046924962e608',
+        '9302027d71b9b77ab3bf2558dddd66ff73f6c59e4d74a10025649bfb128f7083',
     'phase_retrieval/cocain/y':
-        'dda29fa64910d286248ed9e4800d77023bcd15333dbdb2f81fcfb4259fa38943',
+        'bb8c1e1f7c5305bda8fb9bf1c7ffca1e2d9e057444c3232aa4eb497ddaf101ef',
     'phase_retrieval/cocain_nobt':
-        '9939afff4b40b2cb57ba08a4458bf1ad5177a8212522190505202dd8ec87cda6',
+        'bc5828e3ccafb340aed54ef909d7f30c907571c05f62a0f39384bdbf0c549176',
     'quadratic/cocain/freeze':
-        '20bfc634e27eabe7186952836a05b058b17885b1b47b09c8beb9b9f2567ac45a',
+        'd5cf038b27bee388762fc0c49b46d24d34957f5eae051b2f7f2c8a7b8219e2b9',
     'spurious2d/bpg_fixed':
-        'e39ef17b167e5da66628d578c614e9cbda294710d004f9c6e20d2a30f5d03a85',
+        'ab6fcfd914058f8da4946e926248732ec61a5df7bbf321efd6ca7fa566d0f0c8',
     'spurious2d/bpg_wb':
-        'f07704f0248ce8c25447f5b47fcd387fbd87f75f4f766c684f82e50e0c93a735',
+        '53a2119a4daef995059f4611f5899617801a4b53138fd5f48cae039a03dbdba4',
     'spurious2d/cocain':
-        'a1d6e45001645b97af654d4882f3b77d1d124cf28bbd0a734935a9352ee7a810',
+        'eeb9b7410812863279396d1071eff6875c6db0401d12f889f61ce7cb7abfb25b',
     'spurious2d/cocain/freeze':
-        '3c7980330d5c6d8e54aa7d7dc9d0a56b28a628c9a4a5992d5788efbddbcd8534',
+        'eeb9b7410812863279396d1071eff6875c6db0401d12f889f61ce7cb7abfb25b',
     'spurious2d/cocain_nobt':
-        '5de448eb65b003c118d141310585bcc53d5e431078da7d13615be19706a2c362',
+        'c962a997872060c0481f0a45a7a3d9a25e7a0d964cb161d937ee015d1daa4288',
     'spurious2d/ipiano':
-        'ee938bc0cd9e51eddad0ee9a959efee49ca93830e2ab15cd9debded41b5d0a7b',
+        '8504984e237b00caa729ab8f55db9fc4e1b0824159a6cf623e63b7ac7ae1ffb7',
 }
 
 
 @pytest.mark.parametrize("label", sorted(GRID))
 def test_reports_match_pinned_digest(label):
     assert _digest(*GRID[label]()) == PINNED[label]
+
+
+# each check certify runs, called directly, by report name
+DIRECT = {
+    "lyapunov_descent": lambda records, problem, params:
+        diag.check_lyapunov_descent(records, params),
+    "prefix_bound": lambda records, problem, params:
+        diag.check_prefix_bound(records, params),
+    "acceptance_conditions": diag.check_acceptance_conditions,
+    "function_descent": lambda records, problem, params:
+        diag.check_function_descent(records, problem),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GRID))
+def test_certify_is_the_promised_checks_bit_for_bit(label):
+    problem, result = GRID[label]()
+    records = result.records
+    params = diag.LyapunovParams.from_run(result, problem)
+    reports = diag.certify(result, problem)
+    assert [r.name for r in reports] == [
+        name for name in diag.PROMISES[result.solver]
+        if name != "acceptance_conditions" or records[0].x is not None]
+    assert [report_bits(r) for r in reports] == [
+        report_bits(DIRECT[r.name](records, problem, params)) for r in reports]
 
 
 def test_every_trace_is_pinned():

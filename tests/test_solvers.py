@@ -16,12 +16,16 @@ import pytest
 
 from cocain.diagnostics import (
     LyapunovParams,
+    check_acceptance_conditions,
     check_lyapunov_descent,
     check_prefix_bound,
 )
+from cocain.pgm import synthetic_blocks
 from cocain.problems import (
+    add_outlier_noise,
     generate_phase_retrieval,
     make_phase_retrieval,
+    make_robust_denoising,
     make_spurious2d,
     make_univariate,
 )
@@ -107,12 +111,15 @@ def test_find_gamma_euclidean_closed_form():
     problem = quadratic_problem([1.0, 1.0])
     cfg = SolverConfig(delta=0.6, epsilon=0.1)
     state = _state(problem, [0.0, 0.0], [1.0, 1.0], tau_prev=1.0)
-    gamma = find_gamma(state, 1.0, cfg, problem)
+    gamma, y, dh_curr_y = find_gamma(state, 1.0, cfg, problem)
     assert gamma == 0.5
+    # the base point and its distance come with the factor
+    assert np.array_equal(
+        y, state.x_curr + gamma * (state.x_curr - state.x_prev))
+    assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
     # the inertia condition holds with equality at the closed-form factor
-    y = state.x_curr + gamma * (state.x_curr - state.x_prev)
     scale = 1.0 + 1.0 * state.tau_prev
-    lhs = scale * problem.kernel.bregman(state.x_curr, y)
+    lhs = scale * dh_curr_y
     rhs = (cfg.delta - cfg.epsilon) * state.dh_prev_curr
     assert lhs == rhs == 0.5
 
@@ -121,7 +128,7 @@ def test_find_gamma_respects_cap():
     problem = quadratic_problem([1.0, 1.0])
     cfg = SolverConfig(delta=0.6, epsilon=0.1, gamma_cap=0.3)
     state = _state(problem, [0.0, 0.0], [1.0, 1.0], tau_prev=1.0)
-    assert find_gamma(state, 1.0, cfg, problem) == 0.3
+    assert find_gamma(state, 1.0, cfg, problem)[0] == 0.3
 
 
 def test_find_gamma_kappa_form_root_also_satisfies_condition():
@@ -133,7 +140,7 @@ def test_find_gamma_kappa_form_root_also_satisfies_condition():
     kappa = (cfg.delta - cfg.epsilon) / (1.0 + 1.0 * state.tau_prev)
     gamma_star = (-1.0 + math.sqrt(1.0 + 8.0 * kappa)) / 4.0
     assert gamma_star == pytest.approx(0.1830127018922193, abs=1e-16)
-    assert gamma_star <= find_gamma(state, 1.0, cfg, problem)
+    assert gamma_star <= find_gamma(state, 1.0, cfg, problem)[0]
     y = state.x_curr + gamma_star * (state.x_curr - state.x_prev)
     scale = 1.0 + 1.0 * state.tau_prev
     assert leq(
@@ -150,7 +157,7 @@ def test_find_gamma_equal_iterates_returns_candidate():
     cfg = SolverConfig(delta=0.6, epsilon=0.1)
     x = np.array([0.5, -1.0, 2.0])
     state = _state(problem, x, x, tau_prev=1.0)
-    assert find_gamma(state, 1.0, cfg, problem) == 0.5
+    assert find_gamma(state, 1.0, cfg, problem)[0] == 0.5
 
 
 def test_find_gamma_cfi_zero_displacement():
@@ -158,7 +165,10 @@ def test_find_gamma_cfi_zero_displacement():
     problem = make_phase_retrieval(data, reg="l1", lam=0.1)
     cfg = SolverConfig()
     x = np.array([0.5, -1.0, 2.0])
-    assert find_gamma_cfi(_state(problem, x, x), 1.0, cfg, problem) == 0.0
+    gamma, y, dh_curr_y = find_gamma_cfi(_state(problem, x, x), 1.0, cfg,
+                                         problem)
+    assert gamma == 0.0 and dh_curr_y == 0.0
+    assert np.array_equal(y, x)
 
 
 def test_find_gamma_cfi_satisfies_inertia_condition():
@@ -175,12 +185,27 @@ def test_find_gamma_cfi_satisfies_inertia_condition():
         tau_prev = float(rng.uniform(0.05, 1.0))
         L_lo = float(rng.uniform(0.1, 10.0))
         state = _state(problem, x_prev, x_curr, tau_prev=tau_prev)
-        gamma = find_gamma_cfi(state, L_lo, cfg, problem)
+        gamma, y, dh_curr_y = find_gamma_cfi(state, L_lo, cfg, problem)
         assert 0.0 <= gamma <= cfg.gamma_cap
-        y = state.x_curr + gamma * (state.x_curr - state.x_prev)
-        lhs = (1.0 + L_lo * tau_prev) * problem.kernel.bregman(state.x_curr, y)
+        assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
+        lhs = (1.0 + L_lo * tau_prev) * dh_curr_y
         rhs = (cfg.delta - cfg.epsilon) * state.dh_prev_curr
         assert leq(lhs, rhs)
+
+
+def test_euclidean_inertia_holds_where_the_step_cancels():
+    # |x^k| ~ 1e4 against unit steps: y - x^k rounds, and the closed-form
+    # factor, taken untested, broke the inertia condition by 1.46e-12 at
+    # record 16
+    image = add_outlier_noise(synthetic_blocks(3, 5), magnitude=1e4,
+                              fraction=1.0, seed=0)
+    problem = make_robust_denoising(image, lam=1, rho=1, data_term="sql2")
+    cfg = SolverConfig(delta=0.5, epsilon=0.25, L_bar_init=1.0, max_iters=60,
+                       stop_tol=0.0, store_iterates=True)
+    result = cocain_bpg(problem, cfg, -np.ones(problem.dim))
+    report = check_acceptance_conditions(
+        result.records, problem, LyapunovParams.from_run(result, problem))
+    assert report.passed, report.details
 
 
 def test_lower_backtrack_one_trial_on_convex_objective():
