@@ -4,7 +4,6 @@ from .kernels import (
     EuclideanKernel,
     Kernel,
     QuarticKernel,
-    symmetry_coefficient_estimate,
     three_points_gap,
 )
 from .prox import (
@@ -67,8 +66,7 @@ from .diagnostics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EuclideanKernel", "Kernel", "QuarticKernel",
-    "symmetry_coefficient_estimate", "three_points_gap",
+    "EuclideanKernel", "Kernel", "QuarticKernel", "three_points_gap",
     "bpg_step_l1_quartic", "bpg_step_sql2_quartic",
     "prox_log1abs", "prox_log1abs_vec", "soft_threshold",
     "solve_monotone_cubic",

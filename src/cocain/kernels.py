@@ -143,27 +143,3 @@ def three_points_gap(kernel, x, y, z):
     lhs = kernel.bregman(x, z) - kernel.bregman(x, y) - kernel.bregman(y, z)
     rhs = float(np.dot(kernel.grad(y) - kernel.grad(z), x - y))
     return lhs - rhs
-
-
-def symmetry_coefficient_estimate(kernel, pairs, n_samples=None):
-    """Empirical symmetry coefficient inf D_h(x,y)/D_h(y,x) over sampled pairs.
-
-    `pairs` is an iterable of (x, y) point pairs; at most `n_samples` are
-    consumed when given.  Degenerate pairs (x == y, where both distances
-    vanish) are skipped.  The estimate upper-bounds the true coefficient and
-    equals 1.0 exactly for the Euclidean kernel.
-    """
-    best = None
-    used = 0
-    for x, y in pairs:
-        if n_samples is not None and used >= n_samples:
-            break
-        used += 1
-        d_yx = kernel.bregman(y, x)
-        if d_yx <= 0.0:
-            continue
-        ratio = kernel.bregman(x, y) / d_yx
-        best = ratio if best is None else min(best, ratio)
-    if best is None:
-        raise ValueError("no non-degenerate pair supplied")
-    return best

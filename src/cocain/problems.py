@@ -538,7 +538,10 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
             np.abs(r, out=r)
             np.log1p(r, out=r)
             return float(r.sum())
-        f_prox = lambda gh, gg, tau: prox_log1abs_vec(gh - tau * gg, tau, center=b)
+        def f_prox(gh, gg, tau):
+            v = np.multiply(gg, tau)  # gh - tau * gg in one buffer
+            np.subtract(gh, v, out=v)
+            return prox_log1abs_vec(v, tau, center=b)
         alpha = -1.0
     elif data_term == "l1":
         f_value = lambda x: float(np.abs(x - b).sum())

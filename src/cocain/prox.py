@@ -74,28 +74,48 @@ def prox_log1abs_vec(y, tau, center=0.0):
     root and falls between the roots: the smaller root is a local maximum,
     above phi(0), and only the kink 0 and the larger clamped root compete.
     Objective ties within TIE_TOL go to 0, the candidate closer to center.
+
+    Only the candidates, the entries with not |z| <= min(tau, 1), are
+    computed; every other entry gets c = 0, which is what the arithmetic
+    below gives it in floating point.  Write t = fl(|z| - 1) and
+    c4 = fl(4 fl(tau - |z|)).  With |z| < 1 and tau >= |z|, t < 0 and
+    c4 >= 0, so disc = fl(fl(t^2) - c4) <= fl(t^2).  Either disc < 0, or
+    fl(sqrt(disc)) <= fl(sqrt(fl(t^2))) = |t| (t^2 cannot underflow, as
+    |t| >= 2^-53), so fl(t + root) <= 0 and c_hi <= 0.  With |z| = 1 and
+    tau >= 1, t = 0 and disc = -c4 <= 0: negative, or a zero root and
+    c_hi = 0.  A NaN |z| or tau fails the test, so it stays a candidate.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau}")
     # Every operation runs in the order of the plain formulas, so the result
-    # is the same to the bit.  Four fresh buffers over all entries:
-    #   z:    y - center, kept for the sign of the result
-    #   az:   |z|, then the live entries' (c_hi - |z|)^2 / (2 tau)
-    #   disc: the discriminant, its clamped root, then the live entries'
-    #         phi(c_hi) + TIE_TOL
+    # is the same to the bit.  One buffer over all entries:
+    #   z: y - center, then sgn(z) * c, then the result
+    # and one block of four rows over the candidates, gathered by index:
+    #   az:   |z|, then phi(0) = |z|^2 / (2 tau)
+    #   disc: the discriminant, its clamped root, then phi(c_hi) + TIE_TOL
     #   c:    4 (tau - |z|), then 0.5 ((|z| - 1) + root), which is c_hi where
-    #         it is positive, then the result
-    # The result is the centre wherever the discriminant is negative or
-    # c_hi <= 0.  Only the other, live entries, gathered by index, pay for
-    # the comparison phi(0) <= phi(c_hi) + TIE_TOL, which a NaN objective
-    # fails, so a NaN or infinite z keeps c_hi.
+    #         it is positive, then the result's magnitude
+    #   u:    (c_hi - |z|)^2 / (2 tau), then z
+    # A candidate settles where the discriminant is negative or c_hi <= 0,
+    # and its c, at least -1/2 as |z| >= 0, is discarded.  Every other
+    # candidate keeps c_hi unless phi(0) <= phi(c_hi) + TIE_TOL, which a NaN
+    # objective fails, so a NaN or infinite z keeps c_hi.  One block, not one
+    # array per row, spares the page faults that arrays of a new size each
+    # call cost.
     z = np.subtract(y, center, dtype=float)
     shape = z.shape
     z = z.reshape(-1)  # the in-place steps below need an array, not a scalar
-    az = np.abs(z)
-    disc = np.subtract(az, 1.0)
+    bound = min(tau, 1.0)
+    cand = z <= bound  # |z| <= bound, without a buffer for |z|
+    cand &= z >= -bound
+    np.logical_not(cand, out=cand)
+    cand = np.flatnonzero(cand)
+    az, disc, c, u = np.empty((4, cand.size))
+    np.take(z, cand, out=az)
+    np.abs(az, out=az)
+    np.subtract(az, 1.0, out=disc)
     disc *= disc
-    c = np.subtract(tau, az)
+    np.subtract(tau, az, out=c)
     c *= 4.0
     disc -= c
     settled = disc < 0.0
@@ -105,24 +125,25 @@ def prox_log1abs_vec(y, tau, center=0.0):
     c += disc
     c *= 0.5
     settled |= c <= 0.0
-    live = np.flatnonzero(~settled)
-    c_hi = c[live]
-    az_live = az[live]
-    obj = np.log1p(c_hi, out=disc[:live.size])
-    u = np.subtract(c_hi, az_live, out=az[:live.size])
+    obj = np.log1p(c, out=disc)
+    np.subtract(c, az, out=u)
     u *= u
     u /= 2.0 * tau
     obj += u
     obj += TIE_TOL
-    az_live *= az_live
-    az_live /= 2.0 * tau  # phi(0)
-    c_hi[az_live <= obj] = 0.0
-    c.fill(0.0)
-    c[live] = c_hi
-    np.copysign(c, z, out=c)  # sgn(z) * c, as c >= 0 and c = 0 where z = 0
-    c = c.reshape(shape)
-    c += center
-    return c
+    az *= az
+    az /= 2.0 * tau  # phi(0)
+    settled |= az <= obj
+    c[settled] = 0.0
+    # sgn(z) * c, as c >= 0 and c = 0 where z = 0; copysign(0, z) is z * 0
+    # for every finite z, and every non-finite z is a candidate that keeps
+    # c_hi
+    np.copysign(c, np.take(z, cand, out=u), out=c)
+    z *= 0.0
+    z[cand] = c
+    z = z.reshape(shape)
+    z += center
+    return z
 
 
 def prox_log1abs(y, tau, center=0.0):

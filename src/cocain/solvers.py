@@ -190,13 +190,15 @@ class SolverResult:
 
 @dataclass
 class IterateState:
-    """Inputs of one general step: the two current iterates, the
-    evaluations of g at x^{k-1} and x^k (`problem.evaluate`) and the
-    previously accepted parameters (L_lower_prev is 0 in the first)."""
+    """Inputs of one general step: the two current iterates and their
+    difference delta = x^k - x^{k-1}, the evaluations of g at x^{k-1} and
+    x^k (`problem.evaluate`) and the previously accepted parameters
+    (L_lower_prev is 0 in the first)."""
 
     k: int
     x_prev: np.ndarray
     x_curr: np.ndarray
+    delta: np.ndarray
     g_prev: Evaluation
     g_curr: Evaluation
     dh_prev_curr: float
@@ -208,7 +210,7 @@ class IterateState:
 def _base_point(state, gamma, kernel):
     """(gamma, y, D_h(x^k, y)) for the base point y = x^k + gamma Delta,
     Delta = x^k - x^{k-1}: what every gamma rule returns."""
-    y = state.x_curr + gamma * (state.x_curr - state.x_prev)
+    y = state.x_curr + gamma * state.delta
     return gamma, y, kernel.bregman(state.x_curr, y)
 
 
@@ -249,8 +251,7 @@ def find_gamma_cfi(state, L_lower_candidate, config, problem):
     with Delta = x^k - x^{k-1} to solve the inertia condition for gamma
     directly instead of searching.  Delta = 0 gives gamma = 0.
     """
-    delta_vec = state.x_curr - state.x_prev
-    nd2 = float(delta_vec.dot(delta_vec))
+    nd2 = float(state.delta.dot(state.delta))
     num = (config.delta - config.epsilon) * state.dh_prev_curr
     xk2 = float(state.x_curr.dot(state.x_curr))
     denom = (1.0 + L_lower_candidate * state.tau_prev) * nd2 * (1.5 * xk2 + 1.75)
@@ -358,7 +359,8 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     upper_trials); either returns None when its ladder runs out, which
     ends the run as a backtrack_failure.  Record k logs both; g_next, the
     evaluation of g at x_next, becomes the next state's g_curr, and g_curr
-    its g_prev; the first state's L_lower_prev is 0.  An ArithmeticError
+    its g_prev; the step x_next - x_curr, formed once for the stop test,
+    becomes its delta; the first state's L_lower_prev is 0.  An ArithmeticError
     inside a rule (a stalled prox solve) or a non-finite Psi(x_next) ends
     the run as non_finite.  A stopped run keeps its accepted steps, and
     `reason` names the failure and its iteration: only the setup checks
@@ -380,6 +382,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     store = config.store_iterates
 
     x_prev = x_curr = x0  # a private copy, never written to
+    delta = np.zeros_like(x0)  # x_curr - x_prev, exact as x0 is finite
     g_prev = g_curr = problem.evaluate(x_curr)
     psi_curr = problem.f_value(x_curr) + g_curr.value
     require_finite(psi_curr, "objective at x0")
@@ -397,9 +400,9 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         tick = time.perf_counter_ns()
         dh_prev_curr = kernel.bregman(x_prev, x_curr)
         state = IterateState(
-            k=k, x_prev=x_prev, x_curr=x_curr, g_prev=g_prev, g_curr=g_curr,
-            dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
-            L_lower_prev=L_lower,
+            k=k, x_prev=x_prev, x_curr=x_curr, delta=delta, g_prev=g_prev,
+            g_curr=g_curr, dh_prev_curr=dh_prev_curr, tau_prev=tau,
+            L_bar_prev=L_bar, L_lower_prev=L_lower,
         )
         try:
             lower = inertia(state)
@@ -421,7 +424,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         record = TraceRecord(
             k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
             L_lower=L_lower, dh_prev_curr=dh_prev_curr, dh_curr_y=dh_curr_y,
-            step_norm=_norm(x_curr - x_prev),
+            step_norm=_norm(delta),
             lower_trials=lower_trials, upper_trials=upper_trials,
             wall_time_ns=time.perf_counter_ns() - tick,
             x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
@@ -430,7 +433,8 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         if callback is not None:
             callback(record)
 
-        step_inf = float(np.abs(x_next - x_curr).max())
+        delta = x_next - x_curr
+        step_inf = float(np.abs(delta).max())
         x_prev, x_curr = x_curr, x_next
         g_prev, g_curr, psi_curr = g_curr, g_next, psi_next
         if step_inf < config.stop_tol:
@@ -441,7 +445,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     records.append(TraceRecord(
         k=iterations + 1, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar,
         L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr),
-        dh_curr_y=0.0, step_norm=_norm(x_curr - x_prev),
+        dh_curr_y=0.0, step_norm=_norm(delta),
         lower_trials=0, upper_trials=0, wall_time_ns=0,
         x=_maybe_copy(x_curr, store), y=None,
     ))
@@ -558,7 +562,7 @@ def ipiano(problem, config, x0, *, callback=None):
 
     def inertia(state):
         # g is never evaluated at y: the majorant linearizes at x^k
-        y = state.x_curr + beta * (state.x_curr - state.x_prev)
+        y = state.x_curr + beta * state.delta
         return 0.0, beta, y, None, problem.kernel.bregman(state.x_curr, y), 0
 
     def majorant(state, y, g_y):

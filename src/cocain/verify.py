@@ -23,7 +23,6 @@ from .diagnostics import (
 from .kernels import (
     EuclideanKernel,
     QuarticKernel,
-    symmetry_coefficient_estimate,
     three_points_gap,
 )
 from .pgm import synthetic_blocks
@@ -97,12 +96,6 @@ def _check_three_points(rng):
     return worst < 1e-10, f"worst |gap| = {worst:.3e} (bound 1e-10)"
 
 
-def _check_euclidean_symmetry(rng):
-    pairs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(100)]
-    est = symmetry_coefficient_estimate(EuclideanKernel(), pairs)
-    return est == 1.0, f"estimate = {est!r} (must equal 1.0 exactly)"
-
-
 def _check_quartic_hessian_bound(rng):
     kernel = QuarticKernel()
     worst = -np.inf
@@ -139,7 +132,6 @@ def _suite_kernels():
     rng = np.random.default_rng(101)
     return [
         _result("kernels", "three_points_identity", *_check_three_points(rng)),
-        _result("kernels", "euclidean_symmetry_exact", *_check_euclidean_symmetry(rng)),
         _result("kernels", "quartic_hessian_form_bound", *_check_quartic_hessian_bound(rng)),
         _result("kernels", "kernel_gradient_fd", *_check_kernel_gradients(rng)),
         _result("kernels", "bregman_nonnegative", *_check_bregman_nonneg(rng)),

@@ -57,6 +57,47 @@ def prox_log1abs_reference(y, tau, center=0.0):
     return center + np.sign(z) * picked
 
 
+def prox_log1abs_full_pass(y, tau, center=0.0):
+    """`cocain.prox.prox_log1abs_vec` as it ran before its candidate filter:
+    every pass over every entry.  The package now computes only the entries
+    that fail |z| <= min(tau, 1), each with the same operations in the same
+    order; this is the reference it is held to, bit for bit."""
+    z = np.subtract(y, center, dtype=float)
+    shape = z.shape
+    z = z.reshape(-1)
+    az = np.abs(z)
+    disc = np.subtract(az, 1.0)
+    disc *= disc
+    c = np.subtract(tau, az)
+    c *= 4.0
+    disc -= c
+    settled = disc < 0.0
+    np.maximum(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    np.subtract(az, 1.0, out=c)
+    c += disc
+    c *= 0.5
+    settled |= c <= 0.0
+    live = np.flatnonzero(~settled)
+    c_hi = c[live]
+    az_live = az[live]
+    obj = np.log1p(c_hi, out=disc[:live.size])
+    u = np.subtract(c_hi, az_live, out=az[:live.size])
+    u *= u
+    u /= 2.0 * tau
+    obj += u
+    obj += TIE_TOL
+    az_live *= az_live
+    az_live /= 2.0 * tau
+    c_hi[az_live <= obj] = 0.0
+    c.fill(0.0)
+    c[live] = c_hi
+    np.copysign(c, z, out=c)
+    c = c.reshape(shape)
+    c += center
+    return c
+
+
 def assert_traces_identical(a, b):
     """Bit-identity of two traces on everything except wall time."""
     assert len(a) == len(b), f"trace lengths differ: {len(a)} vs {len(b)}"

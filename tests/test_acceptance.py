@@ -421,7 +421,7 @@ def test_criterion_09_analytic_consistency():
     _report(
         9, ok,
         f"all {len(results)} kernel/problem properties hold (three-points, "
-        f"gradients, Hessian bound, symmetry, sampled constants with "
+        f"gradients, Hessian bound, sampled constants with "
         f"negative control), {elapsed:.1f}s < 20s",
     )
 

@@ -14,7 +14,6 @@ import pytest
 from cocain.kernels import (
     EuclideanKernel,
     QuarticKernel,
-    symmetry_coefficient_estimate,
     three_points_gap,
 )
 
@@ -255,46 +254,22 @@ def test_three_points_random_triples(kernel):
 
 
 # ---------------------------------------------------------------------------
-# symmetry coefficient
+# symmetry of the distance
 
 
 def test_symmetry_euclidean_exactly_one():
+    # D_h(x, y) and D_h(y, x) square the same differences, up to sign
     rng = np.random.default_rng(41)
-    pairs = [
-        (x, y)
-        for x, y in zip(_random_points(rng, 3, 50), _random_points(rng, 3, 50))
-    ]
-    assert symmetry_coefficient_estimate(EUCLID, pairs) == 1.0
+    for x, y in zip(_random_points(rng, 3, 50), _random_points(rng, 3, 50)):
+        assert EUCLID.bregman(x, y) == EUCLID.bregman(y, x)
 
 
 def test_symmetry_quartic_spot_pair():
-    # D_h((1,0), 0) = 0.75 and D_h(0, (1,0)) = 1.25
+    # D_h((1,0), 0) = 0.75 and D_h(0, (1,0)) = 1.25: the quartic kernel is
+    # not symmetric
     x, z = np.array([1.0, 0.0]), np.zeros(2)
-    assert symmetry_coefficient_estimate(QUARTIC, [(x, z)]) == 0.6
-
-
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
-def test_symmetry_swapped_pair_at_most_one(kernel):
-    x, y = np.array([0.4, -1.0]), np.array([1.3, 0.2])
-    est = symmetry_coefficient_estimate(kernel, [(x, y), (y, x)])
-    assert est <= 1.0
-
-
-def test_symmetry_skips_degenerate_pairs():
-    x, y = np.array([1.0, 0.0]), np.zeros(2)
-    est = symmetry_coefficient_estimate(QUARTIC, [(x, x), (x, y)])
-    assert est == QUARTIC.bregman(x, y) / QUARTIC.bregman(y, x)
-    with pytest.raises(ValueError):
-        symmetry_coefficient_estimate(QUARTIC, [(x, x)])
-
-
-def test_symmetry_sample_cap():
-    x, z = np.array([1.0, 0.0]), np.zeros(2)
-    # the asymmetric pair after the cap must not be consumed
-    est = symmetry_coefficient_estimate(
-        EUCLID, [(x, z), (np.array([2.0, 0.0]), z), (x, z)], n_samples=2
-    )
-    assert est == 1.0
+    assert QUARTIC.bregman(x, z) == 0.75
+    assert QUARTIC.bregman(z, x) == 1.25
 
 
 def test_kernel_sigma_and_names():

@@ -19,7 +19,7 @@ from cocain.prox import (
     soft_threshold,
     solve_monotone_cubic,
 )
-from helpers import prox_log1abs_reference
+from helpers import prox_log1abs_full_pass, prox_log1abs_reference
 
 # bisection on t^3 + t - 1 over [0, 1]
 ROOT_T3_T_M1 = 0.6823278038280194
@@ -247,6 +247,33 @@ def test_prox_log1abs_vec_negative_discriminant_matches_reference(tau):
     got = prox_log1abs_vec(y, tau, center=center)
     _assert_bitwise_equal(got, prox_log1abs_reference(y, tau, center=center))
     np.testing.assert_array_equal(got[disc < 0.0], center[disc < 0.0])
+
+
+def _with_ulp_neighbours(value, n=4):
+    """value and the n floats on either side of it."""
+    out, lo, hi = [value], value, value
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize(
+    "tau", [0.25, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 4.0])
+def test_prox_log1abs_vec_candidate_filter_matches_full_pass(tau):
+    # the filter settles |z| <= min(tau, 1) without computing it: probe its
+    # edges |z| = tau, 1 and min(tau, 1) to within 4 ulps, the zeros and the
+    # non-finite values, at +-0.0 and NaN centres
+    mags = [0.0, np.inf, np.nan]
+    for edge in (tau, 1.0, min(tau, 1.0)):
+        mags += _with_ulp_neighbours(edge)
+    z = np.array(mags + [-m for m in mags])
+    centres = np.resize(np.array([0.0, -0.0, np.nan]), z.size)
+    with np.errstate(invalid="ignore"):
+        for center in (0.0, -0.0, np.nan, centres):
+            got = prox_log1abs_vec(z, tau, center=center)
+            _assert_bitwise_equal(
+                got, prox_log1abs_full_pass(z, tau, center=center))
 
 
 # ---------------------------------------------------------------------------

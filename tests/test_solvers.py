@@ -57,7 +57,7 @@ def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
-        k=1, x_prev=x_prev, x_curr=x_curr,
+        k=1, x_prev=x_prev, x_curr=x_curr, delta=x_curr - x_prev,
         g_prev=problem.evaluate(x_prev), g_curr=problem.evaluate(x_curr),
         dh_prev_curr=problem.kernel.bregman(x_prev, x_curr),
         tau_prev=tau_prev, L_bar_prev=L_bar_prev,
