@@ -54,13 +54,8 @@ from .diagnostics import (
     check_cfi_bound,
     check_function_descent,
     check_lyapunov_descent,
-    check_objective_settling,
     check_prefix_bound,
-    check_subgradient_bound,
-    check_sufficient_decrease,
-    frozen_phase_start,
     lyapunov_phi,
-    subgradient_witness,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +79,5 @@ __all__ = [
     "CheckReport", "LyapunovParams", "PROMISES", "certify",
     "check_acceptance_conditions", "check_cfi_bound",
     "check_function_descent", "check_lyapunov_descent",
-    "check_objective_settling", "check_prefix_bound",
-    "check_subgradient_bound", "check_sufficient_decrease",
-    "frozen_phase_start", "lyapunov_phi", "subgradient_witness",
+    "check_prefix_bound", "lyapunov_phi",
 ]

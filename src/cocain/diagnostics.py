@@ -11,9 +11,9 @@ with v a lower bound on inf Psi: a valid run decreases Phi^k by at least
 epsilon * D_h(x^{k-1}, x^k) each iteration, which telescopes into the
 prefix bound min_{1<=k<=n} D_h(x^{k-1}, x^k) <= Phi^1 / (epsilon * n).
 
-Checks that need per-trial information (the backtracking conditions, the
-closed-form inertia bound, the subgradient witnesses) require a trace
-recorded with store_iterates=True.
+Checks that need per-trial information (the backtracking conditions and
+the closed-form inertia bound) require a trace recorded with
+store_iterates=True.
 
 Trace layout expected throughout: record 0 is the initial state, records
 1..N-1 are iterations, record N describes the final iterate; records[i].k
@@ -26,7 +26,6 @@ infinite worst violation at the first record where the value enters.
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
 
 import numpy as np
 
@@ -39,9 +38,6 @@ AUDIT_BLOCK = 16
 # Fixed tolerances of the checks below, each named in its docstring.
 PREFIX_SLACK = 1e-12
 CROSS_CHECK_TOL = 1e-10
-MIN_MEASURED_STEP = 1e-6
-SETTLING_WINDOW = 50
-SETTLING_REL_TOL = 1e-6
 CFI_SLACK = 1e-10
 
 
@@ -50,16 +46,12 @@ class LyapunovParams:
     """Constants entering the Lyapunov function and its descent margin.
 
     v_lower must be a valid lower bound on inf Psi or the telescoped prefix
-    bound is meaningless.  tau_frozen is the constant step size of a frozen
-    tail phase; delta1 = delta / tau_frozen rescales the distance term for
-    the per-unit-step form of the Lyapunov function used by the
-    sufficient-decrease and subgradient checks.
+    bound is meaningless.
     """
 
     delta: float
     epsilon: float
     v_lower: float
-    tau_frozen: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < self.delta < 1.0:
@@ -69,24 +61,14 @@ class LyapunovParams:
             )
         if not math.isfinite(self.v_lower):
             raise ValueError(f"v_lower must be finite, got {self.v_lower}")
-        if self.tau_frozen is not None and not 0.0 < self.tau_frozen < math.inf:
-            raise ValueError("tau_frozen must be finite and > 0 when set")
-
-    @property
-    def delta1(self):
-        if self.tau_frozen is None:
-            raise ValueError("delta1 needs tau_frozen")
-        return self.delta / self.tau_frozen
 
     @classmethod
     def from_run(cls, result, problem):
-        """Read delta/epsilon from the run's config, v from the problem,
-        and freeze tau at its final value."""
+        """Read delta/epsilon from the run's config and v from the problem."""
         return cls(
             delta=result.config.delta,
             epsilon=result.config.epsilon,
             v_lower=problem.psi_lower_bound,
-            tau_frozen=result.records[-1].tau,
         )
 
 
@@ -322,178 +304,6 @@ def check_function_descent(records, problem):
                    LYAPUNOV_SLACK)
 
 
-def frozen_phase_start(records, min_run=25):
-    """First iteration index at which L_bar has reached its final value,
-    or None when that final run is shorter than min_run iterations.
-
-    L_bar never decreases, so this is the start of the constant tail.
-    """
-    (L_bar,) = _columns(records, "L_bar")
-    if len(records) < 3:
-        return None
-    last = len(records) - 2
-    moved = np.flatnonzero(L_bar[1:last] != L_bar[last])
-    k0 = int(moved[-1]) + 2 if moved.size else 1
-    if last - k0 + 1 < min_run:
-        return None
-    return k0
-
-
-def _check_frozen_tau(tau, params, start):
-    tau_f = params.tau_frozen
-    if tau_f is None:
-        raise ValueError("params.tau_frozen is required for this check")
-    off = np.flatnonzero(
-        ~(np.abs(tau[start - 1:-1] - tau_f) <= 1e-12 * max(1.0, tau_f)))
-    if off.size:
-        k = start - 1 + int(off[0])
-        raise ValueError(
-            f"tau is not frozen at {tau_f} from record {start - 1} on "
-            f"(record {k} has tau={float(tau[k])})"
-        )
-
-
-def check_sufficient_decrease(records, params, sigma=1.0, start=1):
-    """Sufficient decrease of the regularized objective on a frozen tail.
-
-    With u_k = Psi(x^k) + delta1 * D_h(x^{k-1}, x^k) and constant step size
-    tau_frozen, descent of the Lyapunov function divided by tau_frozen gives
-
-        u_{k+1} <= u_k - rho1 * ||x^k - x^{k-1}||^2,
-        rho1 = epsilon * sigma / (2 * tau_frozen),
-
-    the first ingredient of the abstract convergence template.  Monotonicity
-    of u is checked on every step; the empirical rho1 (the smallest observed
-    decrease ratio) is measured only on steps with norm >= MIN_MEASURED_STEP,
-    below which u_k - u_{k+1} drowns in float rounding.
-    """
-    psi, dh, tau, step = _columns(
-        records, "psi", "dh_prev_curr", "tau", "step_norm")
-    _check_frozen_tau(tau, params, start)
-    u = psi[start:] + params.delta1 * dh[start:]
-    worst, worst_k = _worst(violation(u[1:], u[:-1]), start)
-    step = step[start:-1]
-    measured = step >= MIN_MEASURED_STEP
-    rho1 = (u[:-1] - u[1:])[measured] / _squared(step[measured])
-    rho1_emp = float(rho1.min()) if rho1.size else None
-    rho1_target = params.epsilon * sigma / (2.0 * params.tau_frozen)
-    rho1_ok = rho1_emp is None or rho1_emp >= rho1_target * (1.0 - 1e-6)
-    return CheckReport(
-        name="sufficient_decrease",
-        passed=worst <= LYAPUNOV_SLACK and rho1_ok,
-        n_checked=len(u) - 1,
-        worst_violation=worst,
-        worst_index=worst_k,
-        details={
-            "rho1_target": rho1_target,
-            "rho1_empirical": rho1_emp,
-            "n_measured": rho1.size,
-        },
-    )
-
-
-def subgradient_witness(records, problem, params, k):
-    """Witness pair certifying a subgradient of the regularized objective.
-
-    By optimality of the proximal step, the vector
-
-        w1 = grad g(x^{k+1}) - grad g(y^k)
-             + (1/tau_k)(grad h(y^k) - grad h(x^{k+1}))
-             + delta1 * Hess h(x^{k+1}) (x^{k+1} - x^k)
-
-    lies in the partial subdifferential of Psi_{delta1}(u, w) = Psi(u) +
-    delta1 * D_h(w, u) with respect to u at (x^{k+1}, x^k), and
-
-        w2 = delta1 * (grad h(x^k) - grad h(x^{k+1}))
-
-    is its partial gradient with respect to w.  Returns (w1, w2).
-    """
-    _columns(records)
-    _require_iterates(records, "subgradient_witness")
-    if not 1 <= k <= len(records) - 2:
-        raise ValueError(f"k={k} is not an iteration record")
-    return _witness(records, problem, params, k)
-
-
-def _witness(records, problem, params, k):
-    """subgradient_witness on a trace already validated."""
-    kernel = problem.kernel
-    delta1 = params.delta1
-    rec = records[k]
-    x_curr, y = rec.x, rec.y
-    x_next = records[k + 1].x
-    w1 = (
-        problem.g_grad(x_next)
-        - problem.g_grad(y)
-        + (kernel.grad(y) - kernel.grad(x_next)) / rec.tau
-        + delta1 * kernel.hess_vec(x_next, x_next - x_curr)
-    )
-    w2 = delta1 * (kernel.grad(x_curr) - kernel.grad(x_next))
-    return w1, w2
-
-
-def check_subgradient_bound(records, problem, params, start=1):
-    """Relative error bound on the subgradient witnesses of a frozen tail.
-
-    Measures ||(w1, w2)|| / ||x^{k+1} - x^k|| over the tail and reports the
-    largest ratio as the empirical rho2, the second ingredient of the
-    abstract convergence template.  Steps below MIN_MEASURED_STEP are
-    skipped.
-    Passes when every computed witness is finite.
-    """
-    (tau,) = _columns(records, "tau")
-    _require_iterates(records, "check_subgradient_bound")
-    _check_frozen_tau(tau, params, start)
-    rho2 = 0.0
-    rho2_k = -1
-    n = 0
-    all_finite = True
-    for k in range(start, len(records) - 1):
-        step = records[k + 1].step_norm
-        if step < MIN_MEASURED_STEP:
-            continue
-        w1, w2 = _witness(records, problem, params, k)
-        norm = math.hypot(float(np.linalg.norm(w1)), float(np.linalg.norm(w2)))
-        if not math.isfinite(norm):
-            all_finite = False
-        n += 1
-        if norm / step > rho2:
-            rho2, rho2_k = norm / step, k
-    return CheckReport(
-        name="subgradient_bound",
-        passed=all_finite,
-        n_checked=n,
-        worst_violation=0.0 if all_finite else math.inf,
-        worst_index=rho2_k,
-        details={"rho2_empirical": None if n == 0 else rho2},
-    )
-
-
-def check_objective_settling(records):
-    """Continuity proxy: the objective is Cauchy, to SETTLING_REL_TOL, over
-    the last SETTLING_WINDOW records.
-
-    The abstract convergence template's third ingredient asks for objective
-    continuity along convergent subsequences, which a finite trace cannot
-    exhibit directly; a settled tail is the observable stand-in.
-    """
-    (psi,) = _columns(records, "psi")
-    first = max(1, len(records) - SETTLING_WINDOW)
-    tail = psi[first:]
-    spread = float(tail.max() - tail.min())
-    scale = max(1.0, abs(float(tail[-1])))
-    bad = np.flatnonzero(~np.isfinite(tail))
-    return CheckReport(
-        name="objective_settling",
-        passed=not bad.size and spread <= SETTLING_REL_TOL * scale,
-        n_checked=tail.size,
-        worst_violation=(math.inf if bad.size
-                         else max(0.0, spread / scale - SETTLING_REL_TOL)),
-        worst_index=first + int(bad[0]) if bad.size else len(records) - 1,
-        details={"spread": spread, "window": tail.size},
-    )
-
-
 def check_cfi_bound(records, problem):
     """Verify the distance estimate behind the closed-form inertia rule:
 
@@ -522,7 +332,8 @@ def check_cfi_bound(records, problem):
 # own descent condition (Ochs et al., 2014) is not among these checks.
 PROMISES = {
     "cocain": ("lyapunov_descent", "prefix_bound", "acceptance_conditions"),
-    "cfi": ("lyapunov_descent", "prefix_bound", "acceptance_conditions"),
+    "cfi": ("lyapunov_descent", "prefix_bound", "acceptance_conditions",
+            "cfi_bound"),
     "cocain_nobt": ("lyapunov_descent", "prefix_bound"),
     "bpg_wb": ("lyapunov_descent", "prefix_bound", "acceptance_conditions",
                "function_descent"),
@@ -530,19 +341,31 @@ PROMISES = {
     "ipiano": (),
 }
 
+# Each check a PROMISES row can name, by report name, as a call on
+# (records, problem, params).
+_CHECKS = {
+    "lyapunov_descent": lambda records, problem, params:
+        check_lyapunov_descent(records, params),
+    "prefix_bound": lambda records, problem, params:
+        check_prefix_bound(records, params),
+    "acceptance_conditions": check_acceptance_conditions,
+    "function_descent": lambda records, problem, params:
+        check_function_descent(records, problem),
+    "cfi_bound": lambda records, problem, params:
+        check_cfi_bound(records, problem),
+}
+
+# The checks that read stored iterates, run only on a run that kept them.
+_NEEDS_ITERATES = frozenset({"acceptance_conditions", "cfi_bound"})
+
 
 def certify(result, problem):
     """The reports of the checks result.solver promises (PROMISES), in the
-    table's order, with the params of `LyapunovParams.from_run`;
-    acceptance_conditions only when the run stored its iterates."""
+    table's order, with the params of `LyapunovParams.from_run`; the
+    checks of _NEEDS_ITERATES only when the run stored its iterates."""
     records = result.records
     params = LyapunovParams.from_run(result, problem)
-    checks = {
-        "lyapunov_descent": lambda: check_lyapunov_descent(records, params),
-        "prefix_bound": lambda: check_prefix_bound(records, params),
-        "acceptance_conditions":
-            lambda: check_acceptance_conditions(records, problem, params),
-        "function_descent": lambda: check_function_descent(records, problem),
-    }
-    return [checks[name]() for name in PROMISES[result.solver]
-            if name != "acceptance_conditions" or records[0].x is not None]
+    stored = records[0].x is not None
+    return [_CHECKS[name](records, problem, params)
+            for name in PROMISES[result.solver]
+            if stored or name not in _NEEDS_ITERATES]

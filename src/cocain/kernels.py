@@ -33,9 +33,11 @@ class Kernel:
 
     Subclasses provide value/grad, `bregman` in a closed form that does not
     cancel for nearly equal points (the three-term definition does),
-    and the two second-order facilities the certificates need: `hess_quadratic_form` (the scalar form used by the
-    closed-form inertia bounds) and `hess_vec` (the true Hessian-vector
-    product used by the stationarity witnesses).
+    `hess_quadratic_form` (the scalar form used by the closed-form inertia
+    bounds) and `hess_vec`, the true Hessian-vector product.  No solver or
+    check calls `hess_vec`; it stays as part of the kernel interface, which
+    the tests check against finite differences of `grad` and the benchmark
+    harness (`perfbench/tracing.py`) wraps by name.
 
     `sigma` is the strong convexity modulus of h.
     """

@@ -190,13 +190,12 @@ class SolverResult:
 
 @dataclass
 class IterateState:
-    """Inputs of one general step: the two current iterates and their
-    difference delta = x^k - x^{k-1}, the evaluations of g at x^{k-1} and
-    x^k (`problem.evaluate`) and the previously accepted parameters
+    """Inputs of one general step: the current iterate x^k and the step
+    delta = x^k - x^{k-1} that reached it, the evaluations of g at x^{k-1}
+    and x^k (`problem.evaluate`) and the previously accepted parameters
     (L_lower_prev is 0 in the first)."""
 
     k: int
-    x_prev: np.ndarray
     x_curr: np.ndarray
     delta: np.ndarray
     g_prev: Evaluation
@@ -400,9 +399,9 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         tick = time.perf_counter_ns()
         dh_prev_curr = kernel.bregman(x_prev, x_curr)
         state = IterateState(
-            k=k, x_prev=x_prev, x_curr=x_curr, delta=delta, g_prev=g_prev,
-            g_curr=g_curr, dh_prev_curr=dh_prev_curr, tau_prev=tau,
-            L_bar_prev=L_bar, L_lower_prev=L_lower,
+            k=k, x_curr=x_curr, delta=delta, g_prev=g_prev, g_curr=g_curr,
+            dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
+            L_lower_prev=L_lower,
         )
         try:
             lower = inertia(state)

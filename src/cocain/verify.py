@@ -6,12 +6,15 @@ closed-form proximal steps against brute-force grids, declared smoothness
 constants against segment sampling, certificate checks against deliberately
 corrupted traces.  Each property yields one PASS/FAIL line.  Negative
 controls pass when the probed check fails as designed; if the corruption
-slips through, the control itself fails.
+slips through, the control itself fails.  A property that samples draws
+from its own generator, seeded beside its name in the suite, so deleting or
+reordering a property moves no other property's figures.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import prox
 from .diagnostics import (
@@ -129,12 +132,13 @@ def _check_bregman_nonneg(rng):
 
 
 def _suite_kernels():
-    rng = np.random.default_rng(101)
     return [
-        _result("kernels", "three_points_identity", *_check_three_points(rng)),
-        _result("kernels", "quartic_hessian_form_bound", *_check_quartic_hessian_bound(rng)),
-        _result("kernels", "kernel_gradient_fd", *_check_kernel_gradients(rng)),
-        _result("kernels", "bregman_nonnegative", *_check_bregman_nonneg(rng)),
+        _result("kernels", "three_points_identity", *_check_three_points(default_rng(101))),
+        _result("kernels", "quartic_hessian_form_bound",
+                *_check_quartic_hessian_bound(default_rng(102))),
+        _result("kernels", "kernel_gradient_fd",
+                *_check_kernel_gradients(default_rng(103))),
+        _result("kernels", "bregman_nonnegative", *_check_bregman_nonneg(default_rng(104))),
     ]
 
 
@@ -211,12 +215,15 @@ def _check_soft_threshold(rng):
 
 
 def _suite_prox():
-    rng = np.random.default_rng(202)
     return [
-        _result("prox", "monotone_cubic_residuals", *_check_cubic_residuals(rng)),
-        _result("prox", "prox_log1abs_vs_grid", *_check_prox_log1abs_grid(rng)),
-        _result("prox", "quartic_step_first_order", *_check_quartic_steps_foc(rng)),
-        _result("prox", "soft_threshold_closed_form", *_check_soft_threshold(rng)),
+        _result("prox", "monotone_cubic_residuals",
+                *_check_cubic_residuals(default_rng(202))),
+        _result("prox", "prox_log1abs_vs_grid",
+                *_check_prox_log1abs_grid(default_rng(203))),
+        _result("prox", "quartic_step_first_order",
+                *_check_quartic_steps_foc(default_rng(204))),
+        _result("prox", "soft_threshold_closed_form",
+                *_check_soft_threshold(default_rng(205))),
     ]
 
 
@@ -310,15 +317,17 @@ def _check_psi_lower_bounds(problems_list, rng):
 
 
 def _suite_problems():
-    rng = np.random.default_rng(303)
     plist = _sample_problems()
     return [
-        _result("problems", "g_grad_finite_difference", *_check_gradients_fd(plist, rng)),
+        _result("problems", "g_grad_finite_difference",
+                *_check_gradients_fd(plist, default_rng(303))),
         _result("problems", "smad_constants_sampled", *_check_smad_constants(plist)),
         _result("problems", "smad_halved_negative_control", *_check_smad_negative_control()),
-        _result("problems", "f_semiconvexity_midpoint", *_check_semiconvexity(plist, rng)),
-        _result("problems", "finite_difference_adjoint", *_check_adjoint(rng)),
-        _result("problems", "psi_lower_bounds", *_check_psi_lower_bounds(plist, rng)),
+        _result("problems", "f_semiconvexity_midpoint",
+                *_check_semiconvexity(plist, default_rng(304))),
+        _result("problems", "finite_difference_adjoint", *_check_adjoint(default_rng(305))),
+        _result("problems", "psi_lower_bounds",
+                *_check_psi_lower_bounds(plist, default_rng(306))),
     ]
 
 

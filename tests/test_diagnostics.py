@@ -21,18 +21,12 @@ from cocain.diagnostics import (
     check_cfi_bound,
     check_function_descent,
     check_lyapunov_descent,
-    check_objective_settling,
     check_prefix_bound,
-    check_subgradient_bound,
-    check_sufficient_decrease,
-    frozen_phase_start,
     lyapunov_phi,
-    subgradient_witness,
 )
 from cocain.problems import (
     generate_phase_retrieval,
     make_phase_retrieval,
-    make_spurious2d,
     make_univariate,
 )
 from cocain.solvers import (
@@ -91,9 +85,7 @@ def frozen_quadratic_run():
         store_iterates=True,
     )
     result = cocain_bpg(problem, cfg, [3.0, -2.0])
-    params = LyapunovParams(
-        cfg.delta, cfg.epsilon, 0.0, tau_frozen=result.records[-1].tau
-    )
+    params = LyapunovParams(cfg.delta, cfg.epsilon, 0.0)
     return problem, result, params
 
 
@@ -106,17 +98,6 @@ def test_params_validation():
         LyapunovParams(delta=0.5, epsilon=0.5, v_lower=0.0)
     with pytest.raises(ValueError):
         LyapunovParams(delta=1.0, epsilon=0.1, v_lower=0.0)
-    with pytest.raises(ValueError):
-        LyapunovParams(delta=0.9, epsilon=0.1, v_lower=0.0, tau_frozen=0.0)
-
-
-def test_params_delta1():
-    params = LyapunovParams(delta=0.9, epsilon=0.1, v_lower=0.0,
-                            tau_frozen=0.25)
-    assert params.delta1 == 3.6
-    bare = LyapunovParams(delta=0.9, epsilon=0.1, v_lower=0.0)
-    with pytest.raises(ValueError):
-        bare.delta1
 
 
 def test_params_from_run(logquad_run):
@@ -125,7 +106,6 @@ def test_params_from_run(logquad_run):
     assert params.delta == result.config.delta
     assert params.epsilon == result.config.epsilon
     assert params.v_lower == problem.psi_lower_bound
-    assert params.tau_frozen == result.records[-1].tau
 
 
 # ---------------------------------------------------------------------------
@@ -278,159 +258,22 @@ def test_function_descent_catches_objective_bump(logquad_run):
 
 
 # ---------------------------------------------------------------------------
-# frozen tail detection
-
-
-def test_frozen_phase_start_on_constant_majorant(frozen_quadratic_run):
-    _, result, _ = frozen_quadratic_run
-    # L_bar equals its final value from the very first iteration
-    assert frozen_phase_start(result.records) == 1
-    assert frozen_phase_start(result.records, min_run=10_000) is None
-
-
-def test_frozen_phase_start_after_escalation():
-    problem = make_univariate("logquad")
-    cfg = SolverConfig(max_iters=60, stop_tol=0.0)
-    result = cocain_bpg(problem, cfg, [13.0])
-    k0 = frozen_phase_start(result.records, min_run=5)
-    records = result.records
-    L_final = records[len(records) - 2].L_bar
-    assert k0 is not None
-    assert records[k0].L_bar == L_final
-    if k0 > 1:
-        assert records[k0 - 1].L_bar < L_final
-
-
-# ---------------------------------------------------------------------------
-# sufficient decrease on a frozen tail
-
-
-def test_sufficient_decrease_on_frozen_run(frozen_quadratic_run):
-    _, result, params = frozen_quadratic_run
-    report = check_sufficient_decrease(result.records, params)
-    assert report.passed
-    assert report.details["n_measured"] >= 1
-    target = params.epsilon / (2.0 * params.tau_frozen)
-    assert report.details["rho1_target"] == target
-    assert report.details["rho1_empirical"] >= target * (1.0 - 1e-6)
-
-
-def test_sufficient_decrease_needs_frozen_tau(logquad_run):
-    _, result, params = logquad_run
-    with pytest.raises(ValueError):
-        check_sufficient_decrease(result.records, params)
-    # an adaptive run whose step size still moves is rejected outright
-    frozen = LyapunovParams(
-        params.delta, params.epsilon, params.v_lower,
-        tau_frozen=result.records[-1].tau,
-    )
-    with pytest.raises(ValueError):
-        check_sufficient_decrease(result.records, frozen)
+# frozen tail: sufficient decrease is Lyapunov descent
 
 
 def test_two_phase_lyapunov_forms_agree(frozen_quadratic_run):
-    # on a frozen phase, tau_frozen * (u_k - v) recovers Phi^k exactly
+    # on a frozen phase with step size tau_f, tau_f * (u_k - v) recovers
+    # Phi^k, where u_k = Psi(x^k) + (delta / tau_f) D_h(x^{k-1}, x^k): so
+    # Lyapunov descent is the sufficient decrease of u, scaled by tau_f
     _, result, params = frozen_quadratic_run
     phi = lyapunov_phi(result.records, params)
-    delta1 = params.delta1
+    tau_f = result.records[-1].tau
     for k in (1, 3, 10):
         rec = result.records[k]
-        u_k = rec.psi + delta1 * rec.dh_prev_curr
+        u_k = rec.psi + params.delta / tau_f * rec.dh_prev_curr
         assert phi[k - 1] == pytest.approx(
-            params.tau_frozen * (u_k - params.v_lower), rel=1e-12
+            tau_f * (u_k - params.v_lower), rel=1e-12
         )
-
-
-# ---------------------------------------------------------------------------
-# subgradient witnesses
-
-
-def test_witness_w2_closed_form_euclidean(frozen_quadratic_run):
-    problem, result, params = frozen_quadratic_run
-    for k in (1, 2, 5):
-        rec = result.records[k]
-        x_next = result.records[k + 1].x
-        _, w2 = subgradient_witness(result.records, problem, params, k)
-        np.testing.assert_array_equal(w2, params.delta1 * (rec.x - x_next))
-
-
-def test_witness_w1_reduces_to_gradient_plus_momentum(frozen_quadratic_run):
-    # for f = 0 on the Euclidean kernel, prox optimality collapses w1 to
-    # grad g(x^{k+1}) + delta1 * (x^{k+1} - x^k)
-    problem, result, params = frozen_quadratic_run
-    for k in (1, 2, 5):
-        rec = result.records[k]
-        x_next = result.records[k + 1].x
-        w1, _ = subgradient_witness(result.records, problem, params, k)
-        expected = problem.g_grad(x_next) + params.delta1 * (x_next - rec.x)
-        np.testing.assert_allclose(w1, expected, atol=1e-12)
-
-
-def test_witness_vanishes_at_fixed_point():
-    problem = make_univariate("logquad")
-    cfg = SolverConfig(
-        L_bar_init=2.0, freeze_after=1, max_iters=30, stop_tol=0.0,
-        store_iterates=True,
-    )
-    result = cocain_bpg(problem, cfg, [1.0])
-    params = LyapunovParams(
-        cfg.delta, cfg.epsilon, 0.0, tau_frozen=result.records[-1].tau
-    )
-    # cubic local convergence parks the iterate exactly on the critical
-    # point well before the iteration budget
-    assert result.records[-1].x[0] == 0.0
-    w1, w2 = subgradient_witness(result.records, problem, params, 25)
-    assert np.all(w1 == 0.0) and np.all(w2 == 0.0)
-    with pytest.raises(ValueError):
-        subgradient_witness(result.records, problem, params, 0)
-    with pytest.raises(ValueError):
-        subgradient_witness(result.records, problem, params, 31)
-
-
-def test_subgradient_bound_on_frozen_run(frozen_quadratic_run):
-    problem, result, params = frozen_quadratic_run
-    report = check_subgradient_bound(result.records, problem, params)
-    assert report.passed
-    assert report.n_checked >= 1
-    assert report.details["rho2_empirical"] > 0.0
-    assert math.isfinite(report.details["rho2_empirical"])
-
-
-def test_subgradient_bound_validates_the_trace_once(monkeypatch):
-    # the layout and stored-iterate checks run a fixed number of times per
-    # call, however long the trace (they used to run once per record)
-    calls = []
-    for name in ("_columns", "_require_iterates"):
-        original = getattr(diag, name)
-        monkeypatch.setattr(diag, name, lambda *args, original=original,
-                            name=name: calls.append(name) or original(*args))
-    problem = quadratic_problem([8.0, 0.01])
-    counts = []
-    for iters in (20, 80):
-        cfg = SolverConfig(L_bar_init=8.0, freeze_after=1, max_iters=iters,
-                           stop_tol=0.0, store_iterates=True)
-        result = cocain_bpg(problem, cfg, [3.0, -2.0])
-        params = LyapunovParams(cfg.delta, cfg.epsilon, 0.0,
-                                tau_frozen=result.records[-1].tau)
-        calls.clear()
-        report = check_subgradient_bound(result.records, problem, params)
-        assert report.n_checked == iters
-        counts.append(len(calls))
-    assert counts == [2, 2]
-
-
-# ---------------------------------------------------------------------------
-# objective settling
-
-
-def test_objective_settling_pass_and_fail(logquad_run, abssincos_run):
-    _, settled, _ = logquad_run
-    assert check_objective_settling(settled.records).passed
-    problem = make_univariate("abssincos")
-    moving = cocain_bpg(
-        problem, SolverConfig(max_iters=40, stop_tol=0.0), [13.0]
-    )
-    assert not check_objective_settling(moving.records).passed
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +307,30 @@ def test_promises_cover_every_cli_solver():
     assert set(PROMISES) == set(cli.SOLVERS)
 
 
-def test_certify_reports_the_promised_checks(logquad_run):
-    problem, result, _ = logquad_run
-    reports = certify(result, problem)
-    assert [r.name for r in reports] == list(PROMISES["cocain"])
-    assert all(reports)
+def test_certify_runs_exactly_the_promised_checks():
+    # no check is promised without a runner, and none runs without a row
+    assert set(diag._CHECKS) == set().union(*PROMISES.values())
+    assert diag._NEEDS_ITERATES <= set(diag._CHECKS)
 
 
-def test_certify_skips_acceptance_without_iterates(abssincos_run):
-    problem, result, _ = abssincos_run
-    reports = certify(result, problem)
-    assert [r.name for r in reports] == ["lyapunov_descent", "prefix_bound"]
-    assert all(reports)
+def test_certify_reports_the_promised_checks(logquad_run, cfi_run):
+    for (problem, result, _), solver in ((logquad_run, "cocain"),
+                                         (cfi_run, "cfi")):
+        reports = certify(result, problem)
+        assert [r.name for r in reports] == list(PROMISES[solver])
+        assert all(reports)
+
+
+def test_certify_skips_acceptance_without_iterates(abssincos_run, cfi_run):
+    # and the cfi bound, the other check that reads stored iterates
+    pr_problem = cfi_run[0]
+    unstored_cfi = cocain_bpg_cfi(pr_problem, SolverConfig(max_iters=20),
+                                  np.full(5, 2.0))
+    for problem, result in (abssincos_run[:2], (pr_problem, unstored_cfi)):
+        reports = certify(result, problem)
+        assert [r.name for r in reports] == ["lyapunov_descent",
+                                             "prefix_bound"]
+        assert all(reports)
 
 
 def test_certify_holds_ipiano_to_nothing():
@@ -514,9 +369,7 @@ def test_nonfinite_value_fails_trace_checks(abssincos_run, field, value,
             assert report.passed, name
 
 
-def test_nonfinite_value_fails_stored_and_tail_checks(
-    logquad_run, cfi_run, frozen_quadratic_run
-):
+def test_nonfinite_value_fails_stored_and_tail_checks(logquad_run, cfi_run):
     problem, result, params = logquad_run
     k = 5
     report = check_acceptance_conditions(
@@ -529,23 +382,11 @@ def test_nonfinite_value_fails_stored_and_tail_checks(
     assert not report.passed
     assert (report.worst_violation, report.worst_index) == (math.inf, k)
 
-    last = len(result.records) - 2
-    report = check_objective_settling(
-        replace_record(result.records, last, psi=-math.inf))
-    assert not report.passed
-    assert (report.worst_violation, report.worst_index) == (math.inf, last)
-
     problem, result, _ = cfi_run
     report = check_cfi_bound(
         replace_record(result.records, k, gamma=math.nan), problem)
     assert not report.passed
     assert (report.worst_violation, report.worst_index) == (math.inf, k)
-
-    _, result, params = frozen_quadratic_run
-    report = check_sufficient_decrease(
-        replace_record(result.records, k, psi=math.nan), params)
-    assert not report.passed
-    assert (report.worst_violation, report.worst_index) == (math.inf, k - 1)
 
 
 def test_reports_hold_plain_python_values(abssincos_run):

@@ -577,8 +577,6 @@ _IMAGE = np.zeros((4, 4))
     lambda v: SolverConfig(L=v),
     lambda v: SolverConfig(beta=v),
     lambda v: LyapunovParams(delta=0.9, epsilon=0.1, v_lower=v),
-    lambda v: LyapunovParams(delta=0.9, epsilon=0.1, v_lower=0.0,
-                             tau_frozen=v),
     lambda v: make_spurious2d(lam=v),
     lambda v: make_spurious2d(rho=v),
     lambda v: make_spurious2d(target=(1.0, v)),
@@ -590,7 +588,7 @@ _IMAGE = np.zeros((4, 4))
     lambda v: add_outlier_noise(_IMAGE, background_std=v),
 ], ids=["delta", "epsilon", "nu_lower", "nu_upper", "L_bar_init",
         "gamma_cap", "stop_tol", "L_lower_value", "L", "beta", "v_lower",
-        "tau_frozen", "spurious_lam", "spurious_rho", "spurious_target",
+        "spurious_lam", "spurious_rho", "spurious_target",
         "phase_retrieval_lam", "noise_std", "denoise_lam", "denoise_rho",
         "magnitude", "background_std"])
 def test_non_finite_parameters_are_rejected(build, value):

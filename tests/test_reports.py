@@ -145,7 +145,6 @@ def _reports(problem, result):
     an outcome is a report, a plain value or the message of a raise."""
     records = result.records
     params = diag.LyapunovParams.from_run(result, problem)
-    k0 = diag.frozen_phase_start(records, min_run=5)
     checks = [
         ("phi", lambda: diag.lyapunov_phi(records, params)),
         ("descent", lambda: diag.check_lyapunov_descent(records, params)),
@@ -153,19 +152,8 @@ def _reports(problem, result):
         ("conditions",
          lambda: diag.check_acceptance_conditions(records, problem, params)),
         ("function", lambda: diag.check_function_descent(records, problem)),
-        ("frozen", lambda: diag.frozen_phase_start(records)),
-        ("frozen5", lambda: k0),
-        ("settling", lambda: diag.check_objective_settling(records)),
         ("cfi", lambda: diag.check_cfi_bound(records, problem)),
     ]
-    for start in sorted({1, k0 or 1}):
-        checks += [
-            (f"sufficient@{start}", lambda start=start:
-             diag.check_sufficient_decrease(records, params, start=start)),
-            (f"subgradient@{start}", lambda start=start:
-             diag.check_subgradient_bound(records, problem, params,
-                                          start=start)),
-        ]
     out = []
     for name, check in checks:
         try:
@@ -183,75 +171,75 @@ def _digest(problem, result):
 # sha256 of the repr of every check's outcome on each trace of the grid
 PINNED = {
     'abssincos/cocain/freeze':
-        'a83270d062d8e3eead81ef998f176fb9eea2bdce825abeb23a74a74042f32e83',
+        '80a71fa76981b20a508db9bafff30a37f49c57be6a4d427cb59bb6e38d1a106f',
     'abssincos/cocain/gaps':
-        '44c3f2fe7459f02477c8059c49a3f69766f589d1a266f1ee112dcc69ac09ec77',
+        '5f255f717d4864aa6238c6360ec66eee88eb3e67e2925bb3a856266b957e5657',
     'denoise/bpg_fixed':
-        '4b644ea0f38d09e7658b9844a1a2cdf058ae6325800dc20c6c552ac5c39a176d',
+        'bb3598bfb08bda1390b37b5bae407d056e17d6427d58dee6e09b5d327fafe749',
     'denoise/bpg_wb':
-        'cbfa17b86f45a9eb20f2b7ba0c4d39d294ac85c12eb2771f54896a84768e02a4',
+        'cf6896d203178b62d6d66e4801eff062988636f6cc8c629de83778b5a10681ac',
     'denoise/cocain':
-        '9e63ee04a1f8358a6f31b92e34dc688914f15d8b32d1aabca440a5676e66dde8',
+        '188db36fc143141dba1b3856c2c4864f1195db8727a9b4aa0bea56182c3ee2fb',
     'denoise/cocain_nobt':
-        '319876da22e064e20e63d14ddf98315beaa56b6c956fd9593e5d2aed25d24456',
+        '5ff4d80a1bd37ae90f71ebe6350c88d435208258485a2b8f4c6153cc371f9bab',
     'denoise/ipiano':
-        '47aaa48fbd4a7698edf88746d3e365bb8dcecc354150365a4935e9a0db5127ed',
+        '34304a68026a079212ce63d799bdac5cb87cb6dfbd24057d31d399a3a8d118dd',
     'logquad/bpg_fixed':
-        '2981210825560d422c99fdd05b3eefae8c863e3c4cd4175f9ea396d465a50650',
+        '9944af32e1a22ce9dee508108ac00f04486674e81410370135f24dcc03928b90',
     'logquad/bpg_wb':
-        '8ce454e941bb5752bdc0a0b8f385d1c69f94f1cc5539bafa3a83b39c2799e3e9',
+        '4dbb55c2c097335895284b0b2f6b30cbad5492dfd09862c7e58736b4b471a5b1',
     'logquad/cocain':
-        'c768dabb17d6ed5cc633790d5daeef4d119da9dae9f154fa14d1becc9f2b3e2a',
+        '06e8a75ff3233ac36a80925984d3343d6b18eb4725d28c87ca1adb22a71c8046',
     'logquad/cocain/1':
-        'dc5fd93434e111fb5e315c338ceb9222b508dbce0be538d816071beab735fe88',
+        '95a7e01d29c3a10b0b316515966000c9600736ce017d9745096c652ad9ffb70b',
     'logquad/cocain/dh':
-        'd0a5d3e5fdfa9f2a770530dfa2fcd92449fecb6e14360445f46da2c1dd276c4d',
+        '8f675c3adddcdd91328a0f0cf7be8a81f02612e4ee5eb78dadce69e173122ffd',
     'logquad/cocain/psi':
-        '0d709d1b7b73e77b35d48b2a529da1803355eea4e0c30e1b04dcd8e33023c91b',
+        'de30be336df4f0e907a1aa2e4ca72b2708855811671f64be3ab94b004cd5446e',
     'logquad/cocain/tau':
-        'c768dabb17d6ed5cc633790d5daeef4d119da9dae9f154fa14d1becc9f2b3e2a',
+        '06e8a75ff3233ac36a80925984d3343d6b18eb4725d28c87ca1adb22a71c8046',
     'logquad/cocain/y':
-        'b28f302d8394c4445063686f660c8eb92572105061717cf40807ac0d8173120f',
+        'a22791678957611e6be37c93e4c1cb5087a73249a9afc0575ccf64f58e6d15ab',
     'logquad/cocain_nobt':
-        '5418d45af882ae08387aaf73800075e9917c30cb53ec1278b14369bafed68bcc',
+        '16001fb68db67cd6696ade18484ddd428369a3f59d77b96ddc19cd4e80a090e2',
     'logquad/ipiano':
-        '78dc1a348c7ce4baaebe1e0137ff973d53abdefedb7cd1d519646abea7f4992a',
+        'def897b78b54ff2695124a302f3834bb1eebf1f3988b6f10afef4ef75da94053',
     'phase_retrieval/bpg_fixed':
-        '129c90904f5c1454771ad8fa48c9bf576d15ac9d267f6ec8cb54a0c7dffa1e48',
+        'f9cd6f81c9f85e7e77b9d294d38bf1be49b681672dd2228cfd36005c63210883',
     'phase_retrieval/bpg_wb':
-        'e69f6daa2f85c1220c6d07eb4f6b4489ac253bd4f45182d7d3cc8653e942d003',
+        '7c7a400b4fc4637fa1536d23962dd76c1d5b475fb6d37d335c0c746a6730d781',
     'phase_retrieval/cfi':
-        'dfa8bc36e60a759b9b92f6ba8f5a93e561d976d507263f42ec4413503ac9650d',
+        'efe49b081bfbafa45dbf750fb9bb53734392561081b7e19349975fd1c98ce4f7',
     'phase_retrieval/cfi/1':
-        'aef1cdb628506f1c02e10d20f078843305556f2340764ecfe02ea76947836336',
+        '58e6fe23ae48289a041e6a77df6ab8ba4d7798bb8c55240649d3142e7408c672',
     'phase_retrieval/cfi/gamma':
-        '66ef690f85f1ed03852848f36a4bf1916816b359f6055661a5b8b135aa3e0bd7',
+        '8f819dfe1b04c202630ef5a71ca284aabab0d3f110e692085733d817f9f67f5d',
     'phase_retrieval/cocain':
-        '566a8b4fbf64de0ea2880ece3b7984f05da80a788d47750bd7d487d0b3dd3804',
+        '03ab23d1de6b06c9e36dd59059651b3ede5ec5019357534953eae06fd8fd82a3',
     'phase_retrieval/cocain/dh':
-        'e9af67c856a148c3f1e415a39f266c39491856b6b8d643f040b2109c300ea6bc',
+        '5ea08ebf69ef54c840893afe3830eab1f57691dcf7b6900d27415805192400c8',
     'phase_retrieval/cocain/psi':
-        'de59c2238536cd9ae83c502a6db6053506bfcf050ddabe40955590cb8f4069a8',
+        '87812cdd540ec86f3b0dfab1941ef7ca124284f72c59b4748a4403c8e9696c5b',
     'phase_retrieval/cocain/tau':
-        '9302027d71b9b77ab3bf2558dddd66ff73f6c59e4d74a10025649bfb128f7083',
+        '32eeda90a693f88a79fd1448c5ce3921d56747683880ff2c1c76ea232970f492',
     'phase_retrieval/cocain/y':
-        'bb8c1e1f7c5305bda8fb9bf1c7ffca1e2d9e057444c3232aa4eb497ddaf101ef',
+        'e09b2bd1efc9aaa680a1cbeb12ee9161d29596be9f0c96478953a6d4fa9b7cbe',
     'phase_retrieval/cocain_nobt':
-        'bc5828e3ccafb340aed54ef909d7f30c907571c05f62a0f39384bdbf0c549176',
+        'da17920de0473abca6eb274efd6a16a25a91d802b4e7d965e8f04b29935f3952',
     'quadratic/cocain/freeze':
-        'd5cf038b27bee388762fc0c49b46d24d34957f5eae051b2f7f2c8a7b8219e2b9',
+        '633ac8b9040e23ece72e12876aa11480e58e403582c1cd40ea7d498bb44ca988',
     'spurious2d/bpg_fixed':
-        'ab6fcfd914058f8da4946e926248732ec61a5df7bbf321efd6ca7fa566d0f0c8',
+        '7eb16982a8b07d72c1c8d434358af4fec40c4529b82286dd90153df0134e0820',
     'spurious2d/bpg_wb':
-        '53a2119a4daef995059f4611f5899617801a4b53138fd5f48cae039a03dbdba4',
+        '23a4967707586550f7cd2ebfbdd6debcb01fdeee88f465e295e0972bab8caae8',
     'spurious2d/cocain':
-        'eeb9b7410812863279396d1071eff6875c6db0401d12f889f61ce7cb7abfb25b',
+        'b429c950e66adca02f087e52823f4bd5c198a072041b4c983c3555f6ac4de024',
     'spurious2d/cocain/freeze':
-        'eeb9b7410812863279396d1071eff6875c6db0401d12f889f61ce7cb7abfb25b',
+        'b429c950e66adca02f087e52823f4bd5c198a072041b4c983c3555f6ac4de024',
     'spurious2d/cocain_nobt':
-        'c962a997872060c0481f0a45a7a3d9a25e7a0d964cb161d937ee015d1daa4288',
+        '4739bc57b48167650b8163e31a25aa4af768dda58a9cfee954200006980359aa',
     'spurious2d/ipiano':
-        '8504984e237b00caa729ab8f55db9fc4e1b0824159a6cf623e63b7ac7ae1ffb7',
+        '8c4f1d6990f15fd399ccb8bf6205096a7e4f5a9677ca84780d3d749e973c0f4e',
 }
 
 
@@ -269,6 +257,8 @@ DIRECT = {
     "acceptance_conditions": diag.check_acceptance_conditions,
     "function_descent": lambda records, problem, params:
         diag.check_function_descent(records, problem),
+    "cfi_bound": lambda records, problem, params:
+        diag.check_cfi_bound(records, problem),
 }
 
 
@@ -280,9 +270,16 @@ def test_certify_is_the_promised_checks_bit_for_bit(label):
     reports = diag.certify(result, problem)
     assert [r.name for r in reports] == [
         name for name in diag.PROMISES[result.solver]
-        if name != "acceptance_conditions" or records[0].x is not None]
+        if name not in diag._NEEDS_ITERATES or records[0].x is not None]
     assert [report_bits(r) for r in reports] == [
         report_bits(DIRECT[r.name](records, problem, params)) for r in reports]
+
+
+def test_certify_fails_the_cfi_bound_of_an_understated_gamma():
+    problem, result = GRID["phase_retrieval/cfi/gamma"]()
+    report = diag.certify(result, problem)[-1]
+    assert report.name == "cfi_bound"
+    assert not report.passed
 
 
 def test_every_trace_is_pinned():

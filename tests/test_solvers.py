@@ -57,7 +57,7 @@ def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
-        k=1, x_prev=x_prev, x_curr=x_curr, delta=x_curr - x_prev,
+        k=1, x_curr=x_curr, delta=x_curr - x_prev,
         g_prev=problem.evaluate(x_prev), g_curr=problem.evaluate(x_curr),
         dh_prev_curr=problem.kernel.bregman(x_prev, x_curr),
         tau_prev=tau_prev, L_bar_prev=L_bar_prev,
@@ -114,8 +114,7 @@ def test_find_gamma_euclidean_closed_form():
     gamma, y, dh_curr_y = find_gamma(state, 1.0, cfg, problem)
     assert gamma == 0.5
     # the base point and its distance come with the factor
-    assert np.array_equal(
-        y, state.x_curr + gamma * (state.x_curr - state.x_prev))
+    assert np.array_equal(y, state.x_curr + gamma * state.delta)
     assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
     # the inertia condition holds with equality at the closed-form factor
     scale = 1.0 + 1.0 * state.tau_prev
@@ -141,7 +140,7 @@ def test_find_gamma_kappa_form_root_also_satisfies_condition():
     gamma_star = (-1.0 + math.sqrt(1.0 + 8.0 * kappa)) / 4.0
     assert gamma_star == pytest.approx(0.1830127018922193, abs=1e-16)
     assert gamma_star <= find_gamma(state, 1.0, cfg, problem)[0]
-    y = state.x_curr + gamma_star * (state.x_curr - state.x_prev)
+    y = state.x_curr + gamma_star * state.delta
     scale = 1.0 + 1.0 * state.tau_prev
     assert leq(
         scale * problem.kernel.bregman(state.x_curr, y),
