@@ -213,10 +213,10 @@ def check_acceptance_conditions(records, problem, params):
     each pair.  g comes from one `problem.evaluate_rows` per block, which
     evaluates each stored point once: a block's last x is carried into the
     next, where it is the first.  Phase retrieval serves it from one image
-    product for the block's x's and one for its y's, and takes no A^T
-    product.  So the audit holds one block's stacks at a time, whatever
-    the trace length: the stored points and, for phase retrieval, a few
-    buffers of their images.
+    product for all of the block's x's and y's, and takes no A^T product.
+    So the audit holds one block's stacks at a time, whatever the trace
+    length: the stored points and, for phase retrieval, a few buffers of
+    their images.
     """
     tau, gamma, L_lower, L_bar, *logged = _columns(
         records, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",

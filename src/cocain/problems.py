@@ -315,7 +315,9 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     m, d = A.shape
     b2 = b * b
-    row_sq = np.sum(A * A, axis=1)
+    # the row sums of A * A, 256 rows at a time: no temporary of A's size
+    row_sq = np.concatenate([np.sum(a * a, axis=1)
+                             for a in np.split(A, range(256, m, 256))])
     smad = float(np.sum(3.0 * row_sq * row_sq + row_sq * b2))
 
     # One product r = Ax per point, shared by the value and the gradient:
@@ -356,26 +358,26 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
 
     def g_eval_rows(xs, ys, carry):
         # PhaseEvaluation's expressions row by row, from one matrix-matrix
-        # product for the images R of the x's, written behind the carried
-        # image of the first, and one for the images S of the y's
-        R = np.empty((len(xs) + (carry is not None), m))
-        if carry is not None:
-            R[0] = carry
-        np.matmul(xs, A.T, out=R[len(R) - len(xs):])
-        S = np.matmul(ys, A.T)
-        T = R * R
+        # product for the images of the block's x's and y's, written behind
+        # the carried image of the first x: R for the x's, S for the y's
+        c = carry is not None
+        n = c + len(xs)
+        RS = np.empty((n + len(ys), m))
+        if c:
+            RS[0] = carry
+        np.matmul(np.concatenate((xs, ys)), A.T, out=RS[c:])
+        R, S = RS[:n], RS[n:]
+        T = RS * RS
         T -= b2
-        g_x = 0.25 * np.vecdot(T, T)
-        T = np.multiply(S, S, out=T[:len(S)])
-        T -= b2
-        g_y = 0.25 * np.vecdot(T, T)
+        g = 0.25 * np.vecdot(T, T)
         # grad g(y) = A^T (T * S), so both linear terms come from the
         # images, with no A^T product
+        T = T[n:]
         T *= S
         D = R[:-1] - S
         lin_curr = np.vecdot(T, D)
         lin_next = np.vecdot(T, np.subtract(R[1:], S, out=D))
-        return RowsEvaluation(g_x, g_y, lin_curr, lin_next, R[-1].copy())
+        return RowsEvaluation(g[:n], g[n:], lin_curr, lin_next, R[-1].copy())
 
     reg = reg.lower()
     if reg == "l1":

@@ -128,15 +128,18 @@ class _ImageEvaluation:
         return float(np.dot(self.t * self.r, base.r - self.r))
 
 
-def _reference_rows(problem, points):
-    """The evaluations of a block of points: one `problem.evaluate` per
-    point, or on phase retrieval (`g_eval_rows` set) the images of the
-    whole block from one product."""
+def _reference_rows(problem, xs, ys):
+    """The evaluations of a block's x's and of its y's: one
+    `problem.evaluate` per point, or on phase retrieval (`g_eval_rows`
+    set) the images of all of the block's points from one product."""
     if problem.g_eval_rows is None:
-        return [problem.evaluate(x) for x in points]
-    data = problem.meta["data"]
-    b2 = data.b * data.b
-    return [_ImageEvaluation(r, b2) for r in np.array(points) @ data.A.T]
+        rows = [problem.evaluate(x) for x in xs + ys]
+    else:
+        data = problem.meta["data"]
+        b2 = data.b * data.b
+        rows = [_ImageEvaluation(r, b2)
+                for r in np.array(xs + ys) @ data.A.T]
+    return rows[:len(xs)], rows[len(xs):]
 
 
 def reference_acceptance_conditions(records, problem, params):
@@ -155,9 +158,10 @@ def reference_acceptance_conditions(records, problem, params):
     for start in range(1, len(records) - 1, diag.AUDIT_BLOCK):
         stop = min(start + diag.AUDIT_BLOCK, len(records) - 1)
         # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
-        g_x = carried + _reference_rows(
-            problem, [rec.x for rec in records[start + len(carried):stop + 1]])
-        g_y = _reference_rows(problem, [rec.y for rec in records[start:stop]])
+        g_x, g_y = _reference_rows(
+            problem, [rec.x for rec in records[start + len(carried):stop + 1]],
+            [rec.y for rec in records[start:stop]])
+        g_x = carried + g_x
         carried = g_x[-1:]
         for i, k in enumerate(range(start, stop)):
             rec = records[k]

@@ -28,6 +28,7 @@ from cocain.problems import (
     make_phase_retrieval,
     make_robust_denoising,
 )
+from cocain.solvers import replace_record
 from helpers import reference_acceptance_conditions, report_bits
 from test_traces import PROBLEMS, _broken
 
@@ -301,15 +302,32 @@ def _audit_summary(report):
             report.worst_violation, violations)
 
 
-@pytest.mark.parametrize("problem_name", ["phase_retrieval40_l1",
-                                          "phase_retrieval40_sql2"])
-def test_blocked_audit_matches_the_per_point_audit(problem_name):
+def _zeroed(records, ks):
+    """`_broken` with the constants of the records ks zeroed."""
+    for k in ks:
+        records = replace_record(records, k, L_bar=0.0,
+                                 L_lower=-records[k].L_bar)
+    return records
+
+
+@pytest.mark.parametrize("problem_name,max_iters,zeroed", [
+    pytest.param("phase_retrieval40_l1", 100, (10, 50, 90),
+                 id="phase_retrieval40_l1"),
+    pytest.param("phase_retrieval40_sql2", 100, (10, 50, 90),
+                 id="phase_retrieval40_sql2"),
+    # a last block of one iteration, whose 1-row y and carried x image
+    # share the block's product, and the worst excess in that block
+    pytest.param("phase_retrieval40_l1", diag.AUDIT_BLOCK + 1, (17,),
+                 id="phase_retrieval40_l1-17")])
+def test_blocked_audit_matches_the_per_point_audit(problem_name, max_iters,
+                                                   zeroed):
     problem, config, x0 = PROBLEMS[problem_name]()
-    result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
-                                   x0)
+    config = replace(config, store_iterates=True, max_iters=max_iters)
+    result = cli.SOLVERS["cocain"](problem, config, x0)
+    assert result.iterations == max_iters
     per_point = replace(problem, g_eval_rows=None)
     params = diag.LyapunovParams.from_run(result, problem)
-    for trace in (result.records, _broken(result.records)):
+    for trace in (result.records, _zeroed(result.records, zeroed)):
         blocked = _audit_summary(
             diag.check_acceptance_conditions(trace, problem, params))
         single = _audit_summary(

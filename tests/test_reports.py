@@ -57,13 +57,37 @@ def _frozen_abssincos():
     return problem, cli.SOLVERS["cocain"](problem, config, np.array([13.0]))
 
 
-def _corrupted(base, **changes):
+def _corrupted(base, at, **changes):
     problem, result = base()
-    k = len(result.records) // 2
-    rec = result.records[k]
+    rec = result.records[at]
     values = {name: fn(rec) for name, fn in changes.items()}
-    return problem, replace(result, records=replace_record(result.records, k,
+    return problem, replace(result, records=replace_record(result.records, at,
                                                            **values))
+
+
+# copies of healthy grid traces corrupted at one record, by label: the
+# healthy trace's label, the record, and the corruption of each field.
+# logquad's run has settled by record 12, and a tau doubled there or later
+# moves no report; doubled at record 4, it fails Lyapunov descent
+CORRUPTIONS = {
+    "phase_retrieval/cocain/psi":
+        ("phase_retrieval/cocain", 31, {"psi": lambda r: r.psi + 1.0}),
+    "phase_retrieval/cocain/tau":
+        ("phase_retrieval/cocain", 31, {"tau": lambda r: 2.0 * r.tau}),
+    "phase_retrieval/cocain/dh":
+        ("phase_retrieval/cocain", 31,
+         {"dh_prev_curr": lambda r: 4.0 * r.dh_prev_curr}),
+    "phase_retrieval/cocain/y":
+        ("phase_retrieval/cocain", 31, {"y": lambda r: r.y + 0.1}),
+    "logquad/cocain/psi":
+        ("logquad/cocain", 16, {"psi": lambda r: r.psi + 1.0}),
+    "logquad/cocain/tau": ("logquad/cocain", 4, {"tau": lambda r: 2.0 * r.tau}),
+    "logquad/cocain/dh":
+        ("logquad/cocain", 16, {"dh_prev_curr": lambda r: 1.0}),
+    "logquad/cocain/y": ("logquad/cocain", 16, {"y": lambda r: r.y - 0.5}),
+    "phase_retrieval/cfi/gamma":
+        ("phase_retrieval/cfi", 31, {"gamma": lambda r: 0.0}),
+}
 
 
 def _grid():
@@ -77,29 +101,12 @@ def _grid():
             lambda: _run("spurious2d", "cocain", freeze_after=5),
         "quadratic/cocain/freeze": _frozen_quadratic,
         "abssincos/cocain/freeze": _frozen_abssincos,
-    })
-    pr_cocain = grid["phase_retrieval/cocain"]
-    logquad = grid["logquad/cocain"]
-    grid.update({
-        "phase_retrieval/cocain/psi":
-            lambda: _corrupted(pr_cocain, psi=lambda r: r.psi + 1.0),
-        "phase_retrieval/cocain/tau":
-            lambda: _corrupted(pr_cocain, tau=lambda r: 2.0 * r.tau),
-        "phase_retrieval/cocain/dh":
-            lambda: _corrupted(pr_cocain,
-                               dh_prev_curr=lambda r: 4.0 * r.dh_prev_curr),
-        "phase_retrieval/cocain/y":
-            lambda: _corrupted(pr_cocain, y=lambda r: r.y + 0.1),
-        "logquad/cocain/psi":
-            lambda: _corrupted(logquad, psi=lambda r: r.psi + 1.0),
-        "logquad/cocain/tau":
-            lambda: _corrupted(logquad, tau=lambda r: 2.0 * r.tau),
-        "logquad/cocain/dh": lambda: _corrupted(logquad, dh_prev_curr=lambda r: 1.0),
-        "logquad/cocain/y": lambda: _corrupted(logquad, y=lambda r: r.y - 0.5),
-        "phase_retrieval/cfi/gamma": lambda: _corrupted(
-            grid["phase_retrieval/cfi"], gamma=lambda r: 0.0),
         "abssincos/cocain/gaps": _inflated_gaps,
     })
+    grid.update({
+        label: (lambda base=base, at=at, changes=changes:
+                _corrupted(grid[base], at, **changes))
+        for label, (base, at, changes) in CORRUPTIONS.items()})
     return grid
 
 
@@ -197,7 +204,7 @@ PINNED = {
     'logquad/cocain/psi':
         'de30be336df4f0e907a1aa2e4ca72b2708855811671f64be3ab94b004cd5446e',
     'logquad/cocain/tau':
-        '06e8a75ff3233ac36a80925984d3343d6b18eb4725d28c87ca1adb22a71c8046',
+        '08698666d0c2b488bc54a5a408dc0779caee23bf1965fb860a1364a7759566da',
     'logquad/cocain/y':
         'a22791678957611e6be37c93e4c1cb5087a73249a9afc0575ccf64f58e6d15ab',
     'logquad/cocain_nobt':
@@ -211,7 +218,7 @@ PINNED = {
     'phase_retrieval/cfi':
         'efe49b081bfbafa45dbf750fb9bb53734392561081b7e19349975fd1c98ce4f7',
     'phase_retrieval/cfi/1':
-        '58e6fe23ae48289a041e6a77df6ab8ba4d7798bb8c55240649d3142e7408c672',
+        '8557ea82f3a3e06ea5b1ebc262f51275b3038514537381e42f12d380c6099b8c',
     'phase_retrieval/cfi/gamma':
         '8f819dfe1b04c202630ef5a71ca284aabab0d3f110e692085733d817f9f67f5d',
     'phase_retrieval/cocain':
@@ -280,6 +287,26 @@ def test_certify_fails_the_cfi_bound_of_an_understated_gamma():
     report = diag.certify(result, problem)[-1]
     assert report.name == "cfi_bound"
     assert not report.passed
+
+
+@pytest.mark.parametrize("label", sorted(CORRUPTIONS))
+def test_every_corruption_moves_the_reports(label):
+    healthy = CORRUPTIONS[label][0]
+    assert _digest(*GRID[label]()) != _digest(*GRID[healthy]())
+
+
+def test_freezing_the_spurious_run_changes_no_constant():
+    # the barrier's L_bar_init exceeds smad_L, so the frozen rung
+    # max(L_bar, smad_L) is the healthy run's L_bar: the frozen run logs
+    # the same points and constants, and its reports are the healthy ones
+    problem, frozen = GRID["spurious2d/cocain/freeze"]()
+    _, healthy = GRID["spurious2d/cocain"]()
+    assert cli.SPURIOUS_CONFIG.L_bar_init > problem.smad_L
+    assert all(rec.upper_trials == 0 for rec in frozen.records[5:-1])
+    columns = ("psi", "tau", "gamma", "L_bar", "L_lower", "dh_prev_curr")
+    assert [[getattr(rec, c) for c in columns] for rec in frozen.records] == [
+        [getattr(rec, c) for c in columns] for rec in healthy.records]
+    assert _digest(problem, frozen) == _digest(problem, healthy)
 
 
 def test_every_trace_is_pinned():
