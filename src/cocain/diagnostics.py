@@ -31,9 +31,14 @@ import numpy as np
 
 from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 
-# Iterations per block of the acceptance audit: its stored points are
-# evaluated one block at a time.
+# Iterations per block of the audits of stored points: as many as keep a
+# stack of one point per iteration within AUDIT_BLOCK_BYTES, since each
+# block costs a fixed Python overhead; at least AUDIT_BLOCK, which bounds
+# large points' stacks, and at most AUDIT_BLOCK_MAX, which holds phase
+# retrieval's image buffers (m entries a row) to 4x a 16-iteration block's.
 AUDIT_BLOCK = 16
+AUDIT_BLOCK_MAX = 64
+AUDIT_BLOCK_BYTES = 16384
 
 # Fixed tolerances of the checks below, each named in its docstring.
 PREFIX_SLACK = 1e-12
@@ -147,7 +152,11 @@ def lyapunov_phi(records, params):
     Phi^k combines record k's objective and distance with record k-1's step
     size, so the value is well defined for every record after the first.
     """
-    psi, tau, dh = _columns(records, "psi", "tau", "dh_prev_curr")
+    return _phi(*_columns(records, "psi", "tau", "dh_prev_curr"), params)
+
+
+def _phi(psi, tau, dh, params):
+    """`lyapunov_phi` from the trace's psi, tau and dh_prev_curr columns."""
     return tau[:-1] * (psi[1:] - params.v_lower) + params.delta * dh[1:]
 
 
@@ -157,8 +166,8 @@ def check_lyapunov_descent(records, params):
     The inequality is allowed a relative slack of LYAPUNOV_SLACK on the
     larger side's magnitude.  details carries the Phi array.
     """
-    phi = lyapunov_phi(records, params)
-    (dh,) = _columns(records, "dh_prev_curr")
+    psi, tau, dh = _columns(records, "psi", "tau", "dh_prev_curr")
+    phi = _phi(psi, tau, dh, params)
     v = violation(phi[1:] + params.epsilon * dh[1:len(phi)], phi[:-1])
     return _report("lyapunov_descent", v, LYAPUNOV_SLACK, phi=phi)
 
@@ -166,9 +175,8 @@ def check_lyapunov_descent(records, params):
 def check_prefix_bound(records, params):
     """Verify min_{1<=k<=n} D_h(x^{k-1}, x^k) <= Phi^1/(epsilon*n)
     + PREFIX_SLACK for every prefix length n."""
-    phi = lyapunov_phi(records, params)
-    phi1 = float(phi[0])
-    (dh,) = _columns(records, "dh_prev_curr")
+    psi, tau, dh = _columns(records, "psi", "tau", "dh_prev_curr")
+    phi1 = float(_phi(psi, tau, dh, params)[0])
     gaps = dh[1:-1]
     n = np.arange(1, gaps.size + 1)
     excess = np.minimum.accumulate(gaps) - phi1 / (params.epsilon * n)
@@ -176,13 +184,20 @@ def check_prefix_bound(records, params):
                    min_gap=float(gaps.min(initial=math.inf)))
 
 
+def _audit_block_length(x):
+    """Iterations per audit block of points like x (see AUDIT_BLOCK)."""
+    fit = AUDIT_BLOCK_BYTES // max(x.nbytes, 1)
+    return min(max(fit, AUDIT_BLOCK), AUDIT_BLOCK_MAX)
+
+
 def _audit_blocks(records):
-    """The iterations 1..N-1 of a trace in blocks of AUDIT_BLOCK: for each
-    block of iterations start..stop-1, the slice of their rows counted
-    from 0, the lists of the stored x^{start-1..stop} and y^{start..stop-1},
-    and their stacks."""
-    for start in range(1, len(records) - 1, AUDIT_BLOCK):
-        stop = min(start + AUDIT_BLOCK, len(records) - 1)
+    """The iterations 1..N-1 of a trace in blocks of
+    `_audit_block_length(records[0].x)`: for each block of iterations
+    start..stop-1, the slice of their rows counted from 0, the lists of the
+    stored x^{start-1..stop} and y^{start..stop-1}, and their stacks."""
+    block = _audit_block_length(records[0].x)
+    for start in range(1, len(records) - 1, block):
+        stop = min(start + block, len(records) - 1)
         xs = [rec.x for rec in records[start - 1:stop + 1]]
         ys = [rec.y for rec in records[start:stop]]
         yield slice(start - 1, stop - 1), xs, ys, np.array(xs), np.array(ys)
@@ -206,13 +221,14 @@ def check_acceptance_conditions(records, problem, params):
     The conditions are the contract of the double-backtracking solvers;
     traces from other methods may legitimately fail them.
 
-    The records are walked in blocks of AUDIT_BLOCK iterations.  A block
-    stacks its x^{k-1}..x^{k+1} and its y^k once, as rows, and takes every
-    column of its iterations in whole-stack passes: `kernel.bregman` on
-    two stacks gives one distance per row, with the bits of the call on
-    each pair.  g comes from one `problem.evaluate_rows` per block, which
-    evaluates each stored point once: a block's last x is carried into the
-    next, where it is the first.  Phase retrieval serves it from one image
+    The records are walked in blocks of 16 iterations, up to 64 for points
+    of fewer than 128 coordinates (AUDIT_BLOCK).  A block stacks its
+    x^{k-1}..x^{k+1} and its y^k once, as rows, and takes every column of
+    its iterations in whole-stack passes: `kernel.bregman` on two stacks
+    gives one distance per row, with the bits of the call on each pair.
+    g comes from one `problem.evaluate_rows` per block, which evaluates
+    each stored point once: a block's last x is carried into the next,
+    where it is the first.  Phase retrieval serves it from one image
     product for all of the block's x's and y's, and takes no A^T product.
     So the audit holds one block's stacks at a time, whatever the trace
     length: the stored points and, for phase retrieval, a few buffers of

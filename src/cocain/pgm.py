@@ -7,33 +7,35 @@ Images travel through the rest of the package as float arrays scaled to
 """
 
 import os
+import re
 import tempfile
 
 import numpy as np
+
+
+# A header token, after any whitespace and comments before it; a comment
+# runs from '#' to the next CR or LF and may follow a token directly.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]+)")
+_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
 def _header_tokens(data):
     """First four whitespace-separated tokens, honoring '#' comments.
 
     Returns the tokens and the offset one byte past the final token's
-    trailing whitespace byte (where a P5 raster begins).
+    trailing whitespace byte (where a P5 raster begins); a comment right
+    after that token ends at its CR or LF, which is that byte.
     """
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _TOKEN.match(data, pos)
+        if match is None:
             raise ValueError("truncated graymap header")
-        tokens.append(data[start:pos])
-    return tokens, pos + 1
+        tokens.append(match[1])
+        pos = match.end()
+    comment = _COMMENT.match(data, pos)
+    return tokens, (comment.end() if comment else pos) + 1
 
 
 def read_pgm(path):
@@ -51,9 +53,7 @@ def read_pgm(path):
 
     count = width * height
     if magic == b"P2":
-        body = data[raster_at - 1 :].split(b"\n")
-        body = b" ".join(line.split(b"#", 1)[0] for line in body)
-        values = body.split()
+        values = _COMMENT.sub(b" ", data[raster_at - 1 :]).split()
         if len(values) != count:
             raise ValueError(f"expected {count} pixels, found {len(values)}")
         flat = np.array([int(v) for v in values], dtype=np.int64)

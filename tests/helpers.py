@@ -155,8 +155,9 @@ def reference_acceptance_conditions(records, problem, params):
     kernel = problem.kernel
     rows = []
     carried = []  # the evaluation at the first x^k of the next block
-    for start in range(1, len(records) - 1, diag.AUDIT_BLOCK):
-        stop = min(start + diag.AUDIT_BLOCK, len(records) - 1)
+    block = diag._audit_block_length(records[0].x)
+    for start in range(1, len(records) - 1, block):
+        stop = min(start + block, len(records) - 1)
         # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
         g_x, g_y = _reference_rows(
             problem, [rec.x for rec in records[start + len(carried):stop + 1]],

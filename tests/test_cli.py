@@ -992,6 +992,31 @@ def test_pgm_round_trip(tmp_path):
         )
 
 
+@pytest.mark.parametrize("header", [
+    b"P2\n2 2# size\n255\n",
+    b"P2\n#c\r2 2\n255\n",
+    b"P2 # magic\r\n# two lines\r\n2\r\n2#x\r\n255\n",
+    b"P2\n2 2\n255# a comment ends the header at its LF\n",
+    b"P2\n2 2\n255# or at its CR\r",
+], ids=["after_token", "cr_ends_comment", "crlf", "after_maxval_lf",
+        "after_maxval_cr"])
+@pytest.mark.parametrize("binary", [False, True], ids=["P2", "P5"])
+def test_pgm_header_comments(tmp_path, header, binary):
+    # a comment runs from '#' to the next CR or LF, may follow a token
+    # directly, and right after maxval ends the header; P5 raster bytes
+    # that read as '#', CR, LF and space are pixels
+    levels = [35, 13, 10, 32]
+    if binary:
+        raster = bytes(levels)
+        header = header.replace(b"P2", b"P5")
+    else:
+        raster = b"35 13 # a comment in the raster\r10 32\n"
+    path = tmp_path / "commented.pgm"
+    path.write_bytes(header + raster)
+    np.testing.assert_array_equal(
+        read_pgm(path), np.array(levels, dtype=float).reshape(2, 2) / 255.0)
+
+
 def test_pgm_write_clips(tmp_path):
     path = tmp_path / "clip.pgm"
     write_pgm(path, np.array([[-0.5, 1.5]]))

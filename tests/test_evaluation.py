@@ -10,7 +10,9 @@ trial counts: a counting wrapper around the phase-retrieval evaluation
 books one A product per `g_eval` call (an extrapolated evaluation makes
 none) and one A^T product per gradient first read.  The audit of stored
 iterates evaluates them in blocks through `g_eval_rows`: one image per
-stored point, computed together, and no A^T product.  Its report must
+stored point, computed together, and no A^T product.  Blocks take 16 to
+64 iterations by the size of the stored point, and the longer blocks of
+small points must give the bits of 16-iteration ones.  The report must
 equal, float bits included, that of the per-iteration reference loop in
 `helpers.py`, on healthy and broken traces and on a run that stops at its
 first iteration.
@@ -272,24 +274,26 @@ def _counting_rows(problem):
 
 def test_audit_evaluates_each_stored_point_once():
     problem, config, x0 = PROBLEMS["phase_retrieval"]()
-    result = cli.SOLVERS["cocain"](problem, replace(config, store_iterates=True),
-                                   x0)
+    config = replace(config, store_iterates=True, max_iters=150, stop_tol=0.0)
+    result = cli.SOLVERS["cocain"](problem, config, x0)
     counted, counts, points, blocks = _counting_rows(problem)
     params = diag.LyapunovParams.from_run(result, problem)
     report = diag.check_acceptance_conditions(result.records, counted, params)
     plain = diag.check_acceptance_conditions(result.records, problem, params)
     assert report == plain and report.passed
     n = report.n_checked
-    assert n == result.iterations == 60
+    assert n == result.iterations == 150
     # x^1..x^{n+1} and every y^k once each, in blocks that bound the
     # audit's memory whatever the trace length, and no A^T product: both
     # linear terms are taken from the images
+    block = diag._audit_block_length(result.records[0].x)
+    assert block < n
     stored = ([rec.x for rec in result.records[1:]]
               + [rec.y for rec in result.records[1:-1]])
     assert sorted(map(id, points)) == sorted(map(id, stored))
     assert counts == {"A": (n + 1) + n, "AT": 0}
-    assert max(blocks) <= diag.AUDIT_BLOCK + 1
-    assert len(blocks) == 2 * -(-n // diag.AUDIT_BLOCK)
+    assert max(blocks) == block + 1
+    assert len(blocks) == 2 * -(-n // block)
 
 
 def _audit_summary(report):
@@ -310,6 +314,10 @@ def _zeroed(records, ks):
     return records
 
 
+# iterations per audit block of a 40-coordinate point
+_PR40_BLOCK = diag._audit_block_length(np.empty(40))
+
+
 @pytest.mark.parametrize("problem_name,max_iters,zeroed", [
     pytest.param("phase_retrieval40_l1", 100, (10, 50, 90),
                  id="phase_retrieval40_l1"),
@@ -317,8 +325,8 @@ def _zeroed(records, ks):
                  id="phase_retrieval40_sql2"),
     # a last block of one iteration, whose 1-row y and carried x image
     # share the block's product, and the worst excess in that block
-    pytest.param("phase_retrieval40_l1", diag.AUDIT_BLOCK + 1, (17,),
-                 id="phase_retrieval40_l1-17")])
+    pytest.param("phase_retrieval40_l1", _PR40_BLOCK + 1, (_PR40_BLOCK + 1,),
+                 id="phase_retrieval40_l1-block+1")])
 def test_blocked_audit_matches_the_per_point_audit(problem_name, max_iters,
                                                    zeroed):
     problem, config, x0 = PROBLEMS[problem_name]()
@@ -355,6 +363,58 @@ def test_stacked_audit_is_the_reference_loop(problem_name, rows):
         assert report_bits(report) == report_bits(
             reference_acceptance_conditions(trace, problem, params))
     assert not report.passed  # the broken trace's excesses are compared
+
+
+def _phase_retrieval10(reg):
+    """The desk study's phase retrieval: d = 10, m = 50."""
+    def build():
+        data = generate_phase_retrieval(10, 50, seed=0, noise_std=0.3)
+        return (make_phase_retrieval(data, reg=reg, lam=0.1),
+                cli.PHASE_RETRIEVAL_CONFIG, np.full(10, 2.0))
+
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    PROBLEMS["logquad"], PROBLEMS["spurious2d"], _phase_retrieval10("l1"),
+    _phase_retrieval10("sql2")],
+    ids=["logquad", "spurious2d", "phase_retrieval10_l1",
+         "phase_retrieval10_sql2"])
+def test_audit_blocks_sized_by_the_point_keep_every_bit(build, monkeypatch):
+    problem, config, x0 = build()
+    config = replace(config, store_iterates=True, max_iters=200, stop_tol=0.0)
+    result = cli.SOLVERS["cocain"](problem, config, x0)
+    assert result.iterations == 200
+    params = diag.LyapunovParams.from_run(result, problem)
+    # the constants zeroed at three records, and gamma understated on
+    # every tenth, so that each check's worst excess is a live float
+    understated = result.records
+    for k in range(10, 200, 10):
+        understated = replace_record(understated, k,
+                                     gamma=understated[k].gamma / 3.0)
+    traces = (result.records, _broken(result.records), understated)
+
+    def reports():
+        return [report_bits(check(trace)) for trace in traces for check in (
+            lambda t: diag.check_acceptance_conditions(t, problem, params),
+            lambda t: diag.check_cfi_bound(t, problem))]
+
+    assert diag._audit_block_length(x0) == diag.AUDIT_BLOCK_MAX == 64
+    sized = reports()
+    monkeypatch.setattr(diag, "AUDIT_BLOCK_MAX", diag.AUDIT_BLOCK)
+    assert diag._audit_block_length(x0) == 16
+    assert sized == reports()
+    assert not diag.check_acceptance_conditions(traces[1], problem, params)
+    assert not diag.check_cfi_bound(traces[2], problem)
+
+
+@pytest.mark.parametrize("dim,block", [
+    (0, 64), (1, 64), (10, 64), (32, 64), (33, 62), (40, 51), (127, 16),
+    (128, 16), (129, 16), (500, 16)])
+def test_audit_block_length_rule(dim, block):
+    # a block of one stored point per iteration fits in 16 KiB, clamped
+    # to [16, 64] iterations
+    assert diag._audit_block_length(np.empty(dim)) == block
 
 
 @pytest.mark.parametrize("problem_name", ["logquad", "phase_retrieval"])
