@@ -57,10 +57,16 @@ class Kernel:
     def hess_vec(self, x, v):
         raise NotImplementedError
 
-    def bregman(self, x, y):
+    def bregman(self, x, y, d=None):
         """D_h(x, y), nonnegative for convex h: a float for two points, and
         one distance per row, bit for bit the same, for two equal-shape
-        stacks of points along the first axis."""
+        stacks of points along the first axis.
+
+        d, when given, is a difference the caller already holds, x - y or
+        y - x as computed, in place of the x - y the method would form.
+        Both kernels read d only through d.d and <x+y, d>^2, and y - x is
+        exactly -(x - y) in floating point, so either sign gives the bits
+        of the call without d."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -85,11 +91,12 @@ class EuclideanKernel(Kernel):
     def hess_vec(self, x, v):
         return np.copy(v)
 
-    def bregman(self, x, y):
+    def bregman(self, x, y, d=None):
         # tested inline: the solvers call bregman several times an iteration
         if x.shape != y.shape:
             _check_pair(x, y)
-        d = x - y
+        if d is None:
+            d = x - y
         return 0.5 * _dot(d, d)
 
 
@@ -123,12 +130,13 @@ class QuarticKernel(Kernel):
     def hess_vec(self, x, v):
         return (_dot(x, x) + 1.0) * v + 2.0 * _dot(x, v) * x
 
-    def bregman(self, x, y):
+    def bregman(self, x, y, d=None):
         # 1/4 <x+y, x-y>^2 + 1/2 (||y||^2 + 1) ||x-y||^2, a sum of
         # nonnegative terms
         if x.shape != y.shape:
             _check_pair(x, y)
-        d = x - y
+        if d is None:
+            d = x - y
         s = _dot(x + y, d)
         return 0.25 * s * s + 0.5 * (_dot(y, y) + 1.0) * _dot(d, d)
 

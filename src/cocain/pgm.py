@@ -38,6 +38,17 @@ def _header_tokens(data):
     return tokens, (comment.end() if comment else pos) + 1
 
 
+def _integer(path, field, token):
+    """A header or P2 pixel token as an int, or a ValueError that names
+    the file and the field."""
+    try:
+        return int(token)
+    except ValueError:
+        text = token.decode(errors="replace")
+        raise ValueError(
+            f"{path}: graymap {field} {text!r} is not an integer") from None
+
+
 def read_pgm(path):
     """Load a P2 or P5 graymap as a float array in [0, 1]."""
     with open(path, "rb") as fh:
@@ -45,7 +56,9 @@ def read_pgm(path):
     (magic, w_tok, h_tok, max_tok), raster_at = _header_tokens(data)
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a graymap: magic {magic!r}")
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+    width = _integer(path, "width", w_tok)
+    height = _integer(path, "height", h_tok)
+    maxval = _integer(path, "maxval", max_tok)
     if width < 1 or height < 1:
         raise ValueError(f"bad graymap size {width}x{height}")
     if not 1 <= maxval <= 65535:
@@ -56,7 +69,8 @@ def read_pgm(path):
         values = _COMMENT.sub(b" ", data[raster_at - 1 :]).split()
         if len(values) != count:
             raise ValueError(f"expected {count} pixels, found {len(values)}")
-        flat = np.array([int(v) for v in values], dtype=np.int64)
+        flat = np.array([_integer(path, "pixel", v) for v in values],
+                        dtype=np.int64)
     else:
         stride = 1 if maxval < 256 else 2
         raw = data[raster_at : raster_at + count * stride]

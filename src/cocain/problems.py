@@ -13,8 +13,9 @@ The solvers read g through `problem.evaluate(x)`, one `Evaluation` per
 point whose value and gradient are each computed at most once.  By default
 it calls g_value and g_grad lazily; a problem whose two oracles share work
 supplies its own through `g_eval` (phase retrieval computes Ax once, and
-evaluates extrapolated points from the images it already has).  The audit
-of stored iterates reads g a block of iterations at a time through
+evaluates extrapolated points from the images it already has; denoise
+hands the squared stencil norms of its value pass to its gradient).  The
+audit of stored iterates reads g a block of iterations at a time through
 `problem.evaluate_rows(xs, ys, carry)`, one `RowsEvaluation` of row
 values and linear terms per block, which a problem may serve with
 products over the whole block (`g_eval_rows`).
@@ -39,8 +40,9 @@ from .tol import require_finite
 class Evaluation:
     """g at one point: value_fn(arg) and grad_fn(arg), each computed on
     first use and kept.  arg is the point itself for the default oracles;
-    a fused oracle that shares something else between the two (see g_eval)
-    subclasses this and overrides `extrapolated` and `slope_to`."""
+    a fused oracle that shares work between the two (see g_eval) subclasses
+    this, and overrides `extrapolated` and `slope_to` when its arg is
+    something else."""
 
     __slots__ = ("_value_fn", "_grad_fn", "_arg", "_value", "_grad")
 
@@ -66,11 +68,40 @@ class Evaluation:
         """The evaluation at y = x + gamma * (x - x_prev), x this
         evaluation's point and prev the evaluation at x_prev; by default a
         fresh one at y."""
-        return Evaluation(self._value_fn, self._grad_fn, y)
+        return type(self)(self._value_fn, self._grad_fn, y)
 
     def slope_to(self, base):
         """<grad g(y), x - y>, y this evaluation's point and x base's."""
         return float(self.grad.dot(base._arg - self._arg))
+
+
+class BufferSharingEvaluation(Evaluation):
+    """An `Evaluation` whose value pass leaves behind a buffer its
+    gradient can start from: value_fn(x) returns (g(x), buffer), and
+    grad_fn(x, buffer) consumes the buffer, or forms everything itself
+    from buffer None when the gradient is read first.  The buffer is held
+    only between the two reads."""
+
+    __slots__ = ("_shared",)
+
+    def __init__(self, value_fn, grad_fn, arg):
+        super().__init__(value_fn, grad_fn, arg)
+        self._shared = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value, shared = self._value_fn(self._arg)
+            if self._grad is None:
+                self._shared = shared
+        return self._value
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = self._grad_fn(self._arg, self._shared)
+            self._shared = None
+        return self._grad
 
 
 class RowsEvaluation(NamedTuple):
@@ -510,23 +541,30 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
     b = b_img.ravel().copy()
 
     # Both oracles work in place on the fresh difference buffers, never on
-    # x.reshape(shape), which is a view of the solver's iterate.
+    # x.reshape(shape), which is a view of the solver's iterate.  The
+    # evaluation hands s = rho * (d1^2 + d2^2) from the value pass to the
+    # gradient, which then recomputes only Dx.
 
-    def g_value(x):
+    def value_and_square(x):
         d1, d2 = finite_difference(x.reshape(shape))
         d1 *= d1
         d2 *= d2
         d1 += d2
         d1 *= rho
-        np.log1p(d1, out=d1)
-        return float(lam * d1.sum())
+        np.log1p(d1, out=d2)
+        return float(lam * d2.sum()), d1
 
-    def g_grad(x):
+    def g_value(x):
+        return value_and_square(x)[0]
+
+    def g_grad(x, s=None):
         d1, d2 = finite_difference(x.reshape(shape))
-        # w = 2 lam rho / (1 + rho * (d1^2 + d2^2))
-        w = np.multiply(d1, d1)
-        w += d2 * d2
-        w *= rho
+        # w = 2 lam rho / (1 + s), in s's buffer when the value pass left it
+        w = s
+        if w is None:
+            w = np.multiply(d1, d1)
+            w += d2 * d2
+            w *= rho
         w += 1.0
         np.divide(2.0 * lam * rho, w, out=w)
         d1 *= w
@@ -569,6 +607,7 @@ def make_robust_denoising(image, lam=10.0, rho=1.0, data_term="log"):
         sampling_box=(-1.0, 2.0),
         meta={"shape": shape, "observed": b, "lam": lam, "rho": rho,
               "data_term": data_term},
+        g_eval=lambda x: BufferSharingEvaluation(value_and_square, g_grad, x),
     )
 
 

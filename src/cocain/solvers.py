@@ -285,14 +285,17 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
     """The backtracked majorant rule: fix (L_bar, tau, x_next) for one step.
 
     g_y is the evaluation of g at y.  Starts the ladder at the previous
-    majorant (so L_bar never decreases), sets tau = min(tau_prev, 1/L_bar),
-    solves the proximal subproblem centred at `centre` (default y), and
-    accepts once the majorant inequality g(x_next) <= g(y) + <grad g(y),
-    x_next - y> + L_bar * D_h(x_next, y) holds.  Returns (L_bar, tau,
-    x_next, g_next, trials), g_next the evaluation of g at x_next, or None
-    when no trial is accepted.  From config.freeze_after on it starts at
-    max(L_bar_prev, smad_L), where the inequality holds since L_bar * h - g
-    is convex, and returns the first rung untested, with 0 trials.
+    majorant (so L_bar never decreases), sets tau = 1/L_bar, solves the
+    proximal subproblem centred at `centre` (default y), and accepts once
+    the majorant inequality g(x_next) <= g(y) + <grad g(y), x_next - y> +
+    L_bar * D_h(x_next, y) holds, with x_next - y formed once for both
+    terms.  tau never exceeds tau_prev = 1/L_bar_prev, since the ladder
+    only climbs from L_bar_prev and correctly rounded division is
+    monotone.  Returns (L_bar, tau, x_next, g_next, trials), g_next the
+    evaluation of g at x_next, or None when no trial is accepted.  From
+    config.freeze_after on it starts at max(L_bar_prev, smad_L), where the
+    inequality holds since L_bar * h - g is convex, and returns the first
+    rung untested, with 0 trials.
     """
     kernel = problem.kernel
     grad_h_centre = kernel.grad(y if centre is None else centre)
@@ -302,15 +305,16 @@ def upper_backtrack(state, y, g_y, config, problem, centre=None):
     if frozen:
         L_bar = max(L_bar, problem.smad_L)
     for trial in range(1, config.max_backtracks + 1):
-        tau = min(state.tau_prev, 1.0 / L_bar)
+        tau = 1.0 / L_bar
         x_next = problem.f_prox_step(grad_h_centre, grad_g_y, tau)
         g_next = problem.evaluate(x_next)
         if frozen:
             return L_bar, tau, x_next, g_next, 0
+        d = x_next - y
         rhs = (
             g_y.value
-            + float(grad_g_y.dot(x_next - y))
-            + L_bar * kernel.bregman(x_next, y)
+            + float(grad_g_y.dot(d))
+            + L_bar * kernel.bregman(x_next, y, d)
         )
         if leq(g_next.value, rhs):
             return L_bar, tau, x_next, g_next, trial
@@ -325,10 +329,11 @@ def _no_inertia(state):
 
 
 def _fixed_majorant(L, problem):
-    """The majorant rule pinned at L: one proximal step from y, no search."""
+    """The majorant rule pinned at L: one proximal step from y, no search,
+    with tau = 1/L, where the driver starts it."""
+    tau = 1.0 / L
 
     def majorant(state, y, g_y):
-        tau = min(state.tau_prev, 1.0 / L)
         x_next = problem.f_prox_step(problem.kernel.grad(y), g_y.grad, tau)
         return L, tau, x_next, problem.evaluate(x_next), 0
 
@@ -358,12 +363,14 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     upper_trials); either returns None when its ladder runs out, which
     ends the run as a backtrack_failure.  Record k logs both; g_next, the
     evaluation of g at x_next, becomes the next state's g_curr, and g_curr
-    its g_prev; the step x_next - x_curr, formed once for the stop test,
-    becomes its delta; the first state's L_lower_prev is 0.  An ArithmeticError
-    inside a rule (a stalled prox solve) or a non-finite Psi(x_next) ends
-    the run as non_finite.  A stopped run keeps its accepted steps, and
-    `reason` names the failure and its iteration: only the setup checks
-    raise.
+    its g_prev; the step x_next - x_curr, formed once, becomes its delta,
+    which serves the stop test (max |delta_i| < stop_tol), the step norm
+    and, negated, D_h(x^{k-1}, x^k) of the next record and of the final
+    one (see `Kernel.bregman`); the first state's L_lower_prev is 0.  An
+    ArithmeticError inside a rule (a stalled prox solve) or a non-finite
+    Psi(x_next) ends the run as non_finite.  A stopped run keeps its
+    accepted steps, and `reason` names the failure and its iteration: only
+    the setup checks raise.
     """
     x0 = np.array(x0, dtype=float).reshape(-1)
     if x0.shape != (problem.dim,):
@@ -397,7 +404,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
 
     for k in range(1, config.max_iters + 1):
         tick = time.perf_counter_ns()
-        dh_prev_curr = kernel.bregman(x_prev, x_curr)
+        dh_prev_curr = kernel.bregman(x_prev, x_curr, delta)
         state = IterateState(
             k=k, x_curr=x_curr, delta=delta, g_prev=g_prev, g_curr=g_curr,
             dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
@@ -433,7 +440,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             callback(record)
 
         delta = x_next - x_curr
-        step_inf = float(np.abs(delta).max())
+        step_inf = max(delta.max(), -delta.min())  # max |delta_i|, no |delta|
         x_prev, x_curr = x_curr, x_next
         g_prev, g_curr, psi_curr = g_curr, g_next, psi_next
         if step_inf < config.stop_tol:
@@ -443,7 +450,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     iterations = len(records) - 1
     records.append(TraceRecord(
         k=iterations + 1, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar,
-        L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr),
+        L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr, delta),
         dh_curr_y=0.0, step_norm=_norm(delta),
         lower_trials=0, upper_trials=0, wall_time_ns=0,
         x=_maybe_copy(x_curr, store), y=None,

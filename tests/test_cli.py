@@ -921,6 +921,24 @@ def test_denoise_rejects_grid_size_with_image(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data, field", [
+    (b"P2\nx 2\n255\n0 1\n2 3\n", "width 'x'"),
+    (b"P2\n2 2.0\n255\n0 1\n2 3\n", "height '2.0'"),
+    (b"P2\n2 2\nff\n0 1\n2 3\n", "maxval 'ff'"),
+    (b"P2\n2 2\n255\n0 1\n2 y\n", "pixel 'y'"),
+], ids=["width", "height", "maxval", "pixel"])
+def test_denoise_names_the_file_and_field_of_a_bad_token(tmp_path, capsys,
+                                                          data, field):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(data)
+    out = tmp_path / "o"
+    assert cli.main(["denoise", "--image", str(image), "--iters", "2",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {image}: graymap {field} is not an integer\n")
+    assert not out.exists()
+
+
 def test_denoise_backtrack_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a majorant far below the curvature, with no room to escalate
     monkeypatch.setattr(cli, "DENOISE_CONFIG", dataclasses.replace(

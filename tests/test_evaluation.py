@@ -2,7 +2,9 @@
 
 `problem.evaluate(x)` must agree bit for bit with g_value and g_grad,
 whether a problem supplies a fused evaluation (phase retrieval, one Ax per
-point) or takes the default one.  The lower search's extrapolated
+point; denoise, whose gradient starts from its value pass's squared
+stencil norms) or takes the default one, in whichever order the two are
+read.  The lower search's extrapolated
 evaluations are, by default, fresh evaluations at y; phase retrieval
 derives them from the images Ax^k and Ax^{k-1} and must agree with fresh
 ones up to rounding.  The product counts are read against the trace's own
@@ -26,6 +28,8 @@ import pytest
 from cocain import cli
 from cocain import diagnostics as diag
 from cocain.problems import (
+    finite_difference,
+    finite_difference_adjoint,
     generate_phase_retrieval,
     make_phase_retrieval,
     make_robust_denoising,
@@ -92,9 +96,34 @@ def test_phase_retrieval_evaluation_is_bitwise_the_two_oracles(reg):
         assert ev.grad is grad and ev.value is value
 
 
-def test_default_evaluation_calls_the_two_oracles_lazily():
+def test_denoise_evaluation_is_bitwise_the_two_oracles():
     problem = _denoise()
-    assert problem.g_eval is None
+    assert problem.g_eval is not None
+    lam, rho = problem.meta["lam"], problem.meta["rho"]
+    for x in _points(problem.dim, seed=1):
+        value, grad = problem.g_value(x), problem.g_grad(x)
+        # the expressions of the two oracles, from Dx
+        d1, d2 = finite_difference(x.reshape(problem.meta["shape"]))
+        s = rho * (d1 * d1 + d2 * d2)
+        assert _bits(value) == _bits(float(lam * np.log1p(s).sum()))
+        w = 2.0 * lam * rho / (s + 1.0)
+        np.testing.assert_array_equal(
+            _bits(grad),
+            _bits(finite_difference_adjoint(d1 * w, d2 * w).ravel()))
+        # value then grad: the gradient starts from the value pass
+        ev = problem.evaluate(x)
+        assert _bits(ev.value) == _bits(value)
+        np.testing.assert_array_equal(_bits(ev.grad), _bits(grad))
+        assert ev.value is ev.value and ev.grad is ev.grad
+        # grad then value, and value only
+        ev = problem.evaluate(x)
+        np.testing.assert_array_equal(_bits(ev.grad), _bits(grad))
+        assert _bits(ev.value) == _bits(value)
+        assert _bits(problem.evaluate(x).value) == _bits(value)
+
+
+def test_default_evaluation_calls_the_two_oracles_lazily():
+    problem = replace(_denoise(), g_eval=None)
     calls = []
     counted = replace(
         problem,
@@ -134,7 +163,7 @@ def test_extrapolated_evaluation_matches_a_fresh_one(build):
 def test_default_extrapolation_is_a_fresh_lazy_evaluation():
     # bit for bit today's lower-search arithmetic on problems without an
     # image: g at y on first read, and float(np.dot(grad g(y), x - y))
-    problem = _denoise()
+    problem = replace(_denoise(), g_eval=None)
     calls = []
     counted = replace(
         problem,

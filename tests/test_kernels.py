@@ -227,6 +227,23 @@ def test_bregman_on_stacked_rows_is_the_call_on_each_row(kernel, dim):
     assert rows[6] == rows[7] == 0.0 and np.isnan(rows[5])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 10, 500])
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
+def test_bregman_takes_the_difference_with_either_sign(kernel, dim):
+    # the solvers hand bregman a difference they already hold, x - y or
+    # y - x: both give the bits of the call that forms x - y itself
+    x, y = _stacked_pairs(dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, b in [(x, y), *zip(x, y)]:
+            plain = kernel.bregman(a, b)
+            for d in (a - b, b - a):
+                given = kernel.bregman(a, b, d)
+                assert type(given) is type(plain)
+                np.testing.assert_array_equal(
+                    np.asarray(given).view(np.int64),
+                    np.asarray(plain).view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # three-points identity
 
