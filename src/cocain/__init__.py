@@ -37,6 +37,7 @@ from .solvers import (
     TERM_MAX_ITERS,
     TERM_NON_FINITE,
     TERM_STEP_TOL,
+    Trace,
     TraceRecord,
     bpg_fixed,
     bpg_wb,
@@ -72,8 +73,9 @@ __all__ = [
     "make_robust_denoising", "make_spurious2d", "make_univariate",
     "verify_smad_by_sampling",
     "read_pgm", "synthetic_blocks", "write_pgm",
-    "SolverConfig", "SolverResult", "TraceRecord", "TERM_BACKTRACK_FAILURE",
-    "TERM_MAX_ITERS", "TERM_NON_FINITE", "TERM_STEP_TOL",
+    "SolverConfig", "SolverResult", "Trace", "TraceRecord",
+    "TERM_BACKTRACK_FAILURE", "TERM_MAX_ITERS", "TERM_NON_FINITE",
+    "TERM_STEP_TOL",
     "bpg_fixed", "bpg_wb", "cocain_bpg", "cocain_bpg_cfi",
     "cocain_bpg_no_backtracking", "ipiano",
     "CheckReport", "LyapunovParams", "PROMISES", "certify",

@@ -54,6 +54,7 @@ from .solvers import (
     SolverConfig,
     TERM_BACKTRACK_FAILURE,
     TERM_NON_FINITE,
+    Trace,
     bpg_fixed,
     bpg_wb,
     cocain_bpg,
@@ -323,19 +324,33 @@ _CSV_ROW = "%d," + "%.17g," * 9 + "%d,%d,%d"
 
 
 def _trace_csv(records, ref, compare_mode):
+    """The CSV text of a trace, formatted from a `Trace`'s unpacked rows or
+    from the scalar fields of a list of records."""
+    if isinstance(records, Trace):
+        rows = records.rows()
+    else:
+        rows = (rec[:12] for rec in records)
     lines = [CSV_HEADER]
-    for rec in records:
+    for (k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
+         step_norm, lower_trials, upper_trials, wall_time_ns) in rows:
         lines.append(_CSV_ROW % (
-            rec.k, rec.psi, max(rec.psi - ref, 0.0), rec.tau, rec.gamma,
-            rec.L_bar, rec.L_lower, rec.dh_prev_curr, rec.dh_curr_y,
-            rec.step_norm, rec.lower_trials, rec.upper_trials,
-            0 if compare_mode else rec.wall_time_ns))
+            k, psi, max(psi - ref, 0.0), tau, gamma, L_bar, L_lower,
+            dh_prev_curr, dh_curr_y, step_norm, lower_trials, upper_trials,
+            0 if compare_mode else wall_time_ns))
     return "\n".join(lines) + "\n"
+
+
+def _total(trace, name):
+    # builtin sum, in record order, of an integer field
+    return int(sum(trace.column(name).tolist()))
 
 
 def _bundle_files(problem, results, compare_mode, header_pairs):
     """One trace CSV per run plus summary.txt, as {file name: text}."""
-    ref = min(min(rec.psi for rec in res.records) for res in results.values())
+    # builtin min, not np.min, which would return any NaN psi
+    best = {name: min(res.records.column("psi").tolist())
+            for name, res in results.items()}
+    ref = min(best.values())
     lines = ["# cocain summary"]
     lines += [f"{key} = {value}" for key, value in header_pairs]
     lines += [f"problem = {problem.name}", f"dim = {problem.dim}",
@@ -352,16 +367,16 @@ def _bundle_files(problem, results, compare_mode, header_pairs):
         lines += [
             "", f"[{name}]",
             f"final_psi = {_fmt(res.final_psi)}",
-            f"best_psi = {_fmt(min(rec.psi for rec in res.records))}",
+            f"best_psi = {_fmt(best[name])}",
             f"final_suboptimality = {_fmt(max(res.final_psi - ref, 0.0))}",
             f"iterations = {res.iterations}",
             f"termination = {res.termination}",
             *([f"reason = {res.reason}"] if res.reason else []),
-            f"lower_trials_total = {sum(r.lower_trials for r in res.records)}",
-            f"upper_trials_total = {sum(r.upper_trials for r in res.records)}",
+            f"lower_trials_total = {_total(res.records, 'lower_trials')}",
+            f"upper_trials_total = {_total(res.records, 'upper_trials')}",
         ]
         if not compare_mode:
-            wall_ns = sum(r.wall_time_ns for r in res.records)
+            wall_ns = _total(res.records, "wall_time_ns")
             lines.append(f"wall_time_s = {wall_ns * 1e-9:.3f}")
         lines.append(f"trace = {csv_name}")
     files["summary.txt"] = "\n".join(lines) + "\n"

@@ -17,7 +17,10 @@ store_iterates=True.
 
 Trace layout expected throughout: record 0 is the initial state, records
 1..N-1 are iterations, record N describes the final iterate; records[i].k
-== i.  Traces from this package's solvers always have this shape.
+== i.  Traces from this package's solvers always have this shape.  Every
+check reads a `Trace` by columns; a plain list of records (a hand-built
+trace, or a negative control from `replace_record`) is packed into one
+first.
 
 A NaN or an infinity in a value a check reads fails the check, with an
 infinite worst violation at the first record where the value enters.
@@ -25,10 +28,10 @@ infinite worst violation at the first record where the value enters.
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
+from .solvers import Trace
 from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 
 # Iterations per block of the audits of stored points: as many as keep a
@@ -98,20 +101,26 @@ class CheckReport:
         return bool(self.passed)
 
 
+def _as_trace(records):
+    """records as a `Trace`: a plain list of records is packed into one."""
+    return records if isinstance(records, Trace) else Trace(records)
+
+
 def _columns(records, *names):
-    """Check the trace layout (records[i].k == i) and gather each named
+    """Check the trace layout (records[i].k == i) and read each named
     field into a float array."""
-    ks = list(map(attrgetter("k"), records))
-    if not ks:
+    trace = _as_trace(records)
+    ks = trace.column("k")
+    if not ks.size:
         raise ValueError("empty trace")
-    if ks != list(range(len(ks))):
-        i = next(i for i, k in enumerate(ks) if k != i)
+    skipped = np.flatnonzero(ks != np.arange(ks.size))
+    if skipped.size:
+        i = int(skipped[0])
         raise ValueError(
             f"trace records must be contiguous from k=0; record {i} "
-            f"has k={ks[i]}"
+            f"has k={int(ks[i])}"
         )
-    return [np.fromiter(map(attrgetter(name), records), float, len(ks))
-            for name in names]
+    return [trace.column(name) for name in names]
 
 
 def _worst(v, offset):
@@ -140,7 +149,7 @@ def _squared(v):
 
 
 def _require_iterates(records, name):
-    if any(rec.x is None for rec in records):
+    if any(x is None for x in _as_trace(records).x):
         raise ValueError(
             f"{name} needs stored iterates; rerun with store_iterates=True"
         )
@@ -190,16 +199,16 @@ def _audit_block_length(x):
     return min(max(fit, AUDIT_BLOCK), AUDIT_BLOCK_MAX)
 
 
-def _audit_blocks(records):
+def _audit_blocks(trace):
     """The iterations 1..N-1 of a trace in blocks of
-    `_audit_block_length(records[0].x)`: for each block of iterations
+    `_audit_block_length(trace.x[0])`: for each block of iterations
     start..stop-1, the slice of their rows counted from 0, the lists of the
     stored x^{start-1..stop} and y^{start..stop-1}, and their stacks."""
-    block = _audit_block_length(records[0].x)
-    for start in range(1, len(records) - 1, block):
-        stop = min(start + block, len(records) - 1)
-        xs = [rec.x for rec in records[start - 1:stop + 1]]
-        ys = [rec.y for rec in records[start:stop]]
+    block = _audit_block_length(trace.x[0])
+    for start in range(1, len(trace) - 1, block):
+        stop = min(start + block, len(trace) - 1)
+        xs = trace.x[start - 1:stop + 1]
+        ys = trace.y[start:stop]
         yield slice(start - 1, stop - 1), xs, ys, np.array(xs), np.array(ys)
 
 
@@ -234,16 +243,17 @@ def check_acceptance_conditions(records, problem, params):
     length: the stored points and, for phase retrieval, a few buffers of
     their images.
     """
+    trace = _as_trace(records)
     tau, gamma, L_lower, L_bar, *logged = _columns(
-        records, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
+        trace, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
         "dh_curr_y", "step_norm")
-    _require_iterates(records, "check_acceptance_conditions")
+    _require_iterates(trace, "check_acceptance_conditions")
     kernel = problem.kernel
     gamma = gamma[1:-1]
     n = gamma.size
     fresh = np.empty((10, n))
     carry = None  # the previous block's evaluation of its last x
-    for rows, xs, ys, X, Y in _audit_blocks(records):
+    for rows, xs, ys, X, Y in _audit_blocks(trace):
         x_prev, x_curr, x_next = X[:-2], X[1:-1], X[2:]
         step = x_curr - x_prev
         y_expected = x_curr + gamma[rows, None] * step
@@ -328,12 +338,13 @@ def check_cfi_bound(records, problem):
 
     with Delta_k = x^k - x^{k-1}, from stored iterates.
     """
-    (gamma,) = _columns(records, "gamma")
-    _require_iterates(records, "check_cfi_bound")
+    trace = _as_trace(records)
+    (gamma,) = _columns(trace, "gamma")
+    _require_iterates(trace, "check_cfi_bound")
     kernel = problem.kernel
     gamma2 = _squared(gamma[1:-1])
     excess = np.empty(gamma2.size)
-    for rows, _, _, X, Y in _audit_blocks(records):
+    for rows, _, _, X, Y in _audit_blocks(trace):
         x_curr = X[1:-1]
         step = x_curr - X[:-2]
         rhs = (gamma2[rows] * np.vecdot(step, step)
@@ -379,9 +390,9 @@ def certify(result, problem):
     """The reports of the checks result.solver promises (PROMISES), in the
     table's order, with the params of `LyapunovParams.from_run`; the
     checks of _NEEDS_ITERATES only when the run stored its iterates."""
-    records = result.records
+    trace = _as_trace(result.records)
     params = LyapunovParams.from_run(result, problem)
-    stored = records[0].x is not None
-    return [_CHECKS[name](records, problem, params)
+    stored = trace.x[0] is not None
+    return [_CHECKS[name](trace, problem, params)
             for name in PROMISES[result.solver]
             if stored or name not in _NEEDS_ITERATES]

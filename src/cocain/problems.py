@@ -80,7 +80,9 @@ class BufferSharingEvaluation(Evaluation):
     gradient can start from: value_fn(x) returns (g(x), buffer), and
     grad_fn(x, buffer) consumes the buffer, or forms everything itself
     from buffer None when the gradient is read first.  The buffer is held
-    only between the two reads."""
+    only between the two reads, and dropped when an evaluation is
+    extrapolated from: the lower search reads only the values of x^k and
+    x^{k-1}, and a gradient read after that forms the same bits itself."""
 
     __slots__ = ("_shared",)
 
@@ -102,6 +104,10 @@ class BufferSharingEvaluation(Evaluation):
             self._grad = self._grad_fn(self._arg, self._shared)
             self._shared = None
         return self._grad
+
+    def extrapolated(self, prev, gamma, y):
+        self._shared = prev._shared = None
+        return super().extrapolated(prev, gamma, y)
 
 
 class RowsEvaluation(NamedTuple):

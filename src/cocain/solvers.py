@@ -36,7 +36,9 @@ Solvers, by trace name:
 """
 
 import math
+import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -161,9 +163,76 @@ TRACE_FIELDS = tuple(name for name in TraceRecord._fields
                      if name not in ("wall_time_ns", "x", "y"))
 
 
+# One packed row of a `Trace`: k, the eight float fields, then
+# lower_trials, upper_trials and wall_time_ns, little-endian, 96 bytes.
+_ROW = struct.Struct("<q8d3q")
+_ROW_DTYPE = np.dtype({
+    "names": TraceRecord._fields[:12],
+    "formats": ["<i8"] + ["<f8"] * 8 + ["<i8"] * 3,
+})
+
+
+class Trace(Sequence):
+    """A run's records, a sequence of `TraceRecord`, stored packed: the
+    twelve scalar fields of each record as one 96-byte row of a bytearray,
+    and the iterate copies in the lists x and y (None where not stored).
+
+    trace[i] builds record i, a slice a list of records, and trace + a
+    list of records a list; column(name) copies one scalar field into a
+    float array.  A plain list of records packs into one with
+    Trace(records).
+    """
+
+    __slots__ = ("_rows", "x", "y")
+
+    def __init__(self, records=()):
+        self._rows = bytearray()
+        self.x = []
+        self.y = []
+        for rec in records:
+            self.append(*rec)
+
+    def append(self, k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr,
+               dh_curr_y, step_norm, lower_trials, upper_trials,
+               wall_time_ns, x=None, y=None):
+        """Add a record, given by its fields in `TraceRecord` order."""
+        self._rows += _ROW.pack(
+            k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
+            step_norm, lower_trials, upper_trials, wall_time_ns)
+        self.x.append(x)
+        self.y.append(y)
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a negative index counts from the end
+        return TraceRecord(*_ROW.unpack_from(self._rows, i * _ROW.size),
+                           self.x[i], self.y[i])
+
+    def __iter__(self):
+        for row, x, y in zip(self.rows(), self.x, self.y):
+            yield TraceRecord(*row, x, y)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def rows(self):
+        """The records' twelve scalar fields, as one tuple per record."""
+        return _ROW.iter_unpack(self._rows)
+
+    def column(self, name):
+        """One scalar field of every record, as a new float64 array (a copy,
+        so that no view of the rows outlives the call and blocks an
+        append)."""
+        return np.frombuffer(self._rows, _ROW_DTYPE)[name].astype(float)
+
+
 def replace_record(records, k, **changes):
-    """Copy of `records` with record k's fields overridden (for negative
-    controls that corrupt an otherwise valid trace)."""
+    """Copy of `records`, as a list, with record k's fields overridden (for
+    negative controls that corrupt an otherwise valid trace)."""
     out = list(records)
     out[k] = out[k]._replace(**changes)
     return out
@@ -179,7 +248,7 @@ class SolverResult:
     x: np.ndarray
     termination: str
     iterations: int
-    records: list
+    records: Trace
     config: SolverConfig
     reason: str = ""
 
@@ -361,16 +430,18 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     lower_trials), and the majorant rule the step from it,
     majorant(IterateState, y, g_y) -> (L_bar, tau, x_next, g_next,
     upper_trials); either returns None when its ladder runs out, which
-    ends the run as a backtrack_failure.  Record k logs both; g_next, the
-    evaluation of g at x_next, becomes the next state's g_curr, and g_curr
-    its g_prev; the step x_next - x_curr, formed once, becomes its delta,
-    which serves the stop test (max |delta_i| < stop_tol), the step norm
-    and, negated, D_h(x^{k-1}, x^k) of the next record and of the final
-    one (see `Kernel.bregman`); the first state's L_lower_prev is 0.  An
-    ArithmeticError inside a rule (a stalled prox solve) or a non-finite
-    Psi(x_next) ends the run as non_finite.  A stopped run keeps its
-    accepted steps, and `reason` names the failure and its iteration: only
-    the setup checks raise.
+    ends the run as a backtrack_failure.  Record k, one row of the run's
+    `Trace`, logs both, and the callback gets it as a `TraceRecord` of the
+    same values; y and g_y are released before the next search.  g_next,
+    the evaluation of g at x_next, becomes the next state's g_curr, and
+    g_curr its g_prev; the step x_next - x_curr, formed once, becomes its
+    delta, which serves the stop test (max |delta_i| < stop_tol), the step
+    norm and, negated, D_h(x^{k-1}, x^k) of the next record and of the
+    final one (see `Kernel.bregman`); the first state's L_lower_prev is 0.
+    An ArithmeticError inside a rule (a stalled prox solve) or a
+    non-finite Psi(x_next) ends the run as non_finite.  A stopped run keeps
+    its accepted steps, and `reason` names the failure and its iteration:
+    only the setup checks raise.
     """
     x0 = np.array(x0, dtype=float).reshape(-1)
     if x0.shape != (problem.dim,):
@@ -395,11 +466,9 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     tau = 1.0 / L_bar
     L_lower = 0.0
 
-    records = [TraceRecord(
-        k=0, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar, L_lower=0.0,
-        dh_prev_curr=0.0, dh_curr_y=0.0, step_norm=0.0, lower_trials=0,
-        upper_trials=0, wall_time_ns=0, x=_maybe_copy(x0, store), y=None,
-    )]
+    trace = Trace()
+    trace.append(0, psi_curr, tau, 0.0, L_bar, 0.0, 0.0, 0.0, 0.0, 0, 0, 0,
+                 _maybe_copy(x0, store))
     termination, reason = TERM_MAX_ITERS, ""
 
     for k in range(1, config.max_iters + 1):
@@ -426,18 +495,16 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             break
         L_lower, gamma, y, g_y, dh_curr_y, lower_trials = lower
         L_bar, tau, x_next, g_next, upper_trials = upper
-
-        record = TraceRecord(
-            k=k, psi=psi_curr, tau=tau, gamma=gamma, L_bar=L_bar,
-            L_lower=L_lower, dh_prev_curr=dh_prev_curr, dh_curr_y=dh_curr_y,
-            step_norm=_norm(delta),
-            lower_trials=lower_trials, upper_trials=upper_trials,
-            wall_time_ns=time.perf_counter_ns() - tick,
-            x=_maybe_copy(x_curr, store), y=_maybe_copy(y, store),
-        )
-        records.append(record)
+        record = (
+            k, psi_curr, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
+            _norm(delta), lower_trials, upper_trials,
+            time.perf_counter_ns() - tick,
+            _maybe_copy(x_curr, store), _maybe_copy(y, store))
+        trace.append(*record)
+        # y and its evaluation are dead: release them before the next search
+        del lower, upper, y, g_y
         if callback is not None:
-            callback(record)
+            callback(TraceRecord(*record))
 
         delta = x_next - x_curr
         step_inf = max(delta.max(), -delta.min())  # max |delta_i|, no |delta|
@@ -447,17 +514,13 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             termination = TERM_STEP_TOL
             break
 
-    iterations = len(records) - 1
-    records.append(TraceRecord(
-        k=iterations + 1, psi=psi_curr, tau=tau, gamma=0.0, L_bar=L_bar,
-        L_lower=0.0, dh_prev_curr=kernel.bregman(x_prev, x_curr, delta),
-        dh_curr_y=0.0, step_norm=_norm(delta),
-        lower_trials=0, upper_trials=0, wall_time_ns=0,
-        x=_maybe_copy(x_curr, store), y=None,
-    ))
+    iterations = len(trace) - 1
+    trace.append(iterations + 1, psi_curr, tau, 0.0, L_bar, 0.0,
+                 kernel.bregman(x_prev, x_curr, delta), 0.0, _norm(delta),
+                 0, 0, 0, _maybe_copy(x_curr, store))
     return SolverResult(
         solver=name, problem=problem.name, x=x_curr, termination=termination,
-        iterations=iterations, records=records, config=config, reason=reason,
+        iterations=iterations, records=trace, config=config, reason=reason,
     )
 
 

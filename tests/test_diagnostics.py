@@ -7,6 +7,7 @@ healthy trace (must fail, at the corrupted index).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from cocain.solvers import (
     ipiano,
     replace_record,
 )
-from helpers import quadratic_problem
+from helpers import quadratic_problem, report_bits
+from test_traces import PROBLEMS
 
 
 def _record(k, psi, tau, dh=0.0):
@@ -401,3 +403,24 @@ def test_reports_hold_plain_python_values(abssincos_run):
         assert type(report.worst_violation) is float
         assert type(report.worst_index) is int
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# packed traces and plain lists
+
+
+@pytest.mark.parametrize("problem_name",
+                         ["logquad", "spurious2d", "phase_retrieval", "denoise"])
+def test_checks_read_a_trace_and_its_list_alike(problem_name):
+    # a plain list of records is packed into a Trace before any check reads
+    # it, so every report is the same, bit for bit
+    problem, config, x0 = PROBLEMS[problem_name]()
+    result = cocain_bpg(problem, replace(config, store_iterates=True), x0)
+    params = LyapunovParams.from_run(result, problem)
+    records = list(result.records)
+    skipped = records[:5] + records[6:]
+    for name, check in diag._CHECKS.items():
+        assert report_bits(check(result.records, problem, params)) == \
+            report_bits(check(records, problem, params)), name
+        with pytest.raises(ValueError, match="record 5 has k=6"):
+            check(skipped, problem, params)

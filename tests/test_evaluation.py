@@ -122,6 +122,21 @@ def test_denoise_evaluation_is_bitwise_the_two_oracles():
         assert _bits(problem.evaluate(x).value) == _bits(value)
 
 
+def test_denoise_extrapolation_drops_the_held_square():
+    # the lower search reads only the values of x^k and x^{k-1}: their
+    # value passes' buffers go, and a later gradient forms the same bits
+    problem = _denoise()
+    for x_prev, x, gamma in _extrapolations(problem, seed=5):
+        g_prev, g_x = problem.evaluate(x_prev), problem.evaluate(x)
+        assert g_prev.value is not None and g_x.value is not None
+        assert g_x._shared is not None and g_prev._shared is not None
+        g_x.extrapolated(g_prev, gamma, x + gamma * (x - x_prev))
+        assert g_x._shared is None and g_prev._shared is None
+        np.testing.assert_array_equal(_bits(g_x.grad), _bits(problem.g_grad(x)))
+        np.testing.assert_array_equal(_bits(g_prev.grad),
+                                      _bits(problem.g_grad(x_prev)))
+
+
 def test_default_evaluation_calls_the_two_oracles_lazily():
     problem = replace(_denoise(), g_eval=None)
     calls = []

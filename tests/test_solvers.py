@@ -9,6 +9,7 @@ sqrt(0.5 / 2) are exactly 0.7 and 0.5 in binary floating point.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from cocain.solvers import (
     TRACE_FIELDS,
     IterateState,
     SolverConfig,
+    Trace,
     bpg_fixed,
     bpg_wb,
     cocain_bpg,
@@ -287,11 +289,53 @@ def test_trace_records_are_immutable():
     corrupted = replace_record(result.records, 2, L_bar=0.0, psi=-1.0)
     assert (corrupted[2].L_bar, corrupted[2].psi) == (0.0, -1.0)
     assert corrupted[2]._replace(L_bar=rec.L_bar, psi=rec.psi) == rec
-    assert result.records[2] is rec and rec.L_bar > 0.0
-    assert all(a is b for a, b in zip(corrupted[:2], result.records[:2]))
+    assert result.records[2] == rec and rec.L_bar > 0.0
+    assert corrupted[:2] == result.records[:2]
     assert TRACE_FIELDS == (
         "k", "psi", "tau", "gamma", "L_bar", "L_lower", "dh_prev_curr",
         "dh_curr_y", "step_norm", "lower_trials", "upper_trials")
+
+
+def test_trace_reads_back_the_records_it_packed():
+    problem = make_univariate("logquad")
+    cfg = SolverConfig(max_iters=12, stop_tol=0.0, store_iterates=True)
+    trace = cocain_bpg(problem, cfg, [3.0]).records
+    assert isinstance(trace, Trace) and len(trace) == 14
+    records = list(trace)
+    assert [rec.k for rec in records] == list(range(14))
+    assert trace[-1] == trace[13] == records[13]
+    assert trace[3:6] == records[3:6] and trace[::5] == records[::5]
+    with pytest.raises(IndexError):
+        trace[14]
+    # a list packs into rows that read back bit for bit, -0.0 and NaN too
+    edge = records + [records[1]._replace(k=14, psi=-0.0, gamma=math.nan,
+                                          wall_time_ns=2**63 - 1)]
+    again = Trace(edge)
+    assert_traces_identical(again[:14], records)
+    assert repr(again[14]) == repr(edge[14])  # repr tells -0.0 from 0.0
+    # a column is a copy: it holds no view that would block an append
+    psi = again.column("psi")
+    assert psi.dtype == np.float64 and psi.tolist()[:14] == [
+        rec.psi for rec in records]
+    again.append(*records[0])
+    assert len(again) == 16 and again.column("k")[-1] == 0.0
+
+
+def test_trace_retains_at_most_160_bytes_per_record():
+    # 96 packed bytes a record, and an x and a y slot, against about 367 B
+    # for a named tuple and its float objects
+    problem = make_univariate("abssincos")
+    cfg = SolverConfig(max_iters=2000, stop_tol=0.0)
+    cocain_bpg(problem, cfg, [13.0])  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = cocain_bpg(problem, cfg, [13.0])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.termination == TERM_MAX_ITERS
+    assert retained <= 160 * len(result.records), retained / len(result.records)
 
 
 def test_stored_iterates_reproduce_logged_quantities():
@@ -319,7 +363,7 @@ def test_callback_sees_each_accepted_record():
         callback=seen.append,
     )
     assert len(seen) == result.iterations
-    assert all(a is b for a, b in zip(seen, result.records[1:-1]))
+    assert seen == result.records[1:-1]
 
 
 def test_deterministic_rerun():

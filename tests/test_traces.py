@@ -41,6 +41,7 @@ from cocain.problems import (
     make_univariate,
 )
 from cocain.solvers import replace_record
+from helpers import assert_traces_identical
 
 
 def _logquad():
@@ -180,7 +181,7 @@ def test_trace_matches_pinned_digest(problem_name, solver):
     result = cli.SOLVERS[solver](problem, config, x0, callback=seen.append)
     assert result.solver == solver
     assert len(seen) == result.iterations
-    assert all(a is b for a, b in zip(seen, result.records[1:-1]))
+    assert_traces_identical(seen, result.records[1:-1])
     assert _csv_digest(result.records) == PINNED[problem_name, solver]
 
 
