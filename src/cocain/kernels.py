@@ -83,7 +83,7 @@ class EuclideanKernel(Kernel):
         return 0.5 * _dot(x, x)
 
     def grad(self, x):
-        return np.copy(x)
+        return x.copy()
 
     def hess_quadratic_form(self, x, a):
         return _dot(a, a)

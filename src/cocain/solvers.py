@@ -36,6 +36,7 @@ Solvers, by trace name:
 """
 
 import math
+import numbers
 import struct
 import time
 from collections.abc import Sequence
@@ -114,8 +115,11 @@ class SolverConfig:
                 f"L_bar_init must be finite and > 0, got {self.L_bar_init}")
         if not 0.0 <= self.gamma_cap <= 1.0:
             raise ValueError(f"gamma_cap must lie in [0, 1], got {self.gamma_cap}")
-        if not (self.max_backtracks >= 1 and self.max_iters >= 1):
-            raise ValueError("max_backtracks and max_iters must be positive")
+        if not (isinstance(self.max_backtracks, numbers.Integral)
+                and isinstance(self.max_iters, numbers.Integral)
+                and self.max_backtracks >= 1 and self.max_iters >= 1):
+            raise ValueError(
+                "max_backtracks and max_iters must be positive integers")
         if not 0.0 <= self.stop_tol < math.inf:
             raise ValueError(
                 f"stop_tol must be finite and >= 0, got {self.stop_tol}")
@@ -336,15 +340,21 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     gamma, y and dh_curr_y = D_h(x^k, y) from gamma_rule for each trial.
     Returns (L_lower, gamma, y, g_y, dh_curr_y, trials), g_y the evaluation
     of g at y, or None when no trial is accepted.  Each trial's g_y is
-    extrapolated from the evaluations of x^k and x^{k-1}.
+    extrapolated from the evaluations of x^k and x^{k-1}, except when the
+    rule repeats the previous trial's gamma (a capped gamma does): y then
+    has that trial's bits, so its g_y and g(y) + <grad g(y), x^k - y> are
+    reused and only the L_lower * D_h(x^k, y) term is formed again.
     """
     g_curr = state.g_curr
     L_lo = max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
+    gamma_y = None  # the gamma that g_y and base belong to
     for trial in range(1, config.max_backtracks + 1):
         gamma, y, dh_curr_y = gamma_rule(state, L_lo, config, problem)
-        g_y = g_curr.extrapolated(state.g_prev, gamma, y)
-        rhs = g_y.value + g_y.slope_to(g_curr) - L_lo * dh_curr_y
-        if geq(g_curr.value, rhs):
+        if gamma != gamma_y:
+            g_y = g_curr.extrapolated(state.g_prev, gamma, y)
+            base = g_y.value + g_y.slope_to(g_curr)
+            gamma_y = gamma
+        if geq(g_curr.value, base - L_lo * dh_curr_y):
             return L_lo, gamma, y, g_y, dh_curr_y, trial
         L_lo *= config.nu_lower
     return None
@@ -435,9 +445,10 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     same values; y and g_y are released before the next search.  g_next,
     the evaluation of g at x_next, becomes the next state's g_curr, and
     g_curr its g_prev; the step x_next - x_curr, formed once, becomes its
-    delta, which serves the stop test (max |delta_i| < stop_tol), the step
-    norm and, negated, D_h(x^{k-1}, x^k) of the next record and of the
-    final one (see `Kernel.bregman`); the first state's L_lower_prev is 0.
+    delta, which serves the stop test (max |delta_i| < stop_tol, skipped
+    at stop_tol = 0, where it cannot hold), the step norm and, negated,
+    D_h(x^{k-1}, x^k) of the next record and of the final one (see
+    `Kernel.bregman`); the first state's L_lower_prev is 0.
     An ArithmeticError inside a rule (a stalled prox solve) or a
     non-finite Psi(x_next) ends the run as non_finite.  A stopped run keeps
     its accepted steps, and `reason` names the failure and its iteration:
@@ -507,10 +518,9 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             callback(TraceRecord(*record))
 
         delta = x_next - x_curr
-        step_inf = max(delta.max(), -delta.min())  # max |delta_i|, no |delta|
         x_prev, x_curr = x_curr, x_next
         g_prev, g_curr, psi_curr = g_curr, g_next, psi_next
-        if step_inf < config.stop_tol:
+        if config.stop_tol and abs(delta).max() < config.stop_tol:
             termination = TERM_STEP_TOL
             break
 

@@ -15,6 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cocain import solvers
+from cocain.cli import SWEEP_CONFIG
 from cocain.diagnostics import (
     LyapunovParams,
     check_acceptance_conditions,
@@ -50,7 +52,7 @@ from cocain.solvers import (
     lower_backtrack,
     replace_record,
 )
-from cocain.tol import leq
+from cocain.tol import geq, leq
 from helpers import assert_traces_identical, quadratic_problem
 
 
@@ -98,11 +100,23 @@ def test_config_epsilon_defaults_to_hundredth_of_delta():
         {"stop_tol": -1e-9},
         {"L_lower_value": 0.0},
         {"freeze_after": 0},
+        {"max_iters": 2.5},
+        {"max_backtracks": 3.5},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_counts():
+    # the majorant ladder 2, 4, 8 needs all three trials on this quadratic
+    cfg = SolverConfig(L_bar_init=2.0, stop_tol=0.0, max_iters=np.int64(3),
+                       max_backtracks=np.int32(3))
+    result = cocain_bpg(quadratic_problem([8.0]), cfg, [1.0])
+    assert result.termination == TERM_MAX_ITERS
+    assert result.iterations == 3
+    assert result.records[1].upper_trials == 3
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +236,59 @@ def test_lower_backtrack_one_trial_on_convex_objective():
     assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
 
 
+def _lower_backtrack_every_rung(state, config, problem, gamma_rule=find_gamma):
+    """`lower_backtrack` without its reuse: every trial extrapolates its own
+    evaluation and forms the whole right side of the minorant test."""
+    g_curr = state.g_curr
+    L_lo = max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
+    for trial in range(1, config.max_backtracks + 1):
+        gamma, y, dh_curr_y = gamma_rule(state, L_lo, config, problem)
+        g_y = g_curr.extrapolated(state.g_prev, gamma, y)
+        rhs = g_y.value + g_y.slope_to(g_curr) - L_lo * dh_curr_y
+        if geq(g_curr.value, rhs):
+            return L_lo, gamma, y, g_y, dh_curr_y, trial
+        L_lo *= config.nu_lower
+    return None
+
+
+# the sweep's starts: cocain sweep --kind abssincos, 100 starts on [-15, 15]
+_SWEEP_STARTS = np.linspace(-15.0, 15.0, 100)
+
+
+def test_repeated_gamma_reuses_the_rung_evaluation():
+    # under SWEEP_CONFIG gamma stays at its cap of 0.88 while
+    # L_lower * tau < 0.272, so consecutive rungs often share a base point;
+    # without the reuse this run makes 139 g_value and 88 g_grad calls
+    problem = make_univariate("abssincos")
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name, oracle):
+        def call(x):
+            calls[name] += 1
+            return oracle(x)
+        return call
+
+    counted_problem = replace(problem,
+                              g_value=counted("value", problem.g_value),
+                              g_grad=counted("grad", problem.g_grad))
+    x0 = [_SWEEP_STARTS[15]]
+    result = cocain_bpg(counted_problem, SWEEP_CONFIG, x0)
+    assert result.iterations == 45
+    assert sum(rec.lower_trials for rec in result.records) == 88
+    assert calls == {"value": 108, "grad": 57}
+    assert_traces_identical(result.records,
+                            cocain_bpg(problem, SWEEP_CONFIG, x0).records)
+
+
+def test_rung_reuse_keeps_the_traces_of_evaluating_every_rung(monkeypatch):
+    problem = make_univariate("abssincos")
+    runs = [cocain_bpg(problem, SWEEP_CONFIG, [s]) for s in _SWEEP_STARTS]
+    monkeypatch.setattr(solvers, "lower_backtrack", _lower_backtrack_every_rung)
+    for s, result in zip(_SWEEP_STARTS, runs):
+        assert_traces_identical(
+            result.records, cocain_bpg(problem, SWEEP_CONFIG, [s]).records)
+
+
 # ---------------------------------------------------------------------------
 # frozen escalation count
 
@@ -237,6 +304,17 @@ def test_upper_backtrack_escalates_exactly_twice_on_quadratic():
     # once the constant matches the curvature the step lands on the minimizer
     assert result.x[0] == 0.0
     assert result.termination == TERM_STEP_TOL
+
+
+def test_zero_stop_tol_runs_the_budget_on_a_zero_step():
+    # the zero steps after landing on the minimizer pass no test at
+    # stop_tol = 0, where max |delta_i| < 0 cannot hold
+    problem = quadratic_problem([8.0])
+    cfg = SolverConfig(L_bar_init=2.0, stop_tol=0.0, max_iters=10)
+    result = cocain_bpg(problem, cfg, [1.0])
+    assert result.x[0] == 0.0
+    assert result.termination == TERM_MAX_ITERS
+    assert result.iterations == 10
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +462,31 @@ def test_terminates_on_small_step():
     assert result.termination == TERM_STEP_TOL
     assert result.iterations < 1000
     assert abs(result.x[0]) < 1e-6
+
+
+_TINY = 5e-324  # the smallest subnormal
+
+
+@pytest.mark.parametrize("stop_tol", [0.0, 1e-9])
+@pytest.mark.parametrize("step", [
+    [0.0], [-0.0], [0.0, -0.0], [_TINY], [-_TINY, 0.0], [2.0e-308, -1e-300],
+    [1e-10, -1e-10], [-1e-9], [1e-8, 0.0], [math.inf], [-math.inf],
+    [_TINY, -math.inf], [math.nan], [0.0, math.nan], [math.nan, -0.0],
+    [math.nan, math.inf],
+])
+def test_stop_decision_matches_two_reductions(step, stop_tol):
+    # one step from 0 to a scripted point: delta is the point itself, and a
+    # run of one iteration ends in step_tol exactly when the stop test fires
+    step = np.array(step)
+    problem = replace(
+        quadratic_problem(np.zeros(step.size)),
+        f_prox_step=lambda grad_h, grad_g, tau: step.copy(),
+        g_value=lambda x: 0.0)
+    cfg = SolverConfig(L=1.0, max_iters=1, stop_tol=stop_tol)
+    result = bpg_fixed(problem, cfg, np.zeros(step.size))
+    assert result.iterations == 1
+    stops = max(step.max(), -step.min()) < stop_tol
+    assert result.termination == (TERM_STEP_TOL if stops else TERM_MAX_ITERS)
 
 
 def test_terminates_on_iteration_budget():
