@@ -54,7 +54,6 @@ from .solvers import (
     SolverConfig,
     TERM_BACKTRACK_FAILURE,
     TERM_NON_FINITE,
-    Trace,
     bpg_fixed,
     bpg_wb,
     cocain_bpg,
@@ -324,15 +323,11 @@ _CSV_ROW = "%d," + "%.17g," * 9 + "%d,%d,%d"
 
 
 def _trace_csv(records, ref, compare_mode):
-    """The CSV text of a trace, formatted from a `Trace`'s unpacked rows or
-    from the scalar fields of a list of records."""
-    if isinstance(records, Trace):
-        rows = records.rows()
-    else:
-        rows = (rec[:12] for rec in records)
+    """The CSV text of a `Trace`, formatted from its unpacked rows."""
     lines = [CSV_HEADER]
     for (k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
-         step_norm, lower_trials, upper_trials, wall_time_ns) in rows:
+         step_norm, lower_trials, upper_trials,
+         wall_time_ns) in records.rows():
         lines.append(_CSV_ROW % (
             k, psi, max(psi - ref, 0.0), tau, gamma, L_bar, L_lower,
             dh_prev_curr, dh_curr_y, step_norm, lower_trials, upper_trials,

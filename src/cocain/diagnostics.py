@@ -18,9 +18,7 @@ store_iterates=True.
 Trace layout expected throughout: record 0 is the initial state, records
 1..N-1 are iterations, record N describes the final iterate; records[i].k
 == i.  Traces from this package's solvers always have this shape.  Every
-check reads a `Trace` by columns; a plain list of records (a hand-built
-trace, or a negative control from `replace_record`) is packed into one
-first.
+check reads a `Trace` by columns.
 
 A NaN or an infinity in a value a check reads fails the check, with an
 infinite worst violation at the first record where the value enters.
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import Trace
 from .tol import CONDITION_SLACK, LYAPUNOV_SLACK, violation
 
 # Iterations per block of the audits of stored points: as many as keep a
@@ -101,16 +98,10 @@ class CheckReport:
         return bool(self.passed)
 
 
-def _as_trace(records):
-    """records as a `Trace`: a plain list of records is packed into one."""
-    return records if isinstance(records, Trace) else Trace(records)
-
-
 def _columns(records, *names):
     """Check the trace layout (records[i].k == i) and read each named
     field into a float array."""
-    trace = _as_trace(records)
-    ks = trace.column("k")
+    ks = records.column("k")
     if not ks.size:
         raise ValueError("empty trace")
     skipped = np.flatnonzero(ks != np.arange(ks.size))
@@ -120,7 +111,7 @@ def _columns(records, *names):
             f"trace records must be contiguous from k=0; record {i} "
             f"has k={int(ks[i])}"
         )
-    return [trace.column(name) for name in names]
+    return [records.column(name) for name in names]
 
 
 def _worst(v, offset):
@@ -149,7 +140,7 @@ def _squared(v):
 
 
 def _require_iterates(records, name):
-    if any(x is None for x in _as_trace(records).x):
+    if any(x is None for x in records.x):
         raise ValueError(
             f"{name} needs stored iterates; rerun with store_iterates=True"
         )
@@ -243,17 +234,16 @@ def check_acceptance_conditions(records, problem, params):
     length: the stored points and, for phase retrieval, a few buffers of
     their images.
     """
-    trace = _as_trace(records)
     tau, gamma, L_lower, L_bar, *logged = _columns(
-        trace, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
+        records, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
         "dh_curr_y", "step_norm")
-    _require_iterates(trace, "check_acceptance_conditions")
+    _require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
     gamma = gamma[1:-1]
     n = gamma.size
     fresh = np.empty((10, n))
     carry = None  # the previous block's evaluation of its last x
-    for rows, xs, ys, X, Y in _audit_blocks(trace):
+    for rows, xs, ys, X, Y in _audit_blocks(records):
         x_prev, x_curr, x_next = X[:-2], X[1:-1], X[2:]
         step = x_curr - x_prev
         y_expected = x_curr + gamma[rows, None] * step
@@ -338,13 +328,12 @@ def check_cfi_bound(records, problem):
 
     with Delta_k = x^k - x^{k-1}, from stored iterates.
     """
-    trace = _as_trace(records)
-    (gamma,) = _columns(trace, "gamma")
-    _require_iterates(trace, "check_cfi_bound")
+    (gamma,) = _columns(records, "gamma")
+    _require_iterates(records, "check_cfi_bound")
     kernel = problem.kernel
     gamma2 = _squared(gamma[1:-1])
     excess = np.empty(gamma2.size)
-    for rows, _, _, X, Y in _audit_blocks(trace):
+    for rows, _, _, X, Y in _audit_blocks(records):
         x_curr = X[1:-1]
         step = x_curr - X[:-2]
         rhs = (gamma2[rows] * np.vecdot(step, step)
@@ -390,9 +379,8 @@ def certify(result, problem):
     """The reports of the checks result.solver promises (PROMISES), in the
     table's order, with the params of `LyapunovParams.from_run`; the
     checks of _NEEDS_ITERATES only when the run stored its iterates."""
-    trace = _as_trace(result.records)
     params = LyapunovParams.from_run(result, problem)
-    stored = trace.x[0] is not None
-    return [_CHECKS[name](trace, problem, params)
+    stored = result.records.x[0] is not None
+    return [_CHECKS[name](result.records, problem, params)
             for name in PROMISES[result.solver]
             if stored or name not in _NEEDS_ITERATES]

@@ -71,6 +71,8 @@ def read_pgm(path):
             raise ValueError(f"expected {count} pixels, found {len(values)}")
         flat = np.array([_integer(path, "pixel", v) for v in values],
                         dtype=np.int64)
+        if flat.min() < 0:
+            raise ValueError(f"{path}: graymap pixel {flat.min()} is negative")
     else:
         stride = 1 if maxval < 256 else 2
         raw = data[raster_at : raster_at + count * stride]
@@ -86,11 +88,16 @@ def read_pgm(path):
 
 def atomic_write(path, data):
     """Write bytes to `path`: staged in the target directory and moved into
-    place, so a crash never leaves a partial file behind."""
+    place, so a crash never leaves a partial file behind.  The file gets
+    the mode a plain `open` would give it, 0o666 less the umask (mkstemp
+    stages it owner-only)."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # os.umask reads the mask only by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

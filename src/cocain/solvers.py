@@ -115,18 +115,19 @@ class SolverConfig:
                 f"L_bar_init must be finite and > 0, got {self.L_bar_init}")
         if not 0.0 <= self.gamma_cap <= 1.0:
             raise ValueError(f"gamma_cap must lie in [0, 1], got {self.gamma_cap}")
-        if not (isinstance(self.max_backtracks, numbers.Integral)
-                and isinstance(self.max_iters, numbers.Integral)
-                and self.max_backtracks >= 1 and self.max_iters >= 1):
-            raise ValueError(
-                "max_backtracks and max_iters must be positive integers")
+        # bool is an Integral, so True would pass as a count of one
+        counts = [self.max_backtracks, self.max_iters]
+        if self.freeze_after is not None:
+            counts.append(self.freeze_after)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   and n >= 1 for n in counts):
+            raise ValueError("max_backtracks, max_iters and freeze_after "
+                             "must be positive integers")
         if not 0.0 <= self.stop_tol < math.inf:
             raise ValueError(
                 f"stop_tol must be finite and >= 0, got {self.stop_tol}")
         if not 0.0 < self.L_lower_value < math.inf:
             raise ValueError("L_lower_value must be finite and > 0")
-        if self.freeze_after is not None and not self.freeze_after >= 1:
-            raise ValueError("freeze_after must be >= 1 when set")
         if self.L is not None and not 0.0 < self.L < math.inf:
             raise ValueError(f"L must be finite and > 0, got {self.L}")
         if not 0.0 <= self.beta < 1.0:
@@ -181,10 +182,9 @@ class Trace(Sequence):
     twelve scalar fields of each record as one 96-byte row of a bytearray,
     and the iterate copies in the lists x and y (None where not stored).
 
-    trace[i] builds record i, a slice a list of records, and trace + a
-    list of records a list; column(name) copies one scalar field into a
-    float array.  A plain list of records packs into one with
-    Trace(records).
+    trace[i] builds record i and a slice a list of records; column(name)
+    copies one scalar field into a float array.  A list of records packs
+    into one with Trace(records).
     """
 
     __slots__ = ("_rows", "x", "y")
@@ -220,9 +220,6 @@ class Trace(Sequence):
         for row, x, y in zip(self.rows(), self.x, self.y):
             yield TraceRecord(*row, x, y)
 
-    def __add__(self, other):
-        return list(self) + list(other)
-
     def rows(self):
         """The records' twelve scalar fields, as one tuple per record."""
         return _ROW.iter_unpack(self._rows)
@@ -235,11 +232,12 @@ class Trace(Sequence):
 
 
 def replace_record(records, k, **changes):
-    """Copy of `records`, as a list, with record k's fields overridden (for
-    negative controls that corrupt an otherwise valid trace)."""
+    """Copy of a sequence of records, as a `Trace`, with record k's fields
+    overridden (for negative controls that corrupt an otherwise valid
+    trace); it holds the input's own stored x and y arrays."""
     out = list(records)
     out[k] = out[k]._replace(**changes)
-    return out
+    return Trace(out)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import typing
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from cocain import cli
-from cocain.pgm import read_pgm, synthetic_blocks, write_pgm
-from cocain.solvers import SolverConfig, cocain_bpg
+from cocain.pgm import atomic_write, read_pgm, synthetic_blocks, write_pgm
+from cocain.solvers import SolverConfig, Trace, cocain_bpg
 from cocain.problems import make_univariate
 
 RUN_CONFIG = """\
@@ -133,9 +134,9 @@ def test_trace_csv_writes_the_reference_bytes(compare_mode):
                      dh_prev_curr=5e-324, dh_curr_y=1.7976931348623157e308),
         rec._replace(k=33, psi=-math.inf, step_norm=0.1,
                      wall_time_ns=2**63 - 1, lower_trials=60),
-        rec._replace(k=34, psi=math.nan, wall_time_ns=10**30),
+        rec._replace(k=34, psi=math.nan),
     ]
-    records = result.records + edge
+    records = Trace([*result.records, *edge])
     for ref in (0.0, -0.0, 1e-320, result.records[-1].psi, math.inf):
         assert (cli._trace_csv(records, ref, compare_mode)
                 == _reference_trace_csv(records, ref, compare_mode))
@@ -1044,6 +1045,50 @@ def test_pgm_write_clips(tmp_path):
 def test_pgm_maxval_contract(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2)), maxval=0)
+
+
+def test_pgm_rejects_a_negative_pixel(tmp_path, capsys):
+    # only a pixel above maxval was caught; -5 read as -5/255
+    image = tmp_path / "negative.pgm"
+    image.write_bytes(b"P2\n2 2\n255\n-5 0\n255 10\n")
+    message = f"{image}: graymap pixel -5 is negative"
+    with pytest.raises(ValueError) as exc:
+        read_pgm(image)
+    assert str(exc.value) == message
+    out = tmp_path / "o"
+    assert cli.main(["denoise", "--image", str(image), "--iters", "2",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    # mkstemp stages a file owner-only; the written file must not stay so
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "staged", b"x")
+        atomic_write(tmp_path / "staged", b"y")  # a replace, not a create
+        (tmp_path / "plain").write_bytes(b"x")
+    finally:
+        os.umask(old)
+    assert _mode(tmp_path / "staged") == _mode(tmp_path / "plain") \
+        == 0o666 & ~umask
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert cli.main(["spurious", "--starts", "2,2", "--compare",
+                         "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    files = sorted((tmp_path / "o").iterdir())
+    assert files and [_mode(f) for f in files] == [0o640] * len(files)
 
 
 def test_synthetic_blocks_deterministic():

@@ -32,6 +32,7 @@ from cocain.problems import (
 )
 from cocain.solvers import (
     SolverConfig,
+    Trace,
     TraceRecord,
     cocain_bpg,
     cocain_bpg_cfi,
@@ -115,7 +116,8 @@ def test_params_from_run(logquad_run):
 
 
 def test_phi_spot_value():
-    records = [_record(0, psi=2.0, tau=0.5), _record(1, psi=2.0, tau=0.5, dh=0.1)]
+    records = Trace([_record(0, psi=2.0, tau=0.5),
+                     _record(1, psi=2.0, tau=0.5, dh=0.1)])
     params = LyapunovParams(delta=0.99, epsilon=0.0099, v_lower=0.0)
     phi = lyapunov_phi(records, params)
     assert phi.shape == (1,)
@@ -123,7 +125,8 @@ def test_phi_spot_value():
 
 
 def test_phi_vanishes_at_stationary_start():
-    records = [_record(0, psi=1.5, tau=0.5), _record(1, psi=1.5, tau=0.5)]
+    records = Trace([_record(0, psi=1.5, tau=0.5),
+                     _record(1, psi=1.5, tau=0.5)])
     params = LyapunovParams(delta=0.99, epsilon=0.0099, v_lower=1.5)
     assert lyapunov_phi(records, params)[0] == 0.0
 
@@ -131,9 +134,9 @@ def test_phi_vanishes_at_stationary_start():
 def test_phi_rejects_malformed_traces():
     params = LyapunovParams(delta=0.99, epsilon=0.0099, v_lower=0.0)
     with pytest.raises(ValueError):
-        lyapunov_phi([], params)
+        lyapunov_phi(Trace(), params)
     with pytest.raises(ValueError):
-        lyapunov_phi([_record(1, psi=0.0, tau=1.0)], params)
+        lyapunov_phi(Trace([_record(1, psi=0.0, tau=1.0)]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +409,37 @@ def test_reports_hold_plain_python_values(abssincos_run):
 
 
 # ---------------------------------------------------------------------------
-# packed traces and plain lists
+# packed traces
 
 
 @pytest.mark.parametrize("problem_name",
                          ["logquad", "spurious2d", "phase_retrieval", "denoise"])
 def test_checks_read_a_trace_and_its_list_alike(problem_name):
-    # a plain list of records is packed into a Trace before any check reads
-    # it, so every report is the same, bit for bit
+    # a run's trace and the Trace packed from its list of records give the
+    # same report, bit for bit
     problem, config, x0 = PROBLEMS[problem_name]()
     result = cocain_bpg(problem, replace(config, store_iterates=True), x0)
     params = LyapunovParams.from_run(result, problem)
     records = list(result.records)
-    skipped = records[:5] + records[6:]
+    skipped = Trace(records[:5] + records[6:])
     for name, check in diag._CHECKS.items():
         assert report_bits(check(result.records, problem, params)) == \
-            report_bits(check(records, problem, params)), name
+            report_bits(check(Trace(records), problem, params)), name
         with pytest.raises(ValueError, match="record 5 has k=6"):
             check(skipped, problem, params)
+
+
+@pytest.mark.parametrize("layout, message", [
+    (lambda records: records[:5] + records[6:], "record 5 has k=6"),
+    (lambda records: [], "empty trace"),
+    (lambda records: records[1:], "record 0 has k=1"),
+], ids=["skipped", "empty", "from_k1"])
+def test_checks_reject_a_malformed_trace(logquad_run, layout, message):
+    # the layout check comes first, before any iterate or value is read
+    problem, result, params = logquad_run
+    trace = Trace(layout(list(result.records)))
+    for name, check in diag._CHECKS.items():
+        with pytest.raises(ValueError, match=message):
+            check(trace, problem, params)
+    with pytest.raises(ValueError, match=message):
+        lyapunov_phi(trace, params)

@@ -102,6 +102,10 @@ def test_config_epsilon_defaults_to_hundredth_of_delta():
         {"freeze_after": 0},
         {"max_iters": 2.5},
         {"max_backtracks": 3.5},
+        {"freeze_after": 2.5},
+        {"max_iters": True},
+        {"max_backtracks": True},
+        {"freeze_after": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -372,6 +376,22 @@ def test_trace_records_are_immutable():
     assert TRACE_FIELDS == (
         "k", "psi", "tau", "gamma", "L_bar", "L_lower", "dh_prev_curr",
         "dh_curr_y", "step_norm", "lower_trials", "upper_trials")
+
+
+def test_replace_record_returns_a_trace_of_the_stored_points():
+    problem = make_univariate("logquad")
+    cfg = SolverConfig(max_iters=12, stop_tol=0.0, store_iterates=True)
+    trace = cocain_bpg(problem, cfg, [3.0]).records
+    for records in (trace, list(trace)):
+        corrupted = replace_record(records, 4, psi=-1.0, gamma=math.nan)
+        assert isinstance(corrupted, Trace)
+        assert_traces_identical(corrupted[:4] + corrupted[5:],
+                                trace[:4] + trace[5:])
+        assert repr(corrupted[4]) == repr(
+            trace[4]._replace(psi=-1.0, gamma=math.nan))
+        # the input's own arrays, not copies
+        assert all(a is b for a, b in zip(corrupted.x, trace.x, strict=True))
+        assert all(a is b for a, b in zip(corrupted.y, trace.y, strict=True))
 
 
 def test_trace_reads_back_the_records_it_packed():
