@@ -193,14 +193,17 @@ def _audit_block_length(x):
 def _audit_blocks(trace):
     """The iterations 1..N-1 of a trace in blocks of
     `_audit_block_length(trace.x[0])`: for each block of iterations
-    start..stop-1, the slice of their rows counted from 0, the lists of the
-    stored x^{start-1..stop} and y^{start..stop-1}, and their stacks."""
+    start..stop-1, the slice of their rows counted from 0, the list of the
+    stored x^{start-1..stop}, its stack X, and the stack Y of
+    y^{start..stop-1}, which the trace forms in one pass (`Trace.y_stack`)
+    and which holds the block's only copies of its re-formed y's."""
     block = _audit_block_length(trace.x[0])
     for start in range(1, len(trace) - 1, block):
         stop = min(start + block, len(trace) - 1)
         xs = trace.x[start - 1:stop + 1]
-        ys = trace.y[start:stop]
-        yield slice(start - 1, stop - 1), xs, ys, np.array(xs), np.array(ys)
+        X = np.array(xs)
+        yield (slice(start - 1, stop - 1), xs, X,
+               trace.y_stack(start, stop, X[:-1]))
 
 
 def check_acceptance_conditions(records, problem, params):
@@ -223,7 +226,8 @@ def check_acceptance_conditions(records, problem, params):
 
     The records are walked in blocks of 16 iterations, up to 64 for points
     of fewer than 128 coordinates (AUDIT_BLOCK).  A block stacks its
-    x^{k-1}..x^{k+1} and its y^k once, as rows, and takes every column of
+    x^{k-1}..x^{k+1} once, as rows, with its y^k re-formed from that stack
+    in one pass where the trace keeps no copy, and takes every column of
     its iterations in whole-stack passes: `kernel.bregman` on two stacks
     gives one distance per row, with the bits of the call on each pair.
     g comes from one `problem.evaluate_rows` per block, which evaluates
@@ -243,11 +247,11 @@ def check_acceptance_conditions(records, problem, params):
     n = gamma.size
     fresh = np.empty((10, n))
     carry = None  # the previous block's evaluation of its last x
-    for rows, xs, ys, X, Y in _audit_blocks(records):
+    for rows, xs, X, Y in _audit_blocks(records):
         x_prev, x_curr, x_next = X[:-2], X[1:-1], X[2:]
         step = x_curr - x_prev
         y_expected = x_curr + gamma[rows, None] * step
-        g = problem.evaluate_rows(xs[1 if carry is None else 2:], ys, carry)
+        g = problem.evaluate_rows(xs[1 if carry is None else 2:], Y, carry)
         carry = g.carry
         fresh[:, rows] = (
             kernel.bregman(x_prev, x_curr),
@@ -333,7 +337,7 @@ def check_cfi_bound(records, problem):
     kernel = problem.kernel
     gamma2 = _squared(gamma[1:-1])
     excess = np.empty(gamma2.size)
-    for rows, _, _, X, Y in _audit_blocks(records):
+    for rows, _, X, Y in _audit_blocks(records):
         x_curr = X[1:-1]
         step = x_curr - X[:-2]
         rhs = (gamma2[rows] * np.vecdot(step, step)

@@ -19,7 +19,7 @@ _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]+)")
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 
-def _header_tokens(data):
+def _header_tokens(path, data):
     """First four whitespace-separated tokens, honoring '#' comments.
 
     Returns the tokens and the offset one byte past the final token's
@@ -31,7 +31,7 @@ def _header_tokens(data):
     while len(tokens) < 4:
         match = _TOKEN.match(data, pos)
         if match is None:
-            raise ValueError("truncated graymap header")
+            raise ValueError(f"{path}: truncated graymap header")
         tokens.append(match[1])
         pos = match.end()
     comment = _COMMENT.match(data, pos)
@@ -39,50 +39,57 @@ def _header_tokens(data):
 
 
 def _integer(path, field, token):
-    """A header or P2 pixel token as an int, or a ValueError that names
+    """A header or P2 pixel token of ASCII decimal digits, as Netpbm reads
+    them (no sign, no underscores), as an int, or a ValueError that names
     the file and the field."""
-    try:
+    # bytes.isdigit accepts only b"0".."9"; a P2 raster is read into
+    # int64, which holds any 18 digits
+    if token.isdigit() and len(token.lstrip(b"0")) <= 18:
         return int(token)
-    except ValueError:
-        text = token.decode(errors="replace")
+    text = token.decode(errors="replace")
+    if token.isdigit():
         raise ValueError(
-            f"{path}: graymap {field} {text!r} is not an integer") from None
+            f"{path}: graymap {field} {text} has more than 18 digits")
+    if token[:1] == b"-" and token[1:].isdigit():
+        raise ValueError(f"{path}: graymap {field} {text} is negative")
+    raise ValueError(f"{path}: graymap {field} {text!r} is not an integer")
 
 
 def read_pgm(path):
     """Load a P2 or P5 graymap as a float array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    (magic, w_tok, h_tok, max_tok), raster_at = _header_tokens(data)
+    (magic, w_tok, h_tok, max_tok), raster_at = _header_tokens(path, data)
     if magic not in (b"P2", b"P5"):
-        raise ValueError(f"not a graymap: magic {magic!r}")
+        raise ValueError(f"{path}: not a graymap: magic {magic!r}")
     width = _integer(path, "width", w_tok)
     height = _integer(path, "height", h_tok)
     maxval = _integer(path, "maxval", max_tok)
     if width < 1 or height < 1:
-        raise ValueError(f"bad graymap size {width}x{height}")
+        raise ValueError(f"{path}: bad graymap size {width}x{height}")
     if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} outside [1, 65535]")
+        raise ValueError(f"{path}: graymap maxval {maxval} outside [1, 65535]")
 
     count = width * height
     if magic == b"P2":
         values = _COMMENT.sub(b" ", data[raster_at - 1 :]).split()
         if len(values) != count:
-            raise ValueError(f"expected {count} pixels, found {len(values)}")
+            raise ValueError(
+                f"{path}: expected {count} pixels, found {len(values)}")
         flat = np.array([_integer(path, "pixel", v) for v in values],
                         dtype=np.int64)
-        if flat.min() < 0:
-            raise ValueError(f"{path}: graymap pixel {flat.min()} is negative")
     else:
         stride = 1 if maxval < 256 else 2
         raw = data[raster_at : raster_at + count * stride]
         if len(raw) != count * stride:
-            raise ValueError("binary raster shorter than header promises")
+            raise ValueError(
+                f"{path}: binary raster shorter than header promises")
         dtype = np.uint8 if stride == 1 else np.dtype(">u2")
         flat = np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
     if flat.max(initial=0) > maxval:
-        raise ValueError("pixel value exceeds declared maxval")
+        raise ValueError(
+            f"{path}: graymap pixel {flat.max()} exceeds maxval {maxval}")
     return flat.reshape(height, width).astype(float) / float(maxval)
 
 

@@ -168,8 +168,9 @@ class CompositeProblem:
     def evaluate_rows(self, xs, ys, carry=None):
         """g over a block of stored iterates as a `RowsEvaluation`: xs
         holds the points x^0..x^n, or x^1..x^n after the `carry` of the
-        previous block's last x, and ys the points y^0..y^{n-1}.  By
-        default the rows are read from one `Evaluation` per point."""
+        previous block's last x, and ys the points y^0..y^{n-1} (the rows
+        of a stack).  By default the rows are read from one `Evaluation`
+        per point."""
         if self.g_eval_rows is not None:
             return self.g_eval_rows(xs, ys, carry)
         g_x = [] if carry is None else [carry]

@@ -74,8 +74,9 @@ class SolverConfig:
     and the step size alongside it from that iteration on, in every solver
     that backtracks its majorant (`upper_backtrack`); the second phase
     Lyapunov function is defined relative to such a frozen step size.
-    store_iterates keeps copies of every iterate and base point on the trace
-    (needed by the certificates that re-derive distances independently).
+    store_iterates keeps a copy of every iterate on the trace, and each
+    base point once, mostly as the iterates and gamma that re-form it
+    (`Trace`); the certificates that re-derive distances need them.
 
     L is the fixed majorant of bpg_fixed (None: problem.smad_L) and beta the
     fixed inertia of ipiano in [0, 1); the other solvers ignore both.
@@ -143,7 +144,7 @@ class TraceRecord(NamedTuple):
     ||x^k - x^{k-1}||, and tau/gamma/L_bar/L_lower are the accepted values
     that produce x^{k+1}.  Record 0 is the initial state and the final record
     describes the last iterate with zeroed inertia fields.  x and y hold
-    iterate copies when the run stores them, else None.
+    the stored points when the run stores them, else None.
     """
 
     k: int
@@ -177,34 +178,73 @@ _ROW_DTYPE = np.dtype({
 })
 
 
+# The y slot of a record whose base point its trace re-forms.
+_REFORMED = object()
+
+
+def _extrapolate(x, x_prev, gamma):
+    """The base point x + gamma (x - x_prev), as every inertia rule forms
+    it; on stacks of rows with gamma a column, each row's bits."""
+    return x + gamma * (x - x_prev)
+
+
 class Trace(Sequence):
     """A run's records, a sequence of `TraceRecord`, stored packed: the
     twelve scalar fields of each record as one 96-byte row of a bytearray,
-    and the iterate copies in the lists x and y (None where not stored).
+    and the stored iterates in the list x (None where not stored).
+
+    Each base point y is kept once (see append): as its record's own x
+    when y is x, not at all when `_extrapolate` re-forms it from x, the
+    previous record's x and gamma in every bit, and as a copy otherwise.
+    trace[i], iteration and the sequence y give every record's y, re-formed
+    where it is not kept; y_stack re-forms a block of them in one pass.
 
     trace[i] builds record i and a slice a list of records; column(name)
     copies one scalar field into a float array.  A list of records packs
     into one with Trace(records).
     """
 
-    __slots__ = ("_rows", "x", "y")
+    __slots__ = ("_rows", "x", "_y")
 
     def __init__(self, records=()):
         self._rows = bytearray()
         self.x = []
-        self.y = []
+        self._y = []
         for rec in records:
             self.append(*rec)
 
     def append(self, k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr,
                dh_curr_y, step_norm, lower_trials, upper_trials,
                wall_time_ns, x=None, y=None):
-        """Add a record, given by its fields in `TraceRecord` order."""
+        """Add a record, given by its fields in `TraceRecord` order.  y is
+        kept by reference when it is x, dropped when the trace re-forms it
+        bit for bit, and copied otherwise (a NaN gamma, a corrupted y)."""
         self._rows += _ROW.pack(
             k, psi, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
             step_norm, lower_trials, upper_trials, wall_time_ns)
+        if y is not None and y is not x:
+            y = _REFORMED if self._reforms(x, gamma, y) else np.copy(y)
         self.x.append(x)
-        self.y.append(y)
+        self._y.append(y)
+
+    def _reforms(self, x, gamma, y):
+        """Whether `_extrapolate` re-forms y from x, the last record's x
+        and gamma, compared as integers so that -0.0 and NaN payloads
+        count."""
+        x_prev = self.x[-1] if self.x else None
+        if not (isinstance(x, np.ndarray) and isinstance(x_prev, np.ndarray)
+                and isinstance(y, np.ndarray)):
+            return False
+        formed = _extrapolate(x, x_prev, gamma)
+        return bool(formed.dtype == y.dtype == np.float64
+                    and formed.shape == y.shape
+                    and (formed.view(np.int64) == y.view(np.int64)).all())
+
+    def _y_of(self, i, gamma):
+        y = self._y[i]
+        if y is _REFORMED:
+            return _extrapolate(self.x[i], self.x[i - 1], gamma)
+        return y
 
     def __len__(self):
         return len(self.x)
@@ -213,12 +253,29 @@ class Trace(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # a negative index counts from the end
-        return TraceRecord(*_ROW.unpack_from(self._rows, i * _ROW.size),
-                           self.x[i], self.y[i])
+        row = _ROW.unpack_from(self._rows, i * _ROW.size)
+        return TraceRecord(*row, self.x[i], self._y_of(i, row[3]))
 
     def __iter__(self):
-        for row, x, y in zip(self.rows(), self.x, self.y):
-            yield TraceRecord(*row, x, y)
+        for i, row in enumerate(self.rows()):
+            yield TraceRecord(*row, self.x[i], self._y_of(i, row[3]))
+
+    @property
+    def y(self):
+        """The records' base points, as a sequence: y[i] is self[i].y."""
+        return _BasePoints(self)
+
+    def y_stack(self, start, stop, X):
+        """The base points y^start..y^{stop-1} as the rows of one array,
+        given the stack X of the stored x^{start-1}..x^{stop-1}: re-formed
+        in one pass of `_extrapolate`, then each kept y written over its
+        row."""
+        gamma = np.frombuffer(self._rows, _ROW_DTYPE)["gamma"][start:stop]
+        Y = _extrapolate(X[1:], X[:-1], gamma[:, None])
+        for row, y in zip(Y, self._y[start:stop]):
+            if y is not _REFORMED:
+                row[:] = y
+        return Y
 
     def rows(self):
         """The records' twelve scalar fields, as one tuple per record."""
@@ -231,10 +288,28 @@ class Trace(Sequence):
         return np.frombuffer(self._rows, _ROW_DTYPE)[name].astype(float)
 
 
+class _BasePoints(Sequence):
+    """The y of every record of a `Trace`, read through trace[i]."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __len__(self):
+        return len(self._trace)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [rec.y for rec in self._trace[i]]
+        return self._trace[i].y
+
+
 def replace_record(records, k, **changes):
     """Copy of a sequence of records, as a `Trace`, with record k's fields
     overridden (for negative controls that corrupt an otherwise valid
-    trace); it holds the input's own stored x and y arrays."""
+    trace); it holds the input's own stored x arrays, and base points of
+    the input's bits."""
     out = list(records)
     out[k] = out[k]._replace(**changes)
     return Trace(out)
@@ -277,33 +352,39 @@ class IterateState:
     L_lower_prev: float
 
 
-def _base_point(state, gamma, kernel):
+def _base_point(state, gamma, kernel, rung=None):
     """(gamma, y, D_h(x^k, y)) for the base point y = x^k + gamma Delta,
-    Delta = x^k - x^{k-1}: what every gamma rule returns."""
+    Delta = x^k - x^{k-1}: what every gamma rule returns.  rung, a
+    previous trial's triple, is returned itself when its gamma is this
+    one, since y and D_h(x^k, y) would repeat its bits."""
+    if rung is not None and rung[0] == gamma:
+        return rung
     y = state.x_curr + gamma * state.delta
     return gamma, y, kernel.bregman(state.x_curr, y)
 
 
-def _halve_gamma(state, scale, config, problem):
+def _halve_gamma(state, scale, config, problem, rung=None):
     """Halve g0 = min(gamma_cap, sqrt((delta-eps)/scale)) until
     scale * D_h(x^k, y) <= (delta-eps) * D_h(x^{k-1}, x^k).  On the
     Euclidean kernel g0 meets it with equality in exact arithmetic, but
     y - x^k cancels when |x^k| >> |Delta|, so g0 is tested there too.
-    gamma = 0 always verifies since the base point then collapses onto x^k."""
+    gamma = 0 always verifies since the base point then collapses onto x^k.
+    A gamma that repeats the rung's reads its y and distance
+    (`_base_point`)."""
     kernel = problem.kernel
     gamma = min(config.gamma_cap, math.sqrt((config.delta - config.epsilon) / scale))
     bound = (config.delta - config.epsilon) * state.dh_prev_curr
     for _ in range(config.max_backtracks):
-        _, y, dh = _base_point(state, gamma, kernel)
-        if leq(scale * dh, bound):
-            return gamma, y, dh
+        found = _base_point(state, gamma, kernel, rung)
+        if leq(scale * found[2], bound):
+            return found
         gamma *= 0.5
-    return _base_point(state, 0.0, kernel)
+    return _base_point(state, 0.0, kernel, rung)
 
 
-def find_gamma(state, L_lower_candidate, config, problem):
+def find_gamma(state, L_lower_candidate, config, problem, rung=None):
     """Largest extrapolation factor compatible with the inertia condition,
-    as (gamma, y, D_h(x^k, y)).
+    as (gamma, y, D_h(x^k, y)); rung is the previous trial's triple.
 
     For the Euclidean kernel D_h(x^k, y) = gamma^2 * D_h(x^{k-1}, x^k), so
     gamma = min(gamma_cap, sqrt((delta-eps)/(1 + L_lower*tau_prev))) holds
@@ -311,11 +392,12 @@ def find_gamma(state, L_lower_candidate, config, problem):
     candidate and halves until the condition verifies.
     """
     scale = 1.0 + L_lower_candidate * state.tau_prev
-    return _halve_gamma(state, scale, config, problem)
+    return _halve_gamma(state, scale, config, problem, rung)
 
 
-def find_gamma_cfi(state, L_lower_candidate, config, problem):
-    """Closed-form inertia for the quartic kernel, as (gamma, y, D_h(x^k, y)).
+def find_gamma_cfi(state, L_lower_candidate, config, problem, rung=None):
+    """Closed-form inertia for the quartic kernel, as (gamma, y, D_h(x^k, y)),
+    rung as in `find_gamma`.
 
     Uses the bound D_h(x^k, y) <= gamma^2 ||Delta||^2 ((3/2)||x^k||^2 + 7/4)
     with Delta = x^k - x^{k-1} to solve the inertia condition for gamma
@@ -326,7 +408,7 @@ def find_gamma_cfi(state, L_lower_candidate, config, problem):
     xk2 = float(state.x_curr.dot(state.x_curr))
     denom = (1.0 + L_lower_candidate * state.tau_prev) * nd2 * (1.5 * xk2 + 1.75)
     gamma = min(config.gamma_cap, math.sqrt(num / denom)) if nd2 else 0.0
-    return _base_point(state, gamma, problem.kernel)
+    return _base_point(state, gamma, problem.kernel, rung)
 
 
 def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
@@ -339,19 +421,22 @@ def lower_backtrack(state, config, problem, gamma_rule=find_gamma):
     Returns (L_lower, gamma, y, g_y, dh_curr_y, trials), g_y the evaluation
     of g at y, or None when no trial is accepted.  Each trial's g_y is
     extrapolated from the evaluations of x^k and x^{k-1}, except when the
-    rule repeats the previous trial's gamma (a capped gamma does): y then
-    has that trial's bits, so its g_y and g(y) + <grad g(y), x^k - y> are
-    reused and only the L_lower * D_h(x^k, y) term is formed again.
+    rule repeats the previous trial's gamma (a capped gamma does): the
+    rule then returns that trial's (gamma, y, D_h(x^k, y)), the rung, and
+    its g_y and g(y) + <grad g(y), x^k - y> are reused, so only the
+    L_lower * D_h(x^k, y) term is formed again.  Only the last rung is
+    held, so a search keeps at most two base points alive.
     """
     g_curr = state.g_curr
     L_lo = max(config.L_lower_value, state.L_lower_prev / config.nu_lower)
-    gamma_y = None  # the gamma that g_y and base belong to
+    rung = None  # the previous trial's (gamma, y, D_h(x^k, y))
     for trial in range(1, config.max_backtracks + 1):
-        gamma, y, dh_curr_y = gamma_rule(state, L_lo, config, problem)
-        if gamma != gamma_y:
+        found = gamma_rule(state, L_lo, config, problem, rung)
+        gamma, y, dh_curr_y = found
+        if found is not rung:
             g_y = g_curr.extrapolated(state.g_prev, gamma, y)
             base = g_y.value + g_y.slope_to(g_curr)
-            gamma_y = gamma
+            rung = found
         if geq(g_curr.value, base - L_lo * dh_curr_y):
             return L_lo, gamma, y, g_y, dh_curr_y, trial
         L_lo *= config.nu_lower
@@ -440,7 +525,9 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
     upper_trials); either returns None when its ladder runs out, which
     ends the run as a backtrack_failure.  Record k, one row of the run's
     `Trace`, logs both, and the callback gets it as a `TraceRecord` of the
-    same values; y and g_y are released before the next search.  g_next,
+    same values; with store_iterates both hold a copy of x^k and y itself
+    (that copy when y is x^k), which the trace keeps once (`Trace.append`).
+    y and g_y are released before the next search.  g_next,
     the evaluation of g at x_next, becomes the next state's g_curr, and
     g_curr its g_prev; the step x_next - x_curr, formed once, becomes its
     delta, which serves the stop test (max |delta_i| < stop_tol, skipped
@@ -504,16 +591,19 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
             break
         L_lower, gamma, y, g_y, dh_curr_y, lower_trials = lower
         L_bar, tau, x_next, g_next, upper_trials = upper
+        # the trace keeps y as x's copy when y is x^k, else by its bits
+        x_kept = _maybe_copy(x_curr, store)
         record = (
             k, psi_curr, tau, gamma, L_bar, L_lower, dh_prev_curr, dh_curr_y,
             _norm(delta), lower_trials, upper_trials,
             time.perf_counter_ns() - tick,
-            _maybe_copy(x_curr, store), _maybe_copy(y, store))
+            x_kept, x_kept if y is x_curr else y if store else None)
         trace.append(*record)
         # y and its evaluation are dead: release them before the next search
         del lower, upper, y, g_y
         if callback is not None:
             callback(TraceRecord(*record))
+        del record  # with store_iterates it holds y itself
 
         delta = x_next - x_curr
         x_prev, x_curr = x_curr, x_next

@@ -9,7 +9,8 @@ the checkout.
 The report header names numpy's version and the dispatch targets its
 compiled loops run on here (`log1p`, among others, has a different loop
 per target), so that a log of byte-pinned results says which code path
-produced them.
+produced them, and hypothesis's version, whose derandomized search draws
+the property tests' cases.
 """
 
 import tempfile
@@ -43,4 +44,9 @@ def pytest_report_header(config):
                 if umath.__cpu_features__.get(target)]
     except (ImportError, AttributeError):
         live = ["unknown"]
-    return f"numpy {np.__version__}, dispatch targets: {' '.join(live) or 'none'}"
+    try:
+        from hypothesis import __version__ as hypothesis_version
+    except ImportError:
+        hypothesis_version = "not installed"
+    return (f"numpy {np.__version__}, dispatch targets: "
+            f"{' '.join(live) or 'none'}; hypothesis {hypothesis_version}")

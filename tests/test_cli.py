@@ -927,7 +927,13 @@ def test_denoise_rejects_grid_size_with_image(tmp_path, capsys, flags):
     (b"P2\n2 2.0\n255\n0 1\n2 3\n", "height '2.0'"),
     (b"P2\n2 2\nff\n0 1\n2 3\n", "maxval 'ff'"),
     (b"P2\n2 2\n255\n0 1\n2 y\n", "pixel 'y'"),
-], ids=["width", "height", "maxval", "pixel"])
+    # Netpbm reads decimal digits only: no sign, no digit-group underscore
+    (b"P2\n2 2\n255\n0 1\n1_0 3\n", "pixel '1_0'"),
+    (b"P2\n2 2\n255\n0 +5\n2 3\n", "pixel '+5'"),
+    (b"P2\n+2 2\n255\n0 1\n2 3\n", "width '+2'"),
+    (b"P2\n2 2\n2_55\n0 1\n2 3\n", "maxval '2_55'"),
+], ids=["width", "height", "maxval", "pixel", "pixel_underscore",
+        "pixel_sign", "width_sign", "maxval_underscore"])
 def test_denoise_names_the_file_and_field_of_a_bad_token(tmp_path, capsys,
                                                           data, field):
     image = tmp_path / "bad.pgm"
@@ -1060,6 +1066,39 @@ def test_pgm_rejects_a_negative_pixel(tmp_path, capsys):
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n2 2\n", "truncated graymap header"),
+    (b"P3\n2 2\n255\n0 1\n2 3\n", "not a graymap: magic b'P3'"),
+    (b"P2\n0 2\n255\n", "bad graymap size 0x2"),
+    (b"P2\n2 2\n70000\n0 1\n2 3\n",
+     "graymap maxval 70000 outside [1, 65535]"),
+    (b"P2\n2 2\n255\n0 1\n2\n", "expected 4 pixels, found 3"),
+    (b"P5\n2 2\n255\n\x00\x01\x02",
+     "binary raster shorter than header promises"),
+    (b"P2\n2 2\n255\n0 1\n300 3\n", "graymap pixel 300 exceeds maxval 255"),
+    (b"P2\n2 1\n255\n99999999999999999999 0\n",
+     "graymap pixel 99999999999999999999 has more than 18 digits"),
+], ids=["truncated", "magic", "size", "maxval_range", "pixel_count",
+        "short_raster", "maxval_excess", "digits"])
+def test_read_pgm_names_the_file_in_every_error(tmp_path, capsys, data,
+                                                message):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        read_pgm(image)
+    assert str(exc.value) == f"{image}: {message}"
+    assert cli.main(["denoise", "--image", str(image), "--iters", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {image}: {message}\n"
+
+
+def test_pgm_reads_leading_zeros_as_decimal(tmp_path):
+    image = tmp_path / "zeros.pgm"
+    image.write_bytes(b"P2\n0002 1\n00255\n0000000000000000000000255 007\n")
+    np.testing.assert_array_equal(read_pgm(image),
+                                  np.array([[255.0, 7.0]]) / 255.0)
 
 
 def _mode(path):

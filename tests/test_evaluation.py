@@ -327,14 +327,17 @@ def test_audit_evaluates_each_stored_point_once():
     assert report == plain and report.passed
     n = report.n_checked
     assert n == result.iterations == 150
-    # x^1..x^{n+1} and every y^k once each, in blocks that bound the
-    # audit's memory whatever the trace length, and no A^T product: both
-    # linear terms are taken from the images
+    # x^1..x^{n+1} and every y^k once each, with the bits of the trace's
+    # points, in blocks that bound the audit's memory whatever the trace
+    # length, and no A^T product: both linear terms are taken from the
+    # images
     block = diag._audit_block_length(result.records[0].x)
     assert block < n
     stored = ([rec.x for rec in result.records[1:]]
               + [rec.y for rec in result.records[1:-1]])
-    assert sorted(map(id, points)) == sorted(map(id, stored))
+    assert len(points) == len(stored) == (n + 1) + n
+    assert sorted(p.tobytes() for p in points) == sorted(
+        p.tobytes() for p in stored)
     assert counts == {"A": (n + 1) + n, "AT": 0}
     assert max(blocks) == block + 1
     assert len(blocks) == 2 * -(-n // block)

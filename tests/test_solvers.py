@@ -23,6 +23,7 @@ from cocain.diagnostics import (
     check_lyapunov_descent,
     check_prefix_bound,
 )
+from cocain.kernels import EuclideanKernel
 from cocain.pgm import synthetic_blocks
 from cocain.problems import (
     add_outlier_noise,
@@ -284,6 +285,35 @@ def test_repeated_gamma_reuses_the_rung_evaluation():
                             cocain_bpg(problem, SWEEP_CONFIG, x0).records)
 
 
+class _CountingKernel(EuclideanKernel):
+    calls = 0
+
+    def bregman(self, *args):
+        self.calls += 1
+        return super().bregman(*args)
+
+
+def test_repeated_gamma_reuses_the_rung_base_point(monkeypatch):
+    # a rung whose gamma repeats the previous rung's is that rung's
+    # (gamma, y, D_h(x^k, y)) itself: 31 of this run's 88 lower trials form
+    # no base point and no distance
+    problem = quadratic_problem([2.0, 1.0])
+    state = _state(problem, [1.0, 1.0], [0.5, 0.25], tau_prev=0.5)
+    rung = find_gamma(state, 1e-10, SWEEP_CONFIG, problem)
+    assert rung[0] == SWEEP_CONFIG.gamma_cap  # the cap, on both rungs
+    assert find_gamma(state, 2e-10, SWEEP_CONFIG, problem, rung) is rung
+    problem = replace(make_univariate("abssincos"), kernel=_CountingKernel())
+    x0 = [_SWEEP_STARTS[15]]
+    result = cocain_bpg(problem, SWEEP_CONFIG, x0)
+    assert problem.kernel.calls == 153
+    problem.kernel.calls = 0
+    monkeypatch.setattr(solvers, "lower_backtrack",
+                        _lower_backtrack_every_rung)
+    assert_traces_identical(result.records,
+                            cocain_bpg(problem, SWEEP_CONFIG, x0).records)
+    assert problem.kernel.calls == 153 + 31
+
+
 def test_rung_reuse_keeps_the_traces_of_evaluating_every_rung(monkeypatch):
     problem = make_univariate("abssincos")
     runs = [cocain_bpg(problem, SWEEP_CONFIG, [s]) for s in _SWEEP_STARTS]
@@ -389,9 +419,57 @@ def test_replace_record_returns_a_trace_of_the_stored_points():
                                 trace[:4] + trace[5:])
         assert repr(corrupted[4]) == repr(
             trace[4]._replace(psi=-1.0, gamma=math.nan))
-        # the input's own arrays, not copies
+        # the input's own x arrays, not copies, and y's of the input's bits,
+        # the NaN gamma's y^4 among them
         assert all(a is b for a, b in zip(corrupted.x, trace.x, strict=True))
-        assert all(a is b for a, b in zip(corrupted.y, trace.y, strict=True))
+        assert len(corrupted.y) == len(trace.y) == 14
+        assert [None if y is None else y.tobytes() for y in corrupted.y] == [
+            None if y is None else y.tobytes() for y in trace.y]
+
+
+def test_trace_keeps_the_base_points_it_cannot_re_form():
+    # a corrupted y, one that differs from the re-formed y only in the sign
+    # of a zero, and a NaN gamma's y are kept as copies, which every
+    # reader, the audit's block pass included, returns bit for bit
+    problem = quadratic_problem([2.0, 1.0])
+    cfg = SolverConfig(max_iters=12, stop_tol=0.0, store_iterates=True)
+    trace = cocain_bpg(problem, cfg, [0.0, 1.0]).records
+    assert trace[6].gamma > 0.0 and trace[6].y.tobytes()[:8] == bytes(8)
+    scaled = trace[6].y * 1.5 + 0.1
+    signed = trace[5].y.copy()
+    signed[0] = -0.0
+    for records, k, y_k in ((replace_record(trace, 6, y=scaled), 6, scaled),
+                            (replace_record(trace, 5, y=signed), 5, signed),
+                            (replace_record(trace, 4, gamma=math.nan), 4,
+                             trace[4].y)):
+        assert (records[k].y.tobytes() == records.y[k].tobytes()
+                == y_k.tobytes())
+        assert records[k].y is not y_k  # a copy
+        ys = [rec.y for rec in records[1:-1]]
+        X = np.array(records.x[:-1])
+        assert records.y_stack(1, 13, X).tobytes() == np.array(ys).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(
+            ys[:k - 1] + ys[k:], trace.y[1:k] + trace.y[k + 1:-1]))
+
+
+def test_stored_trace_keeps_one_point_per_record():
+    # y^k is re-formed from x^k, x^{k-1} and gamma_k, so a run that stores
+    # its iterates keeps about one point per record, where a copy of each
+    # y made two
+    problem = quadratic_problem(np.linspace(1.0, 2.0, 4096))
+    cfg = SolverConfig(max_iters=30, stop_tol=0.0, store_iterates=True)
+    x0 = np.ones(problem.dim)
+    cocain_bpg(problem, cfg, x0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = cocain_bpg(problem, cfg, x0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    points = len(result.records) * x0.nbytes
+    assert result.records[5].gamma > 0.0
+    assert points <= retained <= 1.1 * points, retained / points
 
 
 def test_trace_reads_back_the_records_it_packed():

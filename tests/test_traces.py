@@ -185,6 +185,47 @@ def test_trace_matches_pinned_digest(problem_name, solver):
     assert _csv_digest(result.records) == PINNED[problem_name, solver]
 
 
+def _bits(y):
+    return None if y is None else y.tobytes()
+
+
+@pytest.mark.parametrize("problem_name,solver", sorted(PINNED))
+def test_stored_base_points_are_the_ones_the_run_formed(problem_name,
+                                                         solver):
+    # the trace keeps each y as its x, re-forms it or keeps a copy: every
+    # reader returns the bits the callback saw while the run formed it
+    problem, config, x0 = PROBLEMS[problem_name]()
+    config = replace(config, store_iterates=True)
+    seen = []
+    result = cli.SOLVERS[solver](
+        problem, config, x0, callback=lambda rec: seen.append(_bits(rec.y)))
+    trace = result.records
+    assert len(seen) == result.iterations == len(trace) - 2
+    ys = [None, *seen, None]
+    assert [_bits(rec.y) for rec in trace] == ys
+    assert [_bits(trace[k].y) for k in range(len(trace))] == ys
+    assert list(map(_bits, trace.y)) == ys
+    X = np.array(trace.x[:-1])
+    assert trace.y_stack(1, len(trace) - 1, X).tobytes() == b"".join(seen)
+
+
+def test_a_no_inertia_y_is_kept_as_its_x_with_its_negative_zero():
+    # bpg_wb's y^k is x^k itself, which x + 0 (x - x_prev) is not: it turns
+    # the -0.0 of the start into +0.0
+    problem, config, x0 = PROBLEMS["phase_retrieval"]()
+    x0[0] = -0.0
+    config = replace(config, store_iterates=True)
+    seen = []
+    result = cli.SOLVERS["bpg_wb"](
+        problem, config, x0, callback=lambda rec: seen.append(_bits(rec.y)))
+    trace = result.records
+    x = trace[1].x
+    assert np.signbit(x[0]) and not np.signbit((x + 0.0 * (x - x))[0])
+    for records in (trace, replace_record(trace, 3, psi=-1.0)):
+        assert records[1].y is records[1].x
+        assert [_bits(rec.y) for rec in records][1:-1] == seen
+
+
 def _audit_outcome(report):
     details = {key: value.hex() if isinstance(value, float) else value
                for key, value in report.details.items()}
