@@ -194,16 +194,17 @@ def _audit_blocks(trace):
     """The iterations 1..N-1 of a trace in blocks of
     `_audit_block_length(trace.x[0])`: for each block of iterations
     start..stop-1, the slice of their rows counted from 0, the list of the
-    stored x^{start-1..stop}, its stack X, and the stack Y of
-    y^{start..stop-1}, which the trace forms in one pass (`Trace.y_stack`)
-    and which holds the block's only copies of its re-formed y's."""
+    stored x^{start-1..stop} and its stack X, then the stack Y of
+    y^{start..stop-1}, which the trace forms in one pass, and which of its
+    rows the trace re-forms (`Trace.y_stack`); Y holds the block's only
+    copies of its re-formed y's."""
     block = _audit_block_length(trace.x[0])
     for start in range(1, len(trace) - 1, block):
         stop = min(start + block, len(trace) - 1)
         xs = trace.x[start - 1:stop + 1]
         X = np.array(xs)
         yield (slice(start - 1, stop - 1), xs, X,
-               trace.y_stack(start, stop, X[:-1]))
+               *trace.y_stack(start, stop, X[:-1]))
 
 
 def check_acceptance_conditions(records, problem, params):
@@ -230,13 +231,17 @@ def check_acceptance_conditions(records, problem, params):
     in one pass where the trace keeps no copy, and takes every column of
     its iterations in whole-stack passes: `kernel.bregman` on two stacks
     gives one distance per row, with the bits of the call on each pair.
-    g comes from one `problem.evaluate_rows` per block, which evaluates
-    each stored point once: a block's last x is carried into the next,
-    where it is the first.  Phase retrieval serves it from one image
-    product for all of the block's x's and y's, and takes no A^T product.
-    So the audit holds one block's stacks at a time, whatever the trace
-    length: the stored points and, for phase retrieval, a few buffers of
-    their images.
+    g comes from one `problem.evaluate_rows` per block, which evaluates g
+    once per stored x: a block's last two x's are carried into the next,
+    where they are the first two.  A y the trace re-forms takes its
+    evaluation from those of x^{k-1} and x^k (`Evaluation.extrapolated`,
+    as the lower search makes it), and only a y the trace keeps (a NaN
+    gamma's, a corrupted one) is evaluated itself.  Phase retrieval
+    serves the block from one image product of its x's, extrapolates the
+    re-formed y's images from theirs, and takes no A^T product.  So the
+    audit holds one block's stacks at a time, whatever the trace length:
+    the stored points and, for phase retrieval, a few buffers of their
+    images.
     """
     tau, gamma, L_lower, L_bar, *logged = _columns(
         records, "tau", "gamma", "L_lower", "L_bar", "dh_prev_curr",
@@ -246,12 +251,13 @@ def check_acceptance_conditions(records, problem, params):
     gamma = gamma[1:-1]
     n = gamma.size
     fresh = np.empty((10, n))
-    carry = None  # the previous block's evaluation of its last x
-    for rows, xs, X, Y in _audit_blocks(records):
+    carry = None  # the previous block's evaluation of its last two x's
+    for rows, xs, X, Y, reformed in _audit_blocks(records):
         x_prev, x_curr, x_next = X[:-2], X[1:-1], X[2:]
         step = x_curr - x_prev
         y_expected = x_curr + gamma[rows, None] * step
-        g = problem.evaluate_rows(xs[1 if carry is None else 2:], Y, carry)
+        g = problem.evaluate_rows(xs if carry is None else xs[2:], Y,
+                                  gamma[rows], reformed, carry)
         carry = g.carry
         fresh[:, rows] = (
             kernel.bregman(x_prev, x_curr),
@@ -337,7 +343,7 @@ def check_cfi_bound(records, problem):
     kernel = problem.kernel
     gamma2 = _squared(gamma[1:-1])
     excess = np.empty(gamma2.size)
-    for rows, _, X, Y in _audit_blocks(records):
+    for rows, _, X, Y, _ in _audit_blocks(records):
         x_curr = X[1:-1]
         step = x_curr - X[:-2]
         rhs = (gamma2[rows] * np.vecdot(step, step)

@@ -16,9 +16,12 @@ supplies its own through `g_eval` (phase retrieval computes Ax once, and
 evaluates extrapolated points from the images it already has; denoise
 hands the squared stencil norms of its value pass to its gradient).  The
 audit of stored iterates reads g a block of iterations at a time through
-`problem.evaluate_rows(xs, ys, carry)`, one `RowsEvaluation` of row
-values and linear terms per block, which a problem may serve with
-products over the whole block (`g_eval_rows`).
+`problem.evaluate_rows(xs, ys, gamma, reformed, carry)`, one
+`RowsEvaluation` of row values and linear terms per block.  It evaluates
+g once per stored x; a base point y^k that the trace re-forms takes its
+evaluation from those of x^k and x^{k-1}, as the lower search does, and
+only a y the trace keeps is evaluated itself.  A problem may serve the
+block with products over its x's (`g_eval_rows`).
 """
 
 import math
@@ -114,7 +117,8 @@ class RowsEvaluation(NamedTuple):
     """g over one block of stored iterates, row by row: g_x[i] = g(x^i)
     for i = 0..n, g_y[i] = g(y^i), lin_curr[i] = <grad g(y^i), x^i - y^i>
     and lin_next[i] = <grad g(y^i), x^{i+1} - y^i> for i = 0..n-1.
-    `carry` is what the next block takes of x^n in place of the point."""
+    `carry` is what the next block takes of x^{n-1} and x^n in place of
+    the two points."""
 
     g_x: np.ndarray
     g_y: np.ndarray
@@ -139,9 +143,10 @@ class CompositeProblem:
 
     g_eval(x), when set, returns the `Evaluation` of g at x, whose value
     and grad must agree bit for bit with g_value and g_grad; evaluate(x)
-    falls back to those two otherwise.  g_eval_rows(xs, ys, carry), when
-    set, serves evaluate_rows from products over the whole block; its rows
-    agree with the per-point evaluations up to rounding only.
+    falls back to those two otherwise.  g_eval_rows(xs, ys, gamma,
+    reformed, carry), when set, serves evaluate_rows from products over
+    the whole block; its rows agree with the per-point evaluations up to
+    rounding only.
     """
 
     name: str
@@ -165,24 +170,29 @@ class CompositeProblem:
             return Evaluation(self.g_value, self.g_grad, x)
         return self.g_eval(x)
 
-    def evaluate_rows(self, xs, ys, carry=None):
+    def evaluate_rows(self, xs, ys, gamma, reformed, carry=None):
         """g over a block of stored iterates as a `RowsEvaluation`: xs
-        holds the points x^0..x^n, or x^1..x^n after the `carry` of the
-        previous block's last x, and ys the points y^0..y^{n-1} (the rows
-        of a stack).  By default the rows are read from one `Evaluation`
-        per point."""
+        holds the points x^{-1}..x^n, or x^1..x^n after the `carry` of the
+        previous block's last two x's, ys the points y^0..y^{n-1} (the
+        rows of a stack), gamma their factors and reformed whether each
+        is x^i + gamma_i (x^i - x^{i-1}) as the trace re-forms it.  By
+        default the rows are read from one `Evaluation` per x, each
+        re-formed y's extrapolated from those of its two x's, as the
+        lower search makes it, and one per other y."""
         if self.g_eval_rows is not None:
-            return self.g_eval_rows(xs, ys, carry)
-        g_x = [] if carry is None else [carry]
-        g_x += map(self.evaluate, xs)
-        g_y = list(map(self.evaluate, ys))
+            return self.g_eval_rows(xs, ys, gamma, reformed, carry)
+        g_x = list(carry or ()) + list(map(self.evaluate, xs))
+        g_y = [ev.extrapolated(prev, gm, y) if new else self.evaluate(y)
+               for prev, ev, gm, y, new in zip(g_x, g_x[1:], gamma, ys,
+                                               reformed)]
+        carry, g_x = g_x[-2:], g_x[1:]
         return RowsEvaluation(
             np.fromiter((ev.value for ev in g_x), float),
             np.fromiter((ev.value for ev in g_y), float),
             np.fromiter((ev.slope_to(x) for ev, x in zip(g_y, g_x)), float),
             np.fromiter((ev.slope_to(x) for ev, x in zip(g_y, g_x[1:])),
                         float),
-            g_x[-1])
+            carry)
 
     def psi(self, x):
         return self.f_value(x) + self.g_value(x)
@@ -394,28 +404,37 @@ def make_phase_retrieval(data, reg="l1", lam=0.1):
     def g_eval(x):
         return at_image(A @ x)
 
-    def g_eval_rows(xs, ys, carry):
-        # PhaseEvaluation's expressions row by row, from one matrix-matrix
-        # product for the images of the block's x's and y's, written behind
-        # the carried image of the first x: R for the x's, S for the y's
-        c = carry is not None
-        n = c + len(xs)
-        RS = np.empty((n + len(ys), m))
+    def g_eval_rows(xs, ys, gamma, reformed, carry):
+        # PhaseEvaluation's expressions row by row.  The images R of the
+        # block's x's come from one matrix-matrix product, written behind
+        # the two carried images; those S of its y's are extrapolated from
+        # R in `extrapolated`'s order of operations, r + gamma (r - r_prev),
+        # except a kept y's, which takes its own product
+        c = 0 if carry is None else len(carry)
+        R = np.empty((c + len(xs), m))
         if c:
-            RS[0] = carry
-        np.matmul(np.concatenate((xs, ys)), A.T, out=RS[c:])
-        R, S = RS[:n], RS[n:]
-        T = RS * RS
+            R[:c] = carry
+        np.matmul(xs, A.T, out=R[c:])
+        S = np.subtract(R[1:-1], R[:-2])
+        S *= gamma[:, None]
+        S += R[1:-1]
+        kept = ~reformed
+        if kept.any():
+            S[kept] = ys[kept] @ A.T
+        # T = R * R - b^2 of the x's, then of the y's in the same buffer
+        T = R[1:] * R[1:]
         T -= b2
-        g = 0.25 * np.vecdot(T, T)
+        g_x = 0.25 * np.vecdot(T, T)
+        T = np.multiply(S, S, out=T[1:])
+        T -= b2
+        g_y = 0.25 * np.vecdot(T, T)
         # grad g(y) = A^T (T * S), so both linear terms come from the
         # images, with no A^T product
-        T = T[n:]
         T *= S
-        D = R[:-1] - S
+        D = R[1:-1] - S
         lin_curr = np.vecdot(T, D)
-        lin_next = np.vecdot(T, np.subtract(R[1:], S, out=D))
-        return RowsEvaluation(g[:n], g[n:], lin_curr, lin_next, R[-1].copy())
+        lin_next = np.vecdot(T, np.subtract(R[2:], S, out=D))
+        return RowsEvaluation(g_x, g_y, lin_curr, lin_next, R[-2:].copy())
 
     reg = reg.lower()
     if reg == "l1":

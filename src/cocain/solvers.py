@@ -267,15 +267,17 @@ class Trace(Sequence):
 
     def y_stack(self, start, stop, X):
         """The base points y^start..y^{stop-1} as the rows of one array,
-        given the stack X of the stored x^{start-1}..x^{stop-1}: re-formed
-        in one pass of `_extrapolate`, then each kept y written over its
-        row."""
+        given the stack X of the stored x^{start-1}..x^{stop-1}, and which
+        of them the trace re-forms, as a bool array: re-formed in one pass
+        of `_extrapolate`, then each kept y written over its row."""
         gamma = np.frombuffer(self._rows, _ROW_DTYPE)["gamma"][start:stop]
         Y = _extrapolate(X[1:], X[:-1], gamma[:, None])
-        for row, y in zip(Y, self._y[start:stop]):
+        reformed = np.ones(len(Y), bool)
+        for i, y in enumerate(self._y[start:stop]):
             if y is not _REFORMED:
-                row[:] = y
-        return Y
+                Y[i] = y
+                reformed[i] = False
+        return Y, reformed
 
     def rows(self):
         """The records' twelve scalar fields, as one tuple per record."""
@@ -339,7 +341,8 @@ class IterateState:
     """Inputs of one general step: the current iterate x^k and the step
     delta = x^k - x^{k-1} that reached it, the evaluations of g at x^{k-1}
     and x^k (`problem.evaluate`) and the previously accepted parameters
-    (L_lower_prev is 0 in the first)."""
+    (L_lower_prev is 0 in the first).  The previous step size is
+    1/L_bar_prev in every bit, as `_drive` and each majorant rule set it."""
 
     k: int
     x_curr: np.ndarray
@@ -347,7 +350,6 @@ class IterateState:
     g_prev: Evaluation
     g_curr: Evaluation
     dh_prev_curr: float
-    tau_prev: float
     L_bar_prev: float
     L_lower_prev: float
 
@@ -388,10 +390,11 @@ def find_gamma(state, L_lower_candidate, config, problem, rung=None):
 
     For the Euclidean kernel D_h(x^k, y) = gamma^2 * D_h(x^{k-1}, x^k), so
     gamma = min(gamma_cap, sqrt((delta-eps)/(1 + L_lower*tau_prev))) holds
-    with equality-or-better up to rounding.  Every kernel starts from that
-    candidate and halves until the condition verifies.
+    with equality-or-better up to rounding, tau_prev = 1/L_bar_prev the
+    previous step size.  Every kernel starts from that candidate and
+    halves until the condition verifies.
     """
-    scale = 1.0 + L_lower_candidate * state.tau_prev
+    scale = 1.0 + L_lower_candidate * (1.0 / state.L_bar_prev)
     return _halve_gamma(state, scale, config, problem, rung)
 
 
@@ -406,7 +409,8 @@ def find_gamma_cfi(state, L_lower_candidate, config, problem, rung=None):
     nd2 = float(state.delta.dot(state.delta))
     num = (config.delta - config.epsilon) * state.dh_prev_curr
     xk2 = float(state.x_curr.dot(state.x_curr))
-    denom = (1.0 + L_lower_candidate * state.tau_prev) * nd2 * (1.5 * xk2 + 1.75)
+    tau_prev = 1.0 / state.L_bar_prev
+    denom = (1.0 + L_lower_candidate * tau_prev) * nd2 * (1.5 * xk2 + 1.75)
     gamma = min(config.gamma_cap, math.sqrt(num / denom)) if nd2 else 0.0
     return _base_point(state, gamma, problem.kernel, rung)
 
@@ -572,7 +576,7 @@ def _drive(name, problem, config, x0, callback, inertia, majorant, L_bar=None):
         dh_prev_curr = kernel.bregman(x_prev, x_curr, delta)
         state = IterateState(
             k=k, x_curr=x_curr, delta=delta, g_prev=g_prev, g_curr=g_curr,
-            dh_prev_curr=dh_prev_curr, tau_prev=tau, L_bar_prev=L_bar,
+            dh_prev_curr=dh_prev_curr, L_bar_prev=L_bar,
             L_lower_prev=L_lower,
         )
         try:

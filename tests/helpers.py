@@ -115,55 +115,82 @@ def assert_traces_identical(a, b):
 class _ImageEvaluation:
     """g of phase retrieval at one point from its image r = Ax, with the
     per-point expressions: g = (1/4)<t, t> and <grad g(y), x - y> =
-    <t_y * r_y, r_x - r_y>, with t = r * r - b^2."""
+    <t_y * r_y, r_x - r_y>, with t = r * r - b^2; an extrapolated point's
+    image is r + gamma (r - r_prev)."""
 
     def __init__(self, r, b2):
-        self.r, self.t = r, r * r - b2
+        self.r, self.t, self.b2 = r, r * r - b2, b2
 
     @property
     def value(self):
         return 0.25 * float(np.dot(self.t, self.t))
+
+    def extrapolated(self, prev, gamma, y):
+        return _ImageEvaluation(self.r + gamma * (self.r - prev.r), self.b2)
 
     def slope_to(self, base):
         return float(np.dot(self.t * self.r, base.r - self.r))
 
 
 def _reference_rows(problem, xs, ys):
-    """The evaluations of a block's x's and of its y's: one
+    """The evaluations of a block's new x's and of its kept y's: one
     `problem.evaluate` per point, or on phase retrieval (`g_eval_rows`
-    set) the images of all of the block's points from one product."""
+    set) the images of the x's from one product and of the y's from
+    another."""
     if problem.g_eval_rows is None:
-        rows = [problem.evaluate(x) for x in xs + ys]
-    else:
-        data = problem.meta["data"]
-        b2 = data.b * data.b
-        rows = [_ImageEvaluation(r, b2)
-                for r in np.array(xs + ys) @ data.A.T]
-    return rows[:len(xs)], rows[len(xs):]
+        return [problem.evaluate(x) for x in xs], [problem.evaluate(y)
+                                                   for y in ys]
+    data = problem.meta["data"]
+    b2 = data.b * data.b
+
+    def images(points):
+        if not points:
+            return []
+        return [_ImageEvaluation(r, b2) for r in np.array(points) @ data.A.T]
+
+    return images(xs), images(ys)
+
+
+def _reformed(rec, x_prev):
+    """Whether the trace re-forms rec.y: it is not rec.x itself, and
+    x + gamma (x - x_prev) gives every bit of it."""
+    formed = rec.x + rec.gamma * (rec.x - x_prev)
+    return rec.y is not rec.x and formed.tobytes() == rec.y.tobytes()
 
 
 def reference_acceptance_conditions(records, problem, params):
     """`diag.check_acceptance_conditions` as a loop over the iterations:
     one kernel call, norm and dot product per distance, step and linear
     term of each iteration, and g from per-point evaluations of each
-    block's points.  The audit stacks each block's rows instead; this form
-    is the reference its reports are held to, bit for bit."""
+    block's x's and kept y's, with each re-formed y's extrapolated from
+    those of its two x's.  The audit stacks each block's rows instead;
+    this form is the reference its reports are held to, bit for bit."""
     tau, L_lower, L_bar, *logged = diag._columns(
         records, "tau", "L_lower", "L_bar", "dh_prev_curr", "dh_curr_y",
         "step_norm")
     diag._require_iterates(records, "check_acceptance_conditions")
     kernel = problem.kernel
     rows = []
-    carried = []  # the evaluation at the first x^k of the next block
+    carried = []  # the evaluations at the first two x's of the next block
     block = diag._audit_block_length(records[0].x)
     for start in range(1, len(records) - 1, block):
         stop = min(start + block, len(records) - 1)
-        # g_x[i] = g(x^{start+i}), i = 0..stop-start; g_y[i] = g(y^{start+i})
-        g_x, g_y = _reference_rows(
-            problem, [rec.x for rec in records[start + len(carried):stop + 1]],
-            [rec.y for rec in records[start:stop]])
+        reformed = [_reformed(records[k], records[k - 1].x)
+                    for k in range(start, stop)]
+        g_x, kept = _reference_rows(
+            problem,
+            [rec.x for rec in records[start - 1 + len(carried):stop + 1]],
+            [records[k].y for k, new in zip(range(start, stop), reformed)
+             if not new])
+        # g_x[i] = g(x^{start-1+i}), i = 0..stop-start+1
         g_x = carried + g_x
-        carried = g_x[-1:]
+        carried = g_x[-2:]
+        # g_y[i] = g(y^{start+i})
+        kept = iter(kept)
+        g_y = [g_x[i + 1].extrapolated(g_x[i], records[k].gamma, records[k].y)
+               if new else next(kept)
+               for i, (k, new) in enumerate(zip(range(start, stop), reformed))]
+        g_x = g_x[1:]
         for i, k in enumerate(range(start, stop)):
             rec = records[k]
             x_prev = records[k - 1].x

@@ -11,13 +11,15 @@ ones up to rounding.  The product counts are read against the trace's own
 trial counts: a counting wrapper around the phase-retrieval evaluation
 books one A product per `g_eval` call (an extrapolated evaluation makes
 none) and one A^T product per gradient first read.  The audit of stored
-iterates evaluates them in blocks through `g_eval_rows`: one image per
-stored point, computed together, and no A^T product.  Blocks take 16 to
-64 iterations by the size of the stored point, and the longer blocks of
-small points must give the bits of 16-iteration ones.  The report must
-equal, float bits included, that of the per-iteration reference loop in
-`helpers.py`, on healthy and broken traces and on a run that stops at its
-first iteration.
+iterates evaluates g once per stored x, in blocks through `g_eval_rows`
+(one image per x, computed together) or one point at a time without it;
+a base point the trace re-forms is extrapolated from the evaluations of
+its two x's, only a kept one is evaluated itself, and no A^T product is
+made.  Blocks take 16 to 64 iterations by the size of the stored point,
+and the longer blocks of small points must give the bits of 16-iteration
+ones.  The report must equal, float bits included, that of the
+per-iteration reference loop in `helpers.py`, on healthy and broken
+traces and on a run that stops at its first iteration.
 """
 
 from dataclasses import replace
@@ -287,10 +289,10 @@ def test_frozen_majorant_evaluates_each_point_once():
 
 
 def _counting_rows(problem):
-    """`_counting` with `g_eval_rows` counted too: one A image per point of
-    a block, x's and y's, and one A^T per `g_grad` call.  Returns the
-    problem, the counts, and the list of every point evaluated and of the
-    size of every block of x's and of y's."""
+    """`_counting` with `g_eval_rows` counted too: one A image per x of a
+    block and per y the block does not re-form, and one A^T per `g_grad`
+    call.  Returns the problem, the counts, the list of every point imaged
+    and the number of x's of each block."""
     problem, counts = _counting(problem)
     g_eval, g_grad = problem.g_eval, problem.g_grad
     g_eval_rows = problem.g_eval_rows
@@ -304,15 +306,15 @@ def _counting_rows(problem):
         counts["AT"] += 1
         return g_grad(x)
 
-    def counted_rows(xs, ys, carry):
-        for block in (xs, ys):
-            points.extend(block)
-            blocks.append(len(block))
-            counts["A"] += len(block)
-        return g_eval_rows(xs, ys, carry)
+    def counted_rows(xs, ys, gamma, reformed, carry):
+        imaged = list(xs) + list(ys[~reformed])
+        points.extend(imaged)
+        blocks.append(len(xs))
+        counts["A"] += len(imaged)
+        return g_eval_rows(xs, ys, gamma, reformed, carry)
 
     problem = replace(problem, g_eval=counted, g_grad=counted_grad,
-                      g_eval_rows=counted_rows)
+                      g_eval_rows=g_eval_rows and counted_rows)
     return problem, counts, points, blocks
 
 
@@ -320,27 +322,36 @@ def test_audit_evaluates_each_stored_point_once():
     problem, config, x0 = PROBLEMS["phase_retrieval"]()
     config = replace(config, store_iterates=True, max_iters=150, stop_tol=0.0)
     result = cli.SOLVERS["cocain"](problem, config, x0)
-    counted, counts, points, blocks = _counting_rows(problem)
-    params = diag.LyapunovParams.from_run(result, problem)
-    report = diag.check_acceptance_conditions(result.records, counted, params)
-    plain = diag.check_acceptance_conditions(result.records, problem, params)
-    assert report == plain and report.passed
-    n = report.n_checked
-    assert n == result.iterations == 150
-    # x^1..x^{n+1} and every y^k once each, with the bits of the trace's
-    # points, in blocks that bound the audit's memory whatever the trace
-    # length, and no A^T product: both linear terms are taken from the
-    # images
+    n = result.iterations
+    assert n == 150
     block = diag._audit_block_length(result.records[0].x)
     assert block < n
-    stored = ([rec.x for rec in result.records[1:]]
-              + [rec.y for rec in result.records[1:-1]])
-    assert len(points) == len(stored) == (n + 1) + n
-    assert sorted(p.tobytes() for p in points) == sorted(
-        p.tobytes() for p in stored)
-    assert counts == {"A": (n + 1) + n, "AT": 0}
-    assert max(blocks) == block + 1
-    assert len(blocks) == 2 * -(-n // block)
+    params = diag.LyapunovParams.from_run(result, problem)
+    corrupted = replace_record(result.records, 70, y=result.records[70].y + 0.1)
+    # in blocks through g_eval_rows, and one point at a time without it
+    for audited, trace, kept in (
+            (problem, result.records, []),
+            (problem, corrupted, [corrupted[70].y]),
+            (replace(problem, g_eval_rows=None), result.records, []),
+            (replace(problem, g_eval_rows=None), corrupted, [corrupted[70].y])):
+        counted, counts, points, blocks = _counting_rows(audited)
+        report = diag.check_acceptance_conditions(trace, counted, params)
+        assert report == diag.check_acceptance_conditions(trace, audited,
+                                                          params)
+        assert report.n_checked == n and report.passed == (not kept)
+        # x^0..x^{n+1} and each kept y once, with the bits of the trace's
+        # points; no re-formed y, whose image is extrapolated from its
+        # x's, and no A^T product: both linear terms come from the images
+        stored = list(trace.x) + kept
+        assert len(stored) == (n + 2) + len(kept)
+        assert counts == {"A": len(stored), "AT": 0}
+        assert sorted(p.tobytes() for p in points) == sorted(
+            p.tobytes() for p in stored)
+        if audited.g_eval_rows is not None:
+            # the first block's x^0 and the carried x's imaged once, in
+            # blocks that bound the audit's memory whatever the trace length
+            assert blocks[0] == block + 2 and max(blocks[1:]) == block
+            assert len(blocks) == -(-n // block)
 
 
 def _audit_summary(report):

@@ -57,16 +57,14 @@ from cocain.tol import geq, leq
 from helpers import assert_traces_identical, quadratic_problem
 
 
-def _state(problem, x_prev, x_curr, tau_prev=1.0, L_bar_prev=1.0,
-           L_lower_prev=0.0):
+def _state(problem, x_prev, x_curr, L_bar_prev=1.0, L_lower_prev=0.0):
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     return IterateState(
         k=1, x_curr=x_curr, delta=x_curr - x_prev,
         g_prev=problem.evaluate(x_prev), g_curr=problem.evaluate(x_curr),
         dh_prev_curr=problem.kernel.bregman(x_prev, x_curr),
-        tau_prev=tau_prev, L_bar_prev=L_bar_prev,
-        L_lower_prev=L_lower_prev,
+        L_bar_prev=L_bar_prev, L_lower_prev=L_lower_prev,
     )
 
 
@@ -131,14 +129,14 @@ def test_config_accepts_numpy_integer_counts():
 def test_find_gamma_euclidean_closed_form():
     problem = quadratic_problem([1.0, 1.0])
     cfg = SolverConfig(delta=0.6, epsilon=0.1)
-    state = _state(problem, [0.0, 0.0], [1.0, 1.0], tau_prev=1.0)
+    state = _state(problem, [0.0, 0.0], [1.0, 1.0])
     gamma, y, dh_curr_y = find_gamma(state, 1.0, cfg, problem)
     assert gamma == 0.5
     # the base point and its distance come with the factor
     assert np.array_equal(y, state.x_curr + gamma * state.delta)
     assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
     # the inertia condition holds with equality at the closed-form factor
-    scale = 1.0 + 1.0 * state.tau_prev
+    scale = 1.0 + 1.0 * (1.0 / state.L_bar_prev)
     lhs = scale * dh_curr_y
     rhs = (cfg.delta - cfg.epsilon) * state.dh_prev_curr
     assert lhs == rhs == 0.5
@@ -147,7 +145,7 @@ def test_find_gamma_euclidean_closed_form():
 def test_find_gamma_respects_cap():
     problem = quadratic_problem([1.0, 1.0])
     cfg = SolverConfig(delta=0.6, epsilon=0.1, gamma_cap=0.3)
-    state = _state(problem, [0.0, 0.0], [1.0, 1.0], tau_prev=1.0)
+    state = _state(problem, [0.0, 0.0], [1.0, 1.0])
     assert find_gamma(state, 1.0, cfg, problem)[0] == 0.3
 
 
@@ -156,13 +154,13 @@ def test_find_gamma_kappa_form_root_also_satisfies_condition():
     # k = (delta - eps) / (1 + L * tau) is dominated by the closed form
     problem = quadratic_problem([1.0, 1.0])
     cfg = SolverConfig(delta=0.6, epsilon=0.1)
-    state = _state(problem, [0.0, 0.0], [1.0, 1.0], tau_prev=1.0)
-    kappa = (cfg.delta - cfg.epsilon) / (1.0 + 1.0 * state.tau_prev)
+    state = _state(problem, [0.0, 0.0], [1.0, 1.0])
+    scale = 1.0 + 1.0 * (1.0 / state.L_bar_prev)
+    kappa = (cfg.delta - cfg.epsilon) / scale
     gamma_star = (-1.0 + math.sqrt(1.0 + 8.0 * kappa)) / 4.0
     assert gamma_star == pytest.approx(0.1830127018922193, abs=1e-16)
     assert gamma_star <= find_gamma(state, 1.0, cfg, problem)[0]
     y = state.x_curr + gamma_star * state.delta
-    scale = 1.0 + 1.0 * state.tau_prev
     assert leq(
         scale * problem.kernel.bregman(state.x_curr, y),
         (cfg.delta - cfg.epsilon) * state.dh_prev_curr,
@@ -176,7 +174,7 @@ def test_find_gamma_equal_iterates_returns_candidate():
     problem = make_phase_retrieval(data, reg="l1", lam=0.1)
     cfg = SolverConfig(delta=0.6, epsilon=0.1)
     x = np.array([0.5, -1.0, 2.0])
-    state = _state(problem, x, x, tau_prev=1.0)
+    state = _state(problem, x, x)
     assert find_gamma(state, 1.0, cfg, problem)[0] == 0.5
 
 
@@ -202,13 +200,13 @@ def test_find_gamma_cfi_satisfies_inertia_condition():
     for _ in range(50):
         x_curr = rng.uniform(-2.0, 2.0, 4)
         x_prev = x_curr + rng.uniform(-0.35, 0.35, 4)
-        tau_prev = float(rng.uniform(0.05, 1.0))
+        L_bar_prev = 1.0 / float(rng.uniform(0.05, 1.0))
         L_lo = float(rng.uniform(0.1, 10.0))
-        state = _state(problem, x_prev, x_curr, tau_prev=tau_prev)
+        state = _state(problem, x_prev, x_curr, L_bar_prev=L_bar_prev)
         gamma, y, dh_curr_y = find_gamma_cfi(state, L_lo, cfg, problem)
         assert 0.0 <= gamma <= cfg.gamma_cap
         assert dh_curr_y == problem.kernel.bregman(state.x_curr, y)
-        lhs = (1.0 + L_lo * tau_prev) * dh_curr_y
+        lhs = (1.0 + L_lo * (1.0 / L_bar_prev)) * dh_curr_y
         rhs = (cfg.delta - cfg.epsilon) * state.dh_prev_curr
         assert leq(lhs, rhs)
 
@@ -231,7 +229,7 @@ def test_euclidean_inertia_holds_where_the_step_cancels():
 def test_lower_backtrack_one_trial_on_convex_objective():
     problem = quadratic_problem([2.0, 1.0])
     cfg = SolverConfig()
-    state = _state(problem, [1.0, 1.0], [0.5, 0.25], tau_prev=0.5)
+    state = _state(problem, [1.0, 1.0], [0.5, 0.25], L_bar_prev=2.0)
     L_lower, gamma, y, g_y, dh_curr_y, trials = lower_backtrack(
         state, cfg, problem
     )
@@ -298,7 +296,7 @@ def test_repeated_gamma_reuses_the_rung_base_point(monkeypatch):
     # (gamma, y, D_h(x^k, y)) itself: 31 of this run's 88 lower trials form
     # no base point and no distance
     problem = quadratic_problem([2.0, 1.0])
-    state = _state(problem, [1.0, 1.0], [0.5, 0.25], tau_prev=0.5)
+    state = _state(problem, [1.0, 1.0], [0.5, 0.25], L_bar_prev=2.0)
     rung = find_gamma(state, 1e-10, SWEEP_CONFIG, problem)
     assert rung[0] == SWEEP_CONFIG.gamma_cap  # the cap, on both rungs
     assert find_gamma(state, 2e-10, SWEEP_CONFIG, problem, rung) is rung
@@ -447,7 +445,9 @@ def test_trace_keeps_the_base_points_it_cannot_re_form():
         assert records[k].y is not y_k  # a copy
         ys = [rec.y for rec in records[1:-1]]
         X = np.array(records.x[:-1])
-        assert records.y_stack(1, 13, X).tobytes() == np.array(ys).tobytes()
+        Y, reformed = records.y_stack(1, 13, X)
+        assert Y.tobytes() == np.array(ys).tobytes()
+        assert list(reformed) == [j != k for j in range(1, 13)]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(
             ys[:k - 1] + ys[k:], trace.y[1:k] + trace.y[k + 1:-1]))
 
